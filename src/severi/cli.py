@@ -15,8 +15,7 @@ import sys
 from typing import Sequence
 
 from . import engine, forms, gyz, nodepoly
-from .series import SeriesError
-from .tangency import InvalidState, seq_from_text, seq_to_text
+from .tangency import seq_from_text, seq_to_text
 
 DEFAULT_CACHE_PATH = "./severi.cache"
 CACHE_ENV_VAR = "SEVERI_CACHE"
@@ -39,18 +38,8 @@ _INCONSISTENCY_ERRORS = (
     nodepoly.NotQuadratic,
 )
 
-_INPUT_ERRORS = (
-    UsageError,
-    UnsupportedFormat,
-    InvalidState,
-    SeriesError,
-    engine.VersionMismatch,
-    engine.ParseError,
-    gyz.DegreeTooSmall,
-    nodepoly.InvalidInvariants,
-    ValueError,
-    OSError,
-)
+# every bad-input class (UsageError, InvalidState, ParseError, ...) is a ValueError
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,10 +126,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
 
 
-def _strings(series) -> list[str]:
-    return series.to_strings()
-
-
 def _run_count(args) -> dict:
     store, path = _load_store(args)
     doc: dict = {"d": args.d, "delta": args.delta}
@@ -184,7 +169,7 @@ def _run_nodepoly(args) -> dict:
         "delta": poly.delta,
         "coeffs": [str(c) for c in poly.coeffs],
         "fit_range": list(poly.fit_range),
-        "verified": poly.verified_extra,
+        "verified": True,  # fit_node_polynomial raises when the guard point fails
     }
 
 
@@ -239,8 +224,8 @@ def _run_bseries(args) -> dict:
         engine.cache_save(store, path)
     return {
         "order": sol.order,
-        "b1": _strings(sol.b1),
-        "b2": _strings(sol.b2),
+        "b1": sol.b1.to_strings(),
+        "b2": sol.b2.to_strings(),
         "d_used": list(sol.d_used),
         "consistent": sol.consistent,
         "integral": sol.integral,
@@ -269,10 +254,10 @@ def _run_forms(args) -> dict:
     catalog = forms.form_catalog(args.order)
     return {
         "order": catalog.order,
-        "u": _strings(catalog.u),
-        "b3": _strings(catalog.b3),
-        "b4": _strings(catalog.b4),
-        "delta_form": _strings(catalog.delta_form),
+        "u": catalog.u.to_strings(),
+        "b3": catalog.b3.to_strings(),
+        "b4": catalog.b4.to_strings(),
+        "delta_form": catalog.delta_form.to_strings(),
     }
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from typing import Iterable, Iterator
 
 from .tangency import (
@@ -29,9 +28,9 @@ from .tangency import (
     InvalidState,
     TangencySeq,
     canonical,
+    point_count,
     seq_from_text,
     seq_to_text,
-    size,
     weight,
 )
 
@@ -56,8 +55,9 @@ class ParseError(ValueError):
 class CacheStore:
     """Memo table keyed by canonical (d, delta, alpha, beta).
 
-    Reads are lock-free; inserts are serialized and conflict-checked:
-    writing a different value for an existing key raises CacheCorruption.
+    Inserts are conflict-checked: writing a different value for an
+    existing key raises CacheCorruption.  hits and misses count root
+    lookups through get(); the evaluation loop reads the table directly.
     """
 
     def __init__(self, entries: Iterable[tuple[SeveriKey, int]] = ()):
@@ -65,7 +65,6 @@ class CacheStore:
         self.hits = 0
         self.misses = 0
         self._data: dict[SeveriKey, int] = {}
-        self._lock = threading.Lock()
         for key, value in entries:
             self.put(key, value)
 
@@ -78,14 +77,13 @@ class CacheStore:
         return value
 
     def put(self, key: SeveriKey, value: int) -> None:
-        with self._lock:
-            old = self._data.get(key)
-            if old is None:
-                self._data[key] = value
-            elif old != value:
-                raise CacheCorruption(
-                    f"key {key} already holds {old}, refusing to store {value}"
-                )
+        old = self._data.get(key)
+        if old is None:
+            self._data[key] = value
+        elif old != value:
+            raise CacheCorruption(
+                f"key {key} already holds {old}, refusing to store {value}"
+            )
 
     def __len__(self) -> int:
         return len(self._data)
@@ -94,10 +92,9 @@ class CacheStore:
         return key in self._data
 
     def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
+        self._data.clear()
+        self.hits = 0
+        self.misses = 0
 
     def items(self) -> Iterator[tuple[SeveriKey, int]]:
         return iter(sorted(self._data.items()))
@@ -116,14 +113,10 @@ def _max_nodes(d: int) -> int:
     return d * (d - 1) // 2
 
 
-def _point_count(d: int, delta: int, beta_size: int) -> int:
-    return d * (d + 3) // 2 - delta - d + beta_size
-
-
 def _immediate(d: int, delta: int, alpha: TangencySeq, beta: TangencySeq) -> int | None:
     if delta > _max_nodes(d):
         return 0
-    if _point_count(d, delta, size(beta)) < 0:
+    if point_count(d, delta, beta) < 0:
         return 0
     if d == 1:
         return 1 if delta == 0 else 0
@@ -191,7 +184,7 @@ def _transitions(key: SeveriKey) -> list[tuple[int, SeveriKey]]:
     d, delta, alpha, beta = key
     out: list[tuple[int, SeveriKey]] = []
     if __debug__:
-        pc = _point_count(d, delta, size(beta))
+        pc = point_count(d, delta, beta)
 
     # move one unassigned order-k tangency onto an assigned point
     for i, b in enumerate(beta):
@@ -202,7 +195,7 @@ def _transitions(key: SeveriKey) -> list[tuple[int, SeveriKey]]:
             b2[i] -= 1
             child = (d, delta, canonical(a2), canonical(b2))
             if __debug__:
-                assert _point_count(d, delta, size(child[3])) == pc - 1
+                assert point_count(d, delta, child[3]) == pc - 1
             out.append((i + 1, child))
 
     # degenerate to degree d-1: alpha' <= alpha, beta' = beta + gamma,
@@ -245,20 +238,17 @@ def _transitions(key: SeveriKey) -> list[tuple[int, SeveriKey]]:
                 child = (d - 1, delta_p, alpha_p, canonical(b2))
                 if __debug__:
                     assert 0 <= delta_p <= mn_next
-                    assert _point_count(d - 1, delta_p, size(child[3])) == pc - 1
+                    assert point_count(d - 1, delta_p, child[3]) == pc - 1
                 out.append((coef, child))
     return out
 
 
 def _evaluate(root: SeveriKey, cache: CacheStore) -> int:
-    data = cache._data
-    cached = data.get(root)
+    cached = cache.get(root)
     if cached is not None:
-        cache.hits += 1
         return cached
-    cache.misses += 1
+    data = cache._data
     stack = [root]
-    scheduled = {root}
     children: dict[SeveriKey, list[tuple[int, SeveriKey]]] = {}
     while stack:
         key = stack[-1]
@@ -272,21 +262,15 @@ def _evaluate(root: SeveriKey, cache: CacheStore) -> int:
                 cache.put(key, value)
                 stack.pop()
                 continue
-            deps = _transitions(key)
-            children[key] = deps
-            todo = [c for _, c in deps if c not in data and c not in scheduled]
-            scheduled.update(todo)
-            stack.extend(todo)
-        else:
-            # a concurrent evaluation may have claimed a child between
-            # scheduling and now; re-push anything still missing
-            missing = [c for _, c in deps if c not in data]
-            if missing:
-                stack.extend(missing)
-                continue
-            cache.put(key, sum(coef * data[child] for coef, child in deps))
-            del children[key]
-            stack.pop()
+            deps = children[key] = _transitions(key)
+        # post-order: a state is stored once all of its children are
+        missing = [c for _, c in deps if c not in data]
+        if missing:
+            stack.extend(missing)
+            continue
+        cache.put(key, sum(coef * data[child] for coef, child in deps))
+        del children[key]
+        stack.pop()
     return data[root]
 
 
@@ -320,20 +304,13 @@ def severi_table(
     dmax: int,
     deltamax: int,
     cache: CacheStore | None = None,
-    jobs: int = 1,
 ) -> list[list[int]]:
     """All N^{d,delta} for d <= dmax, delta <= deltamax, as rows per degree."""
     if dmax < 1 or deltamax < 0:
         raise InvalidState("table needs dmax >= 1 and deltamax >= 0")
     store = cache if cache is not None else _DEFAULT_CACHE
     queries = [(d, delta) for d in range(1, dmax + 1) for delta in range(deltamax + 1)]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(lambda q: severi_degree(*q, cache=store), queries))
-    else:
-        values = [severi_degree(d, delta, cache=store) for d, delta in queries]
+    values = [severi_degree(d, delta, cache=store) for d, delta in queries]
     width = deltamax + 1
     return [values[i : i + width] for i in range(0, len(values), width)]
 

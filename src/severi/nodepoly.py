@@ -67,12 +67,11 @@ def _poly_eval(coeffs: Sequence[Fraction], d: int) -> Fraction:
 
 @dataclass(frozen=True)
 class NodePolynomial:
-    """T_delta with its fit window and guard-point status."""
+    """T_delta with the window it was fitted on; the guard point held."""
 
     delta: int
     coeffs: tuple[Fraction, ...]  # lowest degree first, length 2*delta + 1
     fit_range: tuple[int, ...]
-    verified_extra: bool
 
     def __call__(self, d: int) -> Fraction:
         return _poly_eval(self.coeffs, d)
@@ -80,11 +79,6 @@ class NodePolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-
-def evaluate(p: NodePolynomial, d: int) -> Fraction:
-    """Horner evaluation of a fitted polynomial."""
-    return p(d)
 
 
 def fit_node_polynomial(delta: int, cache: CacheStore | None = None) -> NodePolynomial:
@@ -107,9 +101,7 @@ def fit_node_polynomial(delta: int, cache: CacheStore | None = None) -> NodePoly
         )
     if delta >= 1 and coeffs[-1] == 0:
         raise DegreeCheckFailed(f"T_{delta} degenerated below degree {2 * delta}")
-    return NodePolynomial(
-        delta=delta, coeffs=coeffs, fit_range=xs, verified_extra=True
-    )
+    return NodePolynomial(delta=delta, coeffs=coeffs, fit_range=xs)
 
 
 class ThresholdWitness(NamedTuple):

@@ -7,7 +7,6 @@ trailing zeros; equality is structural.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -41,26 +40,6 @@ def weight(s: TangencySeq) -> int:
 def size(s: TangencySeq) -> int:
     """|s| = total number of conditions."""
     return sum(s)
-
-
-def seq_binomial(s: TangencySeq, t: TangencySeq) -> int:
-    """Product of C(s_k, t_k); zero when t exceeds s in any order."""
-    out = 1
-    for i, tv in enumerate(t):
-        sv = s[i] if i < len(s) else 0
-        if tv > sv:
-            return 0
-        out *= math.comb(sv, tv)
-    return out
-
-
-def seq_weighted_power(s: TangencySeq) -> int:
-    """I^s = product of k^(s_k)."""
-    out = 1
-    for i, v in enumerate(s):
-        if v:
-            out *= (i + 1) ** v
-    return out
 
 
 def seq_to_text(s: TangencySeq) -> str:
@@ -104,12 +83,11 @@ class ChState:
         return (self.d, self.delta, self.alpha, self.beta)
 
 
-def point_count(st: ChState) -> int:
+def point_count(d: int, delta: int, beta: TangencySeq) -> int:
     """Number of point conditions the counted curves pass through.
 
     Family dimension d(d+3)/2, one condition per node, k per assigned
     order-k tangency, k-1 per unassigned one; with I(alpha)+I(beta) = d
     this is d(d+3)/2 - delta - d + |beta|.
     """
-    d = st.d
-    return d * (d + 3) // 2 - st.delta - d + size(st.beta)
+    return d * (d + 3) // 2 - delta - d + size(beta)

@@ -264,6 +264,15 @@ def test_unreadable_cache_header_is_input_error(capsys, isolated_cwd):
     )
 
 
+def test_old_cache_version_is_input_error(capsys, isolated_cwd):
+    old = isolated_cwd / "old.cache"
+    old.write_text("SEVERI-CACHE v0\n")
+    expect_error(
+        capsys, 1, "VersionMismatch",
+        "cache", "stats", "--cache", str(old),
+    )
+
+
 def test_corrupted_cache_is_internal_error(capsys, isolated_cwd):
     bad = isolated_cwd / "bad.cache"
     bad.write_text("SEVERI-CACHE v1\n2 1 - 2 3\n2 1 - 2 4\n")

@@ -99,7 +99,7 @@ def test_t1_coefficients(shared_cache):
     assert p.coeffs == (Fraction(3), Fraction(-6), Fraction(3))
     assert p.degree == 2
     assert p.fit_range == (3, 4, 5)
-    assert p.verified_extra
+    assert p(6) == severi_degree(6, 1, cache=shared_cache)  # the guard point
 
 
 def test_t2_matches_counts_in_regime(shared_cache):

@@ -7,10 +7,8 @@ from severi import (
     InvalidState,
     canonical,
     point_count,
-    seq_binomial,
     seq_from_text,
     seq_to_text,
-    seq_weighted_power,
     size,
     weight,
 )
@@ -38,21 +36,6 @@ def test_size():
     assert size((2,)) == 2
     assert size((0, 1)) == 1
     assert size(()) == 0
-
-
-def test_seq_binomial():
-    assert seq_binomial((2, 1), (1, 1)) == 2
-    assert seq_binomial((3, 2, 1), (3, 2, 1)) == 1
-    assert seq_binomial((3,), (5,)) == 0
-    assert seq_binomial((3,), ()) == 1
-    assert seq_binomial((2,), (0, 1)) == 0  # t longer than s
-
-
-def test_seq_weighted_power():
-    assert seq_weighted_power(()) == 1
-    assert seq_weighted_power((0, 2)) == 4
-    assert seq_weighted_power((1, 1)) == 2
-    assert seq_weighted_power((0, 0, 3)) == 27
 
 
 def test_text_form():
@@ -83,6 +66,6 @@ def test_state_canonicalizes_on_build():
 
 
 def test_point_count_examples():
-    assert point_count(ChState(2, 0, (), (2,))) == 5
-    assert point_count(ChState(1, 0, (), (1,))) == 2
-    assert point_count(ChState(2, 1, (1,), (1,))) == 3
+    assert point_count(2, 0, (2,)) == 5
+    assert point_count(1, 0, (1,)) == 2
+    assert point_count(2, 1, (1,)) == 3
