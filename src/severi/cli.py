@@ -9,6 +9,7 @@ failed, which means a defect, not a user error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -109,14 +110,26 @@ def _cache_path(args: argparse.Namespace) -> str:
     return os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_PATH
 
 
-def _load_store(args: argparse.Namespace) -> tuple[engine.CacheStore, str | None]:
-    """The store to compute with, and the path to save back to (if any)."""
-    if args.no_cache:
-        return engine.CacheStore(), None
-    path = _cache_path(args)
-    if os.path.exists(path):
-        return engine.cache_load(path), path
-    return engine.CacheStore(), path
+def _with_store(run):
+    """Give a runner the store it computes with, and persist its new roots.
+
+    The save is skipped when the run asked for nothing the file lacks, so
+    read-only calls never rewrite the file.
+    """
+
+    @functools.wraps(run)
+    def wrapper(args: argparse.Namespace):
+        if args.no_cache:
+            return run(args, engine.CacheStore())
+        path = _cache_path(args)
+        store = engine.cache_load(path) if os.path.exists(path) else engine.CacheStore()
+        known = store.root_count
+        doc = run(args, store)
+        if store.root_count > known:
+            engine.cache_save(store, path)
+        return doc
+
+    return wrapper
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -126,8 +139,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
 
 
-def _run_count(args) -> dict:
-    store, path = _load_store(args)
+@_with_store
+def _run_count(args, store) -> dict:
     doc: dict = {"d": args.d, "delta": args.delta}
     alpha = seq_from_text(args.alpha) if args.alpha is not None else ()
     beta = seq_from_text(args.beta) if args.beta is not None else None
@@ -137,16 +150,12 @@ def _run_count(args) -> dict:
         doc["beta"] = seq_to_text(beta)
     value = engine.relative_severi(args.d, args.delta, alpha, beta, cache=store)
     doc["value"] = str(value)
-    if path:
-        engine.cache_save(store, path)
     return doc
 
 
-def _run_table(args) -> dict | list[str]:
-    store, path = _load_store(args)
+@_with_store
+def _run_table(args, store) -> dict | list[str]:
     rows = engine.severi_table(args.dmax, args.deltamax, cache=store)
-    if path:
-        engine.cache_save(store, path)
     if args.format == "csv":
         lines = ["d,delta,value"]
         for d, row in enumerate(rows, start=1):
@@ -160,11 +169,9 @@ def _run_table(args) -> dict | list[str]:
     }
 
 
-def _run_nodepoly(args) -> dict:
-    store, path = _load_store(args)
+@_with_store
+def _run_nodepoly(args, store) -> dict:
     poly = nodepoly.fit_node_polynomial(args.delta, cache=store)
-    if path:
-        engine.cache_save(store, path)
     return {
         "delta": poly.delta,
         "coeffs": [str(c) for c in poly.coeffs],
@@ -173,11 +180,9 @@ def _run_nodepoly(args) -> dict:
     }
 
 
-def _run_threshold(args) -> dict:
-    store, path = _load_store(args)
+@_with_store
+def _run_threshold(args, store) -> dict:
     report = nodepoly.threshold_report(args.delta, cache=store)
-    if path:
-        engine.cache_save(store, path)
     if report.witness is not None:
         w = report.witness
         _progress(
@@ -186,11 +191,9 @@ def _run_threshold(args) -> dict:
     return {"delta": report.delta, "threshold": report.threshold}
 
 
-def _run_logforms(args) -> dict:
-    store, path = _load_store(args)
+@_with_store
+def _run_logforms(args, store) -> dict:
     out = nodepoly.log_forms(args.deltamax, cache=store)
-    if path:
-        engine.cache_save(store, path)
     return {
         "deltamax": args.deltamax,
         "forms": [
@@ -215,13 +218,11 @@ def _run_bell(args) -> dict:
     }
 
 
-def _run_bseries(args) -> dict:
-    store, path = _load_store(args)
+@_with_store
+def _run_bseries(args, store) -> dict:
     degrees = _parse_int_list(args.dlist, "--dlist")
     _progress(f"extracting B-series to order {args.order} from degrees {degrees}")
     sol = gyz.extract_b_series(args.order, degrees, cache=store)
-    if path:
-        engine.cache_save(store, path)
     return {
         "order": sol.order,
         "b1": sol.b1.to_strings(),
@@ -232,8 +233,8 @@ def _run_bseries(args) -> dict:
     }
 
 
-def _run_predict(args) -> dict:
-    store, path = _load_store(args)
+@_with_store
+def _run_predict(args, store) -> dict:
     degrees = _parse_int_list(args.dlist, "--dlist")
     if args.d in degrees:
         _progress(f"note: --d {args.d} is in --dlist, prediction is in-sample")
@@ -241,8 +242,6 @@ def _run_predict(args) -> dict:
     sol = gyz.extract_b_series(args.order, degrees, cache=store, forms=catalog)
     inv = nodepoly.plane_invariants(args.d)
     values = gyz.gyz_predict(inv, sol, forms=catalog, order=args.order)
-    if path:
-        engine.cache_save(store, path)
     return {
         "d": args.d,
         "order": args.order,
@@ -268,10 +267,17 @@ def _run_cache(args) -> dict:
         if existed:
             os.remove(path)
         return {"path": path, "cleared": existed}
-    if os.path.exists(path):
-        store = engine.cache_load(path)
-        return {"path": path, "version": store.version, "entries": len(store)}
-    return {"path": path, "version": engine.CACHE_VERSION, "entries": 0}
+    exists = os.path.exists(path)
+    store = engine.cache_load(path) if exists else engine.CacheStore()
+    absolute = sum(1 for (d, _, alpha, beta), _ in store.items() if not alpha and beta == (d,))
+    return {
+        "path": path,
+        "version": store.version,
+        "entries": len(store),
+        "absolute": absolute,
+        "relative": len(store) - absolute,
+        "bytes": os.path.getsize(path) if exists else 0,
+    }
 
 
 _RUNNERS = {

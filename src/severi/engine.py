@@ -55,9 +55,12 @@ class ParseError(ValueError):
 class CacheStore:
     """Memo table keyed by canonical (d, delta, alpha, beta).
 
-    Inserts are conflict-checked: writing a different value for an
-    existing key raises CacheCorruption.  hits and misses count root
-    lookups through get(); the evaluation loop reads the table directly.
+    Inserts through put() are conflict-checked: writing a different value
+    for an existing key raises CacheCorruption.  The roots are the keys
+    stored through put() or found by get(): the counts callers asked for,
+    and all that cache_save persists.  hits and misses count root lookups
+    through get(); the evaluation loop writes intermediate states into the
+    table directly.
     """
 
     def __init__(self, entries: Iterable[tuple[SeveriKey, int]] = ()):
@@ -65,6 +68,7 @@ class CacheStore:
         self.hits = 0
         self.misses = 0
         self._data: dict[SeveriKey, int] = {}
+        self._roots: set[SeveriKey] = set()
         for key, value in entries:
             self.put(key, value)
 
@@ -74,16 +78,16 @@ class CacheStore:
             self.misses += 1
         else:
             self.hits += 1
+            self._roots.add(key)
         return value
 
     def put(self, key: SeveriKey, value: int) -> None:
-        old = self._data.get(key)
-        if old is None:
-            self._data[key] = value
-        elif old != value:
+        old = self._data.setdefault(key, value)
+        if old != value:
             raise CacheCorruption(
                 f"key {key} already holds {old}, refusing to store {value}"
             )
+        self._roots.add(key)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -93,11 +97,20 @@ class CacheStore:
 
     def clear(self) -> None:
         self._data.clear()
+        self._roots.clear()
         self.hits = 0
         self.misses = 0
 
     def items(self) -> Iterator[tuple[SeveriKey, int]]:
         return iter(sorted(self._data.items()))
+
+    def roots(self) -> Iterator[tuple[SeveriKey, int]]:
+        """The persisted part of the table, sorted like items()."""
+        return iter(sorted((key, self._data[key]) for key in self._roots))
+
+    @property
+    def root_count(self) -> int:
+        return len(self._roots)
 
 
 _DEFAULT_CACHE = CacheStore()
@@ -247,6 +260,8 @@ def _evaluate(root: SeveriKey, cache: CacheStore) -> int:
     cached = cache.get(root)
     if cached is not None:
         return cached
+    # each state is stored once, so the DFS writes the table directly;
+    # only the root goes through put(), which marks it for persistence
     data = cache._data
     stack = [root]
     children: dict[SeveriKey, list[tuple[int, SeveriKey]]] = {}
@@ -259,7 +274,7 @@ def _evaluate(root: SeveriKey, cache: CacheStore) -> int:
         if deps is None:
             value = _immediate(*key)
             if value is not None:
-                cache.put(key, value)
+                data[key] = value
                 stack.pop()
                 continue
             deps = children[key] = _transitions(key)
@@ -268,9 +283,10 @@ def _evaluate(root: SeveriKey, cache: CacheStore) -> int:
         if missing:
             stack.extend(missing)
             continue
-        cache.put(key, sum(coef * data[child] for coef, child in deps))
+        data[key] = sum(coef * data[child] for coef, child in deps)
         del children[key]
         stack.pop()
+    cache.put(root, data[root])
     return data[root]
 
 
@@ -288,7 +304,8 @@ def relative_severi(
     """
     a = canonical(alpha)
     if beta is None:
-        b = canonical([d - weight(a)]) if d - weight(a) >= 0 else (-1,)
+        # an alpha heavier than d leaves beta empty, which ChState rejects
+        b = canonical([max(d - weight(a), 0)])
     else:
         b = canonical(beta)
     state = ChState(d, delta, a, b)  # validates the invariants
@@ -316,21 +333,55 @@ def severi_table(
 
 
 def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:
-    """Write the store as sorted "d delta alpha beta N" lines under a header."""
-    lines = [f"{CACHE_MAGIC} {cache.version}"]
-    for (d, delta, alpha, beta), value in cache.items():
-        at = seq_to_text(alpha) or "-"
-        bt = seq_to_text(beta) or "-"
-        lines.append(f"{d} {delta} {at} {bt} {value}")
-    text = "\n".join(lines) + "\n"
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write the store's roots, merged with the file's, as sorted lines.
+
+    Each line reads "d delta alpha beta N" under a version header.  Saves
+    to one path take an exclusive lock on "<path>.lock", re-read the file
+    under it and keep its entries (a conflicting value raises
+    CacheCorruption), then replace it through a synced temporary file in
+    the same directory, so concurrent processes lose no entry.
+    """
+    import fcntl
+    import tempfile
+
+    path = os.fspath(path)
+    with open(path + ".lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        merged = dict(cache.roots())
+        mode = 0o644  # mkstemp creates 0o600; reuse the file's mode, or this
+        if os.path.exists(path):
+            mode = os.stat(path).st_mode & 0o777
+            for key, value in cache_load(path).items():
+                held = cache._data.get(key, value)
+                if held != value:
+                    raise CacheCorruption(
+                        f"{path} holds {value} for key {key}, the store holds {held}"
+                    )
+                merged[key] = value
+        lines = [f"{CACHE_MAGIC} {cache.version}"]
+        for (d, delta, alpha, beta), value in sorted(merged.items()):
+            at = seq_to_text(alpha) or "-"
+            bt = seq_to_text(beta) or "-"
+            lines.append(f"{d} {delta} {at} {bt} {value}")
+        directory, name = os.path.split(path)
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory or ".")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+                fh.flush()
+                os.fchmod(fh.fileno(), mode)
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def cache_load(path: str | os.PathLike[str]) -> CacheStore:
-    """Parse a cache file; the round trip through cache_save is bit-exact."""
+    """Parse a cache file; every entry read is a root of the returned store.
+
+    The round trip through cache_save is bit-exact.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip():

@@ -1,5 +1,7 @@
 """Cache store semantics and the persistent file format."""
 
+import pathlib
+
 import pytest
 
 from severi import (
@@ -9,6 +11,7 @@ from severi import (
     VersionMismatch,
     cache_load,
     cache_save,
+    relative_severi,
     severi_degree,
     severi_table,
 )
@@ -58,7 +61,7 @@ def test_round_trip_is_bit_exact(tmp_path):
     first = path.read_bytes()
     assert first.startswith(b"SEVERI-CACHE v1\n")
     loaded = cache_load(path)
-    assert dict(loaded.items()) == dict(store.items())
+    assert dict(loaded.items()) == dict(store.roots())
     cache_save(loaded, path)
     assert path.read_bytes() == first
 
@@ -133,3 +136,59 @@ def test_tangency_text_round_trips_in_file(tmp_path):
     body = path.read_text().splitlines()[1:]
     assert body == ["3 1 1 0,1 7", "4 0 2,1 - 9"]
     assert dict(cache_load(path).items()) == dict(store.items())
+
+
+# ------------------------------------------------------ what the file persists
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+def test_fresh_table_file_holds_exactly_the_grid(tmp_path):
+    store = CacheStore()
+    severi_table(10, 6, cache=store)
+    path = tmp_path / "c"
+    cache_save(store, path)
+    grid = {(d, delta, (), (d,)) for d in range(1, 11) for delta in range(7)}
+    assert len(store) > len(grid)  # the memo still holds every state
+    assert {key for key, _ in cache_load(path).items()} == grid
+    assert len(path.read_text().splitlines()) == 1 + 70
+
+
+def test_file_with_intermediate_lines_still_loads(tmp_path):
+    # written by the version that persisted every state: `table --dmax 5
+    # --deltamax 3` then `count --d 4 --delta 1 --alpha 1 --beta 3`
+    old = DATA / "parent_v1.cache"
+    loaded = cache_load(old)
+    assert len(loaded) == 127
+    fresh = CacheStore()
+    assert severi_table(5, 3, cache=loaded) == severi_table(5, 3, cache=fresh)
+    assert relative_severi(4, 1, (1,), (3,), cache=loaded) == 27
+    assert loaded.misses == 0
+    # its lines are all roots now, so a save keeps them unchanged
+    path = tmp_path / "c"
+    cache_save(loaded, path)
+    assert path.read_bytes() == old.read_bytes()
+
+
+def test_save_merges_the_roots_already_in_the_file(tmp_path):
+    path = tmp_path / "c"
+    first, second = CacheStore(), CacheStore()
+    severi_degree(5, 2, cache=first)
+    relative_severi(4, 1, (1,), (3,), cache=second)
+    cache_save(first, path)
+    cache_save(second, path)
+    assert dict(cache_load(path).items()) == {
+        (5, 2, (), (5,)): 882,
+        (4, 1, (1,), (3,)): 27,
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "c.lock"]
+
+
+def test_save_refuses_a_file_that_contradicts_the_store(tmp_path):
+    path = tmp_path / "c"
+    path.write_text("SEVERI-CACHE v1\n2 1 - 2 4\n")
+    store = CacheStore()
+    severi_degree(2, 1, cache=store)
+    with pytest.raises(CacheCorruption):
+        cache_save(store, path)
+    assert path.read_text() == "SEVERI-CACHE v1\n2 1 - 2 4\n"

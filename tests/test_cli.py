@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import severi
-from severi import relative_severi, severi_degree
+from severi import engine, relative_severi, severi_degree
 from severi.cli import CACHE_ENV_VAR, main
 
 
@@ -191,6 +191,43 @@ def test_cache_stats_and_clear(capsys, isolated_cwd):
     assert doc["cleared"] is False
 
 
+def test_cache_stats_reports_what_is_persisted(capsys, isolated_cwd):
+    doc, _ = run_json(capsys, "cache", "stats")
+    assert doc == {
+        "path": "./severi.cache", "version": "v1", "entries": 0,
+        "absolute": 0, "relative": 0, "bytes": 0,
+    }
+    run_json(capsys, "count", "--d", "4", "--delta", "2")
+    run_json(capsys, "count", "--d", "4", "--delta", "1", "--alpha", "1", "--beta", "3")
+    doc, _ = run_json(capsys, "cache", "stats")
+    assert doc == {
+        "path": "./severi.cache", "version": "v1", "entries": 2,
+        "absolute": 1, "relative": 1,
+        "bytes": (isolated_cwd / "severi.cache").stat().st_size,
+    }
+
+
+def test_relative_root_is_persisted_and_served_warm(capsys, isolated_cwd):
+    argv = ("count", "--d", "5", "--delta", "1", "--alpha", "0,1", "--beta", "1,1")
+    cold, _ = run_json(capsys, *argv)
+    key = (5, 1, (0, 1), (1, 1))
+    warm = engine.cache_load(isolated_cwd / "severi.cache")
+    assert dict(warm.items()) == {key: int(cold["value"])}
+    assert str(relative_severi(5, 1, (0, 1), (1, 1), cache=warm)) == cold["value"]
+    assert (warm.hits, warm.misses) == (1, 0)
+    assert run_json(capsys, *argv)[0] == cold
+
+
+def test_read_only_call_leaves_the_file_alone(capsys, isolated_cwd):
+    run_json(capsys, "table", "--dmax", "8", "--deltamax", "2")
+    path = isolated_cwd / "severi.cache"
+    before = path.stat()
+    run_json(capsys, "count", "--d", "4", "--delta", "2")
+    run_json(capsys, "nodepoly", "--delta", "1")
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
 def test_warm_run_output_is_byte_identical(capsys):
     args = ("table", "--dmax", "5", "--deltamax", "3")
     code, cold, _ = run_cli(capsys, *args)
@@ -224,6 +261,16 @@ def test_beta_weight_mismatch_is_input_error(capsys):
         capsys, 1, "InvalidState",
         "count", "--d", "3", "--delta", "0", "--beta", "1", "--no-cache",
     )
+
+
+def test_alpha_heavier_than_degree_is_input_error(capsys):
+    code, out, _ = run_cli(
+        capsys, "count", "--d", "1", "--delta", "0", "--alpha", "0,1", "--no-cache"
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "InvalidState"
+    assert error["message"] == "weight(alpha) + weight(beta) = 2+0 != d = 1"
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -285,8 +332,8 @@ def test_corrupted_cache_is_internal_error(capsys, isolated_cwd):
 # ------------------------------------------------------------------ entry point
 
 
-def test_module_entry_point_runs():
-    # The child starts in the tmp directory of isolated_cwd, where a relative
+def child_env() -> dict:
+    # A child starts in the tmp directory of isolated_cwd, where a relative
     # PYTHONPATH entry such as "src" no longer points at the package. Put the
     # directory of the severi this suite imported first, so the child runs
     # the code under test wherever that came from.
@@ -294,14 +341,46 @@ def test_module_entry_point_runs():
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, inherited]))
+    return env
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "severi", "count", "--d", "5", "--delta", "2", "--no-cache"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"d": 5, "delta": 2, "value": "882"}
+
+
+def test_concurrent_processes_keep_both_roots(isolated_cwd):
+    # the quick run saves while the slow one still computes; the slow one's
+    # save must merge the file under the lock instead of replacing it
+    path = isolated_cwd / "shared.cache"
+    queries = [("25", "7"), ("50", "1")]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "severi", "count", "--d", d, "--delta", delta,
+             "--cache", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+        )
+        for d, delta in queries
+    ]
+    values = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        values.append(int(json.loads(out)["value"]))
+    assert dict(engine.cache_load(path).items()) == {
+        (25, 7, (), (25,)): values[0],
+        (50, 1, (), (50,)): values[1],
+    }
+    assert values[1] == 3 * 49**2
 
 
 def test_console_script_if_installed():

@@ -1,0 +1,77 @@
+"""Golden CLI transcript: the README's commands answer byte for byte as recorded.
+
+The fixture holds the exit code and standard output of each command run
+three ways: with --no-cache, against a fresh cache file, and again
+against the now warm file.  A change that alters any answer fails here.
+Regenerate the fixture only when an answer is meant to change:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "golden_cli.json"
+
+# the README's command list; `cache stats` and `cache clear` describe the
+# file rather than the counts and are covered in test_cli.py
+COMMANDS = [
+    "count --d 4 --delta 2",
+    "count --d 4 --delta 1 --alpha 1 --beta 3",
+    "table --dmax 6 --deltamax 4 --format csv",
+    "nodepoly --delta 3",
+    "threshold --delta 4",
+    "logforms --deltamax 4",
+    "bell --delta 3 --values 1,1,1",
+    "bseries --order 6 --dlist 7,8,9,10,11",
+    "predict --d 12 --order 6 --dlist 7,8,9,10,11",
+    "forms --order 8",
+]
+
+MODES = {
+    "no-cache": ["--no-cache"],
+    "cold": ["--cache", "golden.cache"],
+    "warm": ["--cache", "golden.cache"],
+}
+
+
+def transcript() -> list[dict]:
+    """Run every command in every mode from the current directory."""
+    from severi.cli import main
+
+    records = []
+    for mode, extra in MODES.items():
+        for command in COMMANDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(command.split() + extra)
+            records.append(
+                {"mode": mode, "command": command, "exit": code, "stdout": out.getvalue()}
+            )
+    return records
+
+
+def test_transcript_matches_fixture(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SEVERI_CACHE", raising=False)
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    got = transcript()
+    assert [(r["mode"], r["command"]) for r in got] == [
+        (r["mode"], r["command"]) for r in expected
+    ]
+    for g, e in zip(got, expected):
+        assert (g["exit"], g["stdout"]) == (e["exit"], e["stdout"]), (g["mode"], g["command"])
+
+
+if __name__ == "__main__":
+    os.environ.pop("SEVERI_CACHE", None)
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        records = transcript()
+    FIXTURE.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(records)} records to {FIXTURE}", file=sys.stderr)
