@@ -3,11 +3,19 @@
 A series is known modulo q^(M+1) where M is its truncation order.  All
 arithmetic is exact over Fraction; binary operations truncate to the
 minimum of the two orders so precision loss is always explicit.
+
+The inner sums of multiplication, inversion, exp and log run on Python
+ints: each operand is scaled to integer numerators over the lcm of its
+denominators, and the coefficients already computed are kept over one
+running common denominator.  Each output coefficient is then a single
+reduced Fraction, so a series still holds reduced Fractions only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -43,6 +51,27 @@ def _as_fraction(x: Scalar) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
+
+
+def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators: c_k = nums[k]/den."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _push(nums: list[int], den: int, c: Fraction, w: int = 1) -> int:
+    """Append w.c to the numerators over den and return the new den.
+
+    The list is rescaled in place only when c's denominator does not
+    divide den.
+    """
+    q = c.denominator
+    if den % q:
+        f = q // gcd(den, q)
+        nums[:] = [n * f for n in nums]
+        den *= f
+    nums.append(w * c.numerator * (den // q))
+    return den
 
 
 class RatSeries:
@@ -161,33 +190,28 @@ class RatSeries:
         if not isinstance(other, RatSeries):
             return NotImplemented
         M = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
-        out = [Fraction(0)] * (M + 1)
-        for i in range(M + 1):
-            ai = a[i]
-            if ai:
-                for j in range(M + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        return RatSeries(out)
+        a, da = _scaled(self._coeffs[: M + 1])
+        b, db = _scaled(other._coeffs[: M + 1])
+        den = da * db
+        return RatSeries(
+            [Fraction(sum(map(mul, a[: k + 1], b[k::-1])), den) for k in range(M + 1)]
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RatSeries":
         """Multiplicative inverse by back-substitution; needs a[0] != 0."""
-        a = self._coeffs
-        if a[0] == 0:
+        if self._coeffs[0] == 0:
             raise ZeroConstantTerm("cannot invert a series with constant term 0")
         M = self.order
-        inv0 = 1 / a[0]
-        out = [inv0] + [Fraction(0)] * M
+        a, da = _scaled(self._coeffs)
+        # out_m = -(1/a_0) sum_{k=1..m} a_k.out_{m-k}, with out_j = nums[j]/den
+        c = Fraction(da, a[0])
+        out, nums, den = [c], [c.numerator], c.denominator
         for m in range(1, M + 1):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                if a[k]:
-                    s += a[k] * out[m - k]
-            out[m] = -s * inv0
+            c = Fraction(-sum(map(mul, a[1 : m + 1], nums[m - 1 :: -1])), den * a[0])
+            den = _push(nums, den, c)
+            out.append(c)
         return RatSeries(out)
 
     def exp(self) -> "RatSeries":
@@ -196,17 +220,17 @@ class RatSeries:
         Recurrence from f' = a'.f in q-derivative form:
         m.f_m = sum_{k=1..m} k.a_k.f_{m-k}.
         """
-        a = self._coeffs
-        if a[0] != 0:
+        if self._coeffs[0] != 0:
             raise NonzeroConstantTerm("exp needs constant term 0")
         M = self.order
-        f = [Fraction(1)] + [Fraction(0)] * M
+        a, da = _scaled(self._coeffs)
+        ka = [k * x for k, x in enumerate(a)]
+        # f_j = nums[j]/den
+        f, nums, den = [Fraction(1)], [1], 1
         for m in range(1, M + 1):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                if a[k]:
-                    s += k * a[k] * f[m - k]
-            f[m] = s / m
+            c = Fraction(sum(map(mul, ka[1 : m + 1], nums[m - 1 :: -1])), m * da * den)
+            den = _push(nums, den, c)
+            f.append(c)
         return RatSeries(f)
 
     def log(self) -> "RatSeries":
@@ -215,17 +239,17 @@ class RatSeries:
         Recurrence from a.g' = a' in q-derivative form:
         m.g_m = m.a_m - sum_{k=1..m-1} k.g_k.a_{m-k}.
         """
-        a = self._coeffs
-        if a[0] != 1:
+        if self._coeffs[0] != 1:
             raise ConstantTermNotOne("log needs constant term 1")
         M = self.order
-        g = [Fraction(0)] * (M + 1)
+        a, da = _scaled(self._coeffs)
+        # k.g_k = nums[k]/den
+        g, nums, den = [Fraction(0)], [0], 1
         for m in range(1, M + 1):
-            s = m * a[m]
-            for k in range(1, m):
-                if g[k] and a[m - k]:
-                    s -= k * g[k] * a[m - k]
-            g[m] = s / m
+            s = m * a[m] * den - sum(map(mul, nums[1:m], a[m - 1 : 0 : -1]))
+            c = Fraction(s, m * da * den)
+            den = _push(nums, den, c, m)
+            g.append(c)
         return RatSeries(g)
 
     def pow_rat(self, e: Scalar) -> "RatSeries":

@@ -3,14 +3,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from severi import (
     CacheStore,
     InvalidState,
+    engine,
     relative_severi,
     severi_degree,
     severi_table,
 )
+from severi.tangency import ChState, point_count, weight
 
 
 # -- oracles ---------------------------------------------------------------
@@ -241,6 +244,36 @@ def test_invalid_states_raise(shared_cache):
         relative_severi(2, 1, (0, 0, 2), (), cache=shared_cache)
     with pytest.raises(InvalidState):
         severi_degree(0, 0, cache=shared_cache)
+
+
+@st.composite
+def _states(draw):
+    """A valid (d, delta, alpha, beta): d split into tangency orders, each
+    assigned (alpha) or not (beta), and 0 <= delta <= d(d-1)/2."""
+    d = draw(st.integers(2, 9))
+    delta = draw(st.integers(0, d * (d - 1) // 2))
+    alpha, beta = [0] * d, [0] * d
+    left = d
+    while left:
+        k = draw(st.integers(1, left))
+        (alpha if draw(st.booleans()) else beta)[k - 1] += 1
+        left -= k
+    return ChState(d, delta, alpha, beta).key
+
+
+@settings(deadline=None)
+@given(_states())
+def test_transitions_keep_the_point_count_invariant(key):
+    d, delta, _, beta = key
+    pc = point_count(d, delta, beta)
+    for _, (d2, delta2, alpha2, beta2) in engine._transitions(key):
+        assert point_count(d2, delta2, beta2) == pc - 1
+        assert weight(alpha2) + weight(beta2) == d2
+        if d2 == d - 1:
+            # a reduced curve of degree d2 has at most d2(d2-1)/2 nodes
+            assert 0 <= delta2 <= d2 * (d2 - 1) // 2
+        else:
+            assert (d2, delta2) == (d, delta)
 
 
 def test_table_shape_and_values(shared_cache):

@@ -108,6 +108,30 @@ def test_t2_matches_counts_in_regime(shared_cache):
         assert p(d) == severi_degree(d, 2, cache=shared_cache)
 
 
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+# Kleiman-Piene closed forms (alg-geom/9903192), coefficients lowest degree first:
+# T_2 = 3/2 (d-1)(d-2)(3d^2-3d-11)
+# T_3 = 9/2 d^6 - 27d^5 + 9/2 d^4 + 423/2 d^3 - 229d^2 - 829/2 d + 525
+KLEIMAN_PIENE = {
+    2: _poly_mul(_poly_mul((Fraction(-3, 2), Fraction(3, 2)), (-2, 1)), (-11, -3, 3)),
+    3: tuple(Fraction(c) for c in ("525", "-829/2", "-229", "423/2", "9/2", "-27", "9/2")),
+}
+
+
+@pytest.mark.parametrize("delta, at_delta_plus_one", [(2, 21), (3, 675)])
+def test_fit_matches_kleiman_piene(shared_cache, delta, at_delta_plus_one):
+    p = fit_node_polynomial(delta, cache=shared_cache)
+    assert p.coeffs == KLEIMAN_PIENE[delta]
+    assert p(delta + 1) == at_delta_plus_one
+
+
 def test_t3_at_one_is_75_but_count_is_zero(shared_cache):
     p = fit_node_polynomial(3, cache=shared_cache)
     assert p(1) == 75

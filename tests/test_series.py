@@ -1,9 +1,11 @@
 """Series kernel: frozen examples, independent oracles, random properties."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from severi import (
     ConstantTermNotOne,
@@ -42,6 +44,53 @@ def revert_by_lagrange(g: RatSeries) -> RatSeries:
         power = power * base
         out.append(power[n - 1] / n)
     return RatSeries(out[: M + 1])
+
+
+# -- reference Fraction loops: the kernels' arithmetic, one Fraction op per term
+
+def _ref_mul(a, b):
+    M = min(len(a), len(b)) - 1
+    out = [F(0)] * (M + 1)
+    for i in range(M + 1):
+        if a[i]:
+            for j in range(M + 1 - i):
+                if b[j]:
+                    out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+def _ref_inverse(a):
+    inv0 = 1 / a[0]
+    out = [inv0] + [F(0)] * (len(a) - 1)
+    for m in range(1, len(a)):
+        s = F(0)
+        for k in range(1, m + 1):
+            if a[k]:
+                s += a[k] * out[m - k]
+        out[m] = -s * inv0
+    return tuple(out)
+
+
+def _ref_exp(a):
+    f = [F(1)] + [F(0)] * (len(a) - 1)
+    for m in range(1, len(a)):
+        s = F(0)
+        for k in range(1, m + 1):
+            if a[k]:
+                s += k * a[k] * f[m - k]
+        f[m] = s / m
+    return tuple(f)
+
+
+def _ref_log(a):
+    g = [F(0)] * len(a)
+    for m in range(1, len(a)):
+        s = m * a[m]
+        for k in range(1, m):
+            if g[k] and a[m - k]:
+                s -= k * g[k] * a[m - k]
+        g[m] = s / m
+    return tuple(g)
 
 
 # -- frozen examples ------------------------------------------------------
@@ -223,3 +272,79 @@ def test_mul_commutes_and_distributes_randomized():
         c = _random_series(rng, 15, F(rng.randint(-3, 3)))
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+
+
+# -- integer kernels against the reference loops ----------------------------
+
+# denominators up to 10^6, with the largest primes below it drawn often,
+# so the common denominator of a series is a product of large primes
+_DENOMINATORS = st.one_of(
+    st.sampled_from([1, 2, 3, 999_979, 999_983]), st.integers(1, 10**6)
+)
+_FRACTIONS = st.builds(F, st.integers(-(10**6), 10**6), _DENOMINATORS)
+_SCALARS = st.one_of(st.integers(-(10**6), 10**6), _FRACTIONS)
+
+
+@st.composite
+def _coeff_lists(draw, min_size=1, max_size=14):
+    """Coefficient lists with zero entries and, often, a run of zeros."""
+    entries = st.one_of(st.just(F(0)), _FRACTIONS)
+    cs = draw(st.lists(entries, min_size=min_size, max_size=max_size))
+    i = draw(st.integers(0, len(cs)))
+    j = draw(st.integers(i, len(cs)))
+    cs[i:j] = [F(0)] * (j - i)
+    return cs
+
+
+def _reduced(s: RatSeries) -> bool:
+    return all(
+        type(c) is F and c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+        for c in s.coeffs
+    )
+
+
+@settings(deadline=None)
+@given(_coeff_lists(), _coeff_lists())
+def test_mul_kernel_matches_reference(a, b):
+    # operands of different orders truncate to the smaller one
+    product = RatSeries(a) * RatSeries(b)
+    assert product.coeffs == _ref_mul(a, b)
+    assert product.order == min(len(a), len(b)) - 1
+    assert _reduced(product)
+
+
+@settings(deadline=None)
+@given(_coeff_lists(), _SCALARS)
+def test_scalar_mul_matches_reference(a, c):
+    expected = tuple(x * c for x in a)
+    assert (RatSeries(a) * c).coeffs == expected
+    assert (c * RatSeries(a)).coeffs == expected
+    assert _reduced(RatSeries(a) * c)
+
+
+@settings(deadline=None)
+@given(_FRACTIONS.filter(bool), _coeff_lists(min_size=0))
+def test_inverse_kernel_matches_reference(a0, rest):
+    # the constant term may be negative or fractional
+    a = [a0] + rest
+    inv = RatSeries(a).inverse()
+    assert inv.coeffs == _ref_inverse(a)
+    assert _reduced(inv)
+
+
+@settings(deadline=None)
+@given(_coeff_lists(min_size=0))
+def test_exp_kernel_matches_reference(rest):
+    a = [F(0)] + rest
+    e = RatSeries(a).exp()
+    assert e.coeffs == _ref_exp(a)
+    assert _reduced(e)
+
+
+@settings(deadline=None)
+@given(_coeff_lists(min_size=0))
+def test_log_kernel_matches_reference(rest):
+    a = [F(1)] + rest
+    g = RatSeries(a).log()
+    assert g.coeffs == _ref_log(a)
+    assert _reduced(g)
