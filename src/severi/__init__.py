@@ -5,6 +5,9 @@ their thresholds, the Bell/log structure of the counts, and numeric
 extraction of the two unknown series of the Gottsche-Yau-Zaslow
 product formula.  Everything is exact: integers are unbounded and
 coefficients are rationals; no floating point anywhere.
+
+The top level holds the pipeline's entry points and the exceptions
+they raise; everything else is importable from its submodule.
 """
 
 from .engine import (
@@ -12,121 +15,63 @@ from .engine import (
     CacheStore,
     ParseError,
     VersionMismatch,
-    cache_load,
-    cache_save,
-    default_cache,
     relative_severi,
     severi_degree,
     severi_table,
 )
-from .forms import FormCatalog, b3_series, b4_series, delta_series, form_catalog, sigma1, u_series
+from .forms import form_catalog, sigma1
 from .gyz import (
-    BSeriesSolution,
     DegreeTooSmall,
     InconsistentSystem,
+    InvalidInvariants,
+    Invariants,
     NonIntegralPrediction,
-    PlaneSeries,
     extract_b_series,
     gyz_predict,
-    plane_generating_series,
+    plane_invariants,
 )
 from .nodepoly import (
     DegreeCheckFailed,
-    InvalidInvariants,
-    Invariants,
-    LogForm,
-    NodePolynomial,
     NotQuadratic,
-    ThresholdResult,
-    ThresholdWitness,
     bell_polynomial,
     fit_node_polynomial,
-    interpolate,
     log_forms,
-    plane_invariants,
     reconstruct_from_log_forms,
     threshold,
     threshold_report,
 )
-from .series import (
-    ConstantTermNotOne,
-    NonzeroConstantTerm,
-    NotReversible,
-    PositiveValuationRequired,
-    RatSeries,
-    SeriesError,
-    ZeroConstantTerm,
-)
-from .tangency import (
-    ChState,
-    InvalidState,
-    TangencySeq,
-    canonical,
-    point_count,
-    seq_from_text,
-    seq_to_text,
-    size,
-    weight,
-)
+from .series import RatSeries, SeriesError
+from .tangency import InvalidState
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BSeriesSolution",
     "CacheCorruption",
     "CacheStore",
-    "ChState",
-    "ConstantTermNotOne",
     "DegreeCheckFailed",
     "DegreeTooSmall",
-    "FormCatalog",
     "InconsistentSystem",
     "InvalidInvariants",
     "InvalidState",
     "Invariants",
-    "LogForm",
-    "NodePolynomial",
     "NonIntegralPrediction",
-    "NonzeroConstantTerm",
     "NotQuadratic",
-    "NotReversible",
     "ParseError",
-    "PlaneSeries",
-    "PositiveValuationRequired",
     "RatSeries",
     "SeriesError",
-    "TangencySeq",
-    "ThresholdResult",
-    "ThresholdWitness",
     "VersionMismatch",
-    "ZeroConstantTerm",
-    "b3_series",
-    "b4_series",
     "bell_polynomial",
-    "cache_load",
-    "cache_save",
-    "canonical",
-    "default_cache",
-    "delta_series",
     "extract_b_series",
     "fit_node_polynomial",
     "form_catalog",
     "gyz_predict",
-    "interpolate",
     "log_forms",
-    "plane_generating_series",
     "plane_invariants",
-    "point_count",
     "reconstruct_from_log_forms",
     "relative_severi",
-    "seq_from_text",
-    "seq_to_text",
     "severi_degree",
     "severi_table",
     "sigma1",
-    "size",
     "threshold",
     "threshold_report",
-    "u_series",
-    "weight",
 ]

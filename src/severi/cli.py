@@ -26,10 +26,6 @@ class UsageError(ValueError):
     """Bad command line: unknown flag, missing argument, unparsable value."""
 
 
-class UnsupportedFormat(ValueError):
-    """--format csv is only available for the table subcommand."""
-
-
 # failures of internal cross-checks: the math is wrong, not the input
 _INCONSISTENCY_ERRORS = (
     engine.CacheCorruption,
@@ -58,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--cache", default=None, metavar="PATH")
         p.add_argument("--no-cache", action="store_true")
         return p
@@ -72,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("table", "all Severi degrees up to a degree and node bound")
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--deltamax", type=int, required=True)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("nodepoly", "fit one node polynomial")
     p.add_argument("--delta", type=int, required=True)
@@ -240,7 +236,7 @@ def _run_predict(args, store) -> dict:
         _progress(f"note: --d {args.d} is in --dlist, prediction is in-sample")
     catalog = forms.form_catalog(max(args.order, 1))
     sol = gyz.extract_b_series(args.order, degrees, cache=store, forms=catalog)
-    inv = nodepoly.plane_invariants(args.d)
+    inv = gyz.plane_invariants(args.d)
     values = gyz.gyz_predict(inv, sol, forms=catalog, order=args.order)
     return {
         "d": args.d,
@@ -272,7 +268,7 @@ def _run_cache(args) -> dict:
     absolute = sum(1 for (d, _, alpha, beta), _ in store.items() if not alpha and beta == (d,))
     return {
         "path": path,
-        "version": store.version,
+        "version": engine.CACHE_VERSION,
         "entries": len(store),
         "absolute": absolute,
         "relative": len(store) - absolute,
@@ -294,27 +290,14 @@ _RUNNERS = {
 }
 
 
-def format_output(doc, fmt: str) -> str:
-    """Render a result document; key order is fixed, integers stay exact."""
-    if fmt == "json":
-        return json.dumps(doc) + "\n"
-    if fmt == "csv":
-        if not isinstance(doc, list):
-            raise UnsupportedFormat("CSV output exists only for the table subcommand")
-        return "\n".join(doc) + "\n"
-    raise UnsupportedFormat(f"unknown format {fmt!r}")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
-        if args.format == "csv" and args.command != "table":
-            raise UnsupportedFormat(
-                "CSV output exists only for the table subcommand"
-            )
         doc = _RUNNERS[args.command](args)
-        sys.stdout.write(format_output(doc, args.format))
+        # table --format csv returns its lines; every other document is JSON
+        text = "\n".join(doc) if isinstance(doc, list) else json.dumps(doc)
+        sys.stdout.write(text + "\n")
         return 0
     except _INCONSISTENCY_ERRORS as exc:
         _emit_error(exc)

@@ -64,7 +64,6 @@ class CacheStore:
     """
 
     def __init__(self, entries: Iterable[tuple[SeveriKey, int]] = ()):
-        self.version = CACHE_VERSION
         self.hits = 0
         self.misses = 0
         self._data: dict[SeveriKey, int] = {}
@@ -94,12 +93,6 @@ class CacheStore:
 
     def __contains__(self, key: SeveriKey) -> bool:
         return key in self._data
-
-    def clear(self) -> None:
-        self._data.clear()
-        self._roots.clear()
-        self.hits = 0
-        self.misses = 0
 
     def items(self) -> Iterator[tuple[SeveriKey, int]]:
         return iter(sorted(self._data.items()))
@@ -358,7 +351,7 @@ def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:
                         f"{path} holds {value} for key {key}, the store holds {held}"
                     )
                 merged[key] = value
-        lines = [f"{CACHE_MAGIC} {cache.version}"]
+        lines = [f"{CACHE_MAGIC} {CACHE_VERSION}"]
         for (d, delta, alpha, beta), value in sorted(merged.items()):
             at = seq_to_text(alpha) or "-"
             bt = seq_to_text(beta) or "-"

@@ -1,4 +1,4 @@
-"""Assemble plane generating series, extract B1/B2, and predict counts.
+"""Surface invariants, plane generating series, B1/B2 extraction, prediction.
 
 The product formula sum_delta n_delta u(q)^delta =
 B1(q)^z B2(q)^y B3(q)^chi B4(q)^(-nu/2) leaves exactly two unknown
@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .engine import CacheStore, severi_degree
 from .forms import FormCatalog, form_catalog
-from .nodepoly import InvalidInvariants, Invariants, plane_invariants
 from .series import RatSeries
 
 
@@ -31,12 +30,40 @@ class NonIntegralPrediction(RuntimeError):
     """A predicted count came out non-integral."""
 
 
-@dataclass(frozen=True)
-class PlaneSeries:
-    """sum_{delta <= M} N^{d,delta} u(q)^delta, truncated at order M."""
+class InvalidInvariants(ValueError):
+    """(x, y, z, t) violates z + t = 0 (mod 12) or x = y (mod 2)."""
 
-    d: int
-    series: RatSeries
+
+@dataclass(frozen=True)
+class Invariants:
+    """(x, y, z, t) = (L.L, L.K, K.K, c2) for a line bundle L on a surface."""
+
+    x: int
+    y: int
+    z: int
+    t: int
+
+    def __post_init__(self) -> None:
+        if (self.z + self.t) % 12 != 0 or (self.x - self.y) % 2 != 0:
+            raise InvalidInvariants(
+                f"(x,y,z,t) = ({self.x},{self.y},{self.z},{self.t}) "
+                "needs z + t = 0 (mod 12) and x = y (mod 2)"
+            )
+
+    @property
+    def nu(self) -> int:
+        return (self.z + self.t) // 12
+
+    @property
+    def chi(self) -> int:
+        return (self.x - self.y) // 2 + self.nu
+
+
+def plane_invariants(d: int) -> Invariants:
+    """Degree-d plane curves: (d^2, -3d, 9, 3), so nu = 1, chi = (d^2+3d)/2 + 1."""
+    if d < 1:
+        raise ValueError("degree must be positive")
+    return Invariants(x=d * d, y=-3 * d, z=9, t=3)
 
 
 @dataclass(frozen=True)
@@ -62,8 +89,8 @@ def plane_generating_series(
     order: int,
     cache: CacheStore | None = None,
     forms: FormCatalog | None = None,
-) -> PlaneSeries:
-    """Left side of the product formula for the plane system of degree d."""
+) -> RatSeries:
+    """Left side of the product formula for degree d: sum N^{d,delta} u(q)^delta."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     if d < order + 1:
@@ -72,7 +99,7 @@ def plane_generating_series(
             "all delta <= order must sit in the polynomial regime"
         )
     if order == 0:
-        return PlaneSeries(d=d, series=RatSeries.one(0))
+        return RatSeries.one(0)
     if forms is None or forms.order < order:
         forms = form_catalog(order)
     u = forms.u.truncate(order)
@@ -82,7 +109,7 @@ def plane_generating_series(
         total = total + severi_degree(d, delta, cache=cache) * u_power
         if delta < order:
             u_power = u_power * u
-    return PlaneSeries(d=d, series=total)
+    return total
 
 
 def extract_b_series(
@@ -121,7 +148,7 @@ def extract_b_series(
     for d in degrees:
         plane = plane_generating_series(d, order, cache=cache, forms=forms)
         chi = plane_invariants(d).chi
-        residues[d] = plane.series.log() - chi * log_b3 + Fraction(1, 2) * log_b4
+        residues[d] = plane.log() - chi * log_b3 + Fraction(1, 2) * log_b4
     l1 = [Fraction(0)] * (order + 1)
     l2 = [Fraction(0)] * (order + 1)
     pair_counts = []
@@ -171,11 +198,6 @@ def gyz_predict(
         order = sol.order
     if order > sol.order:
         raise ValueError(f"order {order} exceeds the solution's {sol.order}")
-    if not inv.is_valid():
-        raise InvalidInvariants(
-            f"(x,y,z,t) = ({inv.x},{inv.y},{inv.z},{inv.t}) "
-            "needs z + t = 0 (mod 12) and x = y (mod 2)"
-        )
     if order == 0:
         return [1]
     if forms is None or forms.order < order:

@@ -27,10 +27,6 @@ class NotQuadratic(RuntimeError):
     """A log-form coefficient failed to collapse to degree <= 2 in d."""
 
 
-class InvalidInvariants(ValueError):
-    """(x, y, z, t) violates z + t = 0 (mod 12) or x = y (mod 2)."""
-
-
 def interpolate(xs: Sequence[int], ys: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Exact polynomial through (xs[i], ys[i]), as monomial coefficients.
 
@@ -154,7 +150,7 @@ class LogForm:
     a0: Fraction
 
     def __call__(self, d: int) -> Fraction:
-        return (self.a2 * d + self.a1) * d + self.a0
+        return _poly_eval((self.a0, self.a1, self.a2), d)
 
 
 def log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:
@@ -218,35 +214,3 @@ def reconstruct_from_log_forms(
         + [by_kappa[k](d) / math.factorial(k) for k in range(1, delta_max + 1)]
     )
     return list(inner.exp().coeffs)
-
-
-@dataclass(frozen=True)
-class Invariants:
-    """(x, y, z, t) = (L.L, L.K, K.K, c2) for a line bundle L on a surface."""
-
-    x: int
-    y: int
-    z: int
-    t: int
-
-    def is_valid(self) -> bool:
-        return (self.z + self.t) % 12 == 0 and (self.x - self.y) % 2 == 0
-
-    @property
-    def nu(self) -> int:
-        if (self.z + self.t) % 12 != 0:
-            raise InvalidInvariants(f"z + t = {self.z + self.t} is not divisible by 12")
-        return (self.z + self.t) // 12
-
-    @property
-    def chi(self) -> int:
-        if (self.x - self.y) % 2 != 0:
-            raise InvalidInvariants(f"x - y = {self.x - self.y} is odd")
-        return (self.x - self.y) // 2 + self.nu
-
-
-def plane_invariants(d: int) -> Invariants:
-    """Degree-d plane curves: (d^2, -3d, 9, 3), so nu = 1, chi = (d^2+3d)/2 + 1."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    return Invariants(x=d * d, y=-3 * d, z=9, t=3)

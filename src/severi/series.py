@@ -114,11 +114,6 @@ class RatSeries:
             raise ValueError("q needs order >= 1")
         return cls([0, 1], order=order)
 
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "RatSeries":
-        """Parse the list-of-"num/den" text form produced by to_strings."""
-        return cls([Fraction(s) for s in items])
-
     # -- structure ---------------------------------------------------
 
     @property
@@ -307,7 +302,3 @@ class RatSeries:
                     t -= h[k] * powers[k][n]
             h[n] = t / powers[n][n]
         return RatSeries(h)
-
-    def q_derivative(self) -> "RatSeries":
-        """D = q.d/dq: coefficient m becomes m.a[m]; order is preserved."""
-        return RatSeries([m * c for m, c in enumerate(self._coeffs)])

@@ -9,12 +9,11 @@ from severi import (
     CacheStore,
     ParseError,
     VersionMismatch,
-    cache_load,
-    cache_save,
     relative_severi,
     severi_degree,
     severi_table,
 )
+from severi.engine import cache_load, cache_save
 
 
 def test_put_get_and_counters():
@@ -43,13 +42,6 @@ def test_conflicting_put_is_a_hard_error():
     store.put(key, 3)
     with pytest.raises(CacheCorruption):
         store.put(key, 4)
-
-
-def test_clear():
-    store = CacheStore()
-    store.put((1, 0, (), (1,)), 1)
-    store.clear()
-    assert len(store) == 0
 
 
 def test_round_trip_is_bit_exact(tmp_path):

@@ -283,7 +283,7 @@ def test_missing_required_flag_is_usage_error(capsys):
 
 def test_csv_outside_table_is_rejected(capsys):
     expect_error(
-        capsys, 1, "UnsupportedFormat",
+        capsys, 1, "UsageError",
         "count", "--d", "2", "--delta", "0", "--format", "csv", "--no-cache",
     )
 

@@ -165,7 +165,7 @@ def naive_relative(d, delta, alpha, beta, memo):
     """
     from itertools import product
 
-    from severi import canonical, size, weight
+    from severi.tangency import canonical, size, weight
 
     alpha, beta = canonical(alpha), canonical(beta)
     key = (d, delta, alpha, beta)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from severi import RatSeries, b3_series, b4_series, delta_series, form_catalog, sigma1, u_series
+from severi import RatSeries, form_catalog, sigma1
+from severi.forms import b3_series, b4_series, delta_series, u_series
 
 # tau(n) for n = 1..12, the discriminant coefficients (Lehmer's table)
 TAU = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944]

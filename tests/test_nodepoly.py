@@ -10,10 +10,8 @@ from severi import (
     CacheStore,
     InvalidInvariants,
     Invariants,
-    LogForm,
     bell_polynomial,
     fit_node_polynomial,
-    interpolate,
     log_forms,
     plane_invariants,
     reconstruct_from_log_forms,
@@ -21,6 +19,7 @@ from severi import (
     threshold,
     threshold_report,
 )
+from severi.nodepoly import LogForm, interpolate
 
 
 def set_partitions(items):
@@ -260,7 +259,6 @@ def test_bell_input_validation():
 def test_plane_invariants():
     inv = plane_invariants(3)
     assert (inv.x, inv.y, inv.z, inv.t) == (9, -9, 9, 3)
-    assert inv.is_valid()
     assert inv.nu == 1
     assert inv.chi == 10  # (d^2 + 3d)/2 + 1 at d = 3
 
@@ -272,14 +270,12 @@ def test_plane_chi_formula():
 
 
 def test_invalid_invariants_raise():
-    bad_nu = Invariants(x=2, y=0, z=1, t=2)
-    assert not bad_nu.is_valid()
+    # z + t = 3 is not divisible by 12
     with pytest.raises(InvalidInvariants):
-        bad_nu.nu
-    bad_chi = Invariants(x=1, y=0, z=9, t=3)
-    assert not bad_chi.is_valid()
+        Invariants(x=2, y=0, z=1, t=2)
+    # x - y = 1 is odd
     with pytest.raises(InvalidInvariants):
-        bad_chi.chi
+        Invariants(x=1, y=0, z=9, t=3)
 
 
 def test_plane_invariants_rejects_nonpositive():

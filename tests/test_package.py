@@ -1,6 +1,27 @@
 """The package's public surface."""
 
+import ast
+import doctest
+import importlib
+import pathlib
+import pkgutil
+import re
+
 import severi
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# the pipeline's entry points, the types of their parameters, and the
+# exceptions they raise; everything else lives in the submodules
+SURFACE = [
+    "relative_severi", "severi_degree", "severi_table", "CacheStore",
+    "fit_node_polynomial", "threshold", "threshold_report", "log_forms",
+    "bell_polynomial", "reconstruct_from_log_forms", "RatSeries", "form_catalog",
+    "sigma1", "extract_b_series", "gyz_predict", "plane_invariants", "Invariants",
+    "CacheCorruption", "ParseError", "VersionMismatch", "InvalidState",
+    "DegreeCheckFailed", "NotQuadratic", "DegreeTooSmall", "InconsistentSystem",
+    "NonIntegralPrediction", "InvalidInvariants", "SeriesError",
+]
 
 
 def test_every_export_resolves():
@@ -10,3 +31,38 @@ def test_every_export_resolves():
 
 def test_exports_are_unique():
     assert len(severi.__all__) == len(set(severi.__all__))
+
+
+def test_exports_are_exactly_the_surface():
+    assert sorted(severi.__all__) == sorted(SURFACE)
+
+
+def names_imported_from_severi(source: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "severi"
+        for alias in node.names
+    }
+
+
+def test_demos_and_readme_import_only_exported_names():
+    sources = [path.read_text() for path in sorted((ROOT / "demos").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    sources += re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    used = set().union(*(names_imported_from_severi(source) for source in sources))
+    assert "severi_degree" in used  # the parse found the imports
+    assert sorted(used - set(severi.__all__)) == []
+
+
+def test_doctests_pass():
+    failed = attempted = 0
+    for info in pkgutil.iter_modules(severi.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"severi.{info.name}")
+        result = doctest.testmod(module)
+        failed += result.failed
+        attempted += result.attempted
+    assert failed == 0
+    assert attempted >= 1

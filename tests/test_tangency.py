@@ -2,7 +2,7 @@
 
 import pytest
 
-from severi import (
+from severi.tangency import (
     ChState,
     InvalidState,
     canonical,
