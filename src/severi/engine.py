@@ -24,17 +24,16 @@ import os
 from typing import Iterable, Iterator
 
 from .tangency import (
-    ChState,
     InvalidState,
+    SeveriKey,
     TangencySeq,
     canonical,
     point_count,
     seq_from_text,
     seq_to_text,
+    state_key,
     weight,
 )
-
-SeveriKey = tuple[int, int, TangencySeq, TangencySeq]
 
 CACHE_MAGIC = "SEVERI-CACHE"
 CACHE_VERSION = "v1"
@@ -63,13 +62,11 @@ class CacheStore:
     table directly.
     """
 
-    def __init__(self, entries: Iterable[tuple[SeveriKey, int]] = ()):
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self._data: dict[SeveriKey, int] = {}
         self._roots: set[SeveriKey] = set()
-        for key, value in entries:
-            self.put(key, value)
 
     def get(self, key: SeveriKey) -> int | None:
         value = self._data.get(key)
@@ -295,14 +292,12 @@ def relative_severi(
     beta defaults to the absolute choice: all of the remaining weight
     d - weight(alpha) as order-1 intersections.
     """
-    a = canonical(alpha)
     if beta is None:
-        # an alpha heavier than d leaves beta empty, which ChState rejects
-        b = canonical([max(d - weight(a), 0)])
-    else:
-        b = canonical(beta)
-    state = ChState(d, delta, a, b)  # validates the invariants
-    return _evaluate(state.key, cache if cache is not None else _DEFAULT_CACHE)
+        alpha = canonical(alpha)
+        # an alpha heavier than d leaves beta empty, which state_key rejects
+        beta = [max(d - weight(alpha), 0)]
+    key = state_key(d, delta, alpha, beta)
+    return _evaluate(key, cache if cache is not None else _DEFAULT_CACHE)
 
 
 def severi_degree(d: int, delta: int, cache: CacheStore | None = None) -> int:
@@ -397,10 +392,9 @@ def cache_load(path: str | os.PathLike[str]) -> CacheStore:
             d, delta = int(fields[0]), int(fields[1])
             alpha = seq_from_text(fields[2] if fields[2] != "-" else "")
             beta = seq_from_text(fields[3] if fields[3] != "-" else "")
+            key = state_key(d, delta, alpha, beta)  # InvalidState is a ValueError
             value = int(fields[4])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if d < 1 or delta < 0 or weight(alpha) + weight(beta) != d:
-            raise ParseError(f"{path}:{lineno}: inconsistent state")
-        store.put((d, delta, alpha, beta), value)
+        store.put(key, value)
     return store

@@ -52,10 +52,7 @@ def delta_series(order: int) -> RatSeries:
     euler = RatSeries.one(order - 1)
     for n in range(1, order):
         euler = euler * RatSeries([1] + [0] * (n - 1) + [-1], order=order - 1)
-    power = euler
-    for _ in range(23):
-        power = power * euler
-    return RatSeries([0, *power.coeffs])
+    return RatSeries([0, *(euler ** 24).coeffs])
 
 
 def b4_series(order: int) -> RatSeries:

@@ -102,14 +102,8 @@ def plane_generating_series(
         return RatSeries.one(0)
     if forms is None or forms.order < order:
         forms = form_catalog(order)
-    u = forms.u.truncate(order)
-    total = RatSeries.zero(order)
-    u_power = RatSeries.one(order)
-    for delta in range(order + 1):
-        total = total + severi_degree(d, delta, cache=cache) * u_power
-        if delta < order:
-            u_power = u_power * u
-    return total
+    counts = [severi_degree(d, delta, cache=cache) for delta in range(order + 1)]
+    return RatSeries(counts).compose(forms.u)
 
 
 def extract_b_series(

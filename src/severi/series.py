@@ -170,9 +170,7 @@ class RatSeries:
         return RatSeries([-c for c in self._coeffs])
 
     def __sub__(self, other: "RatSeries | Scalar") -> "RatSeries":
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        if not isinstance(other, RatSeries):
+        if not isinstance(other, (int, Fraction, RatSeries)):
             return NotImplemented
         return self + (-other)
 
@@ -282,23 +280,22 @@ class RatSeries:
         return out
 
     def revert(self) -> "RatSeries":
-        """Compositional inverse by order-by-order back-substitution.
+        """Compositional inverse by Lagrange inversion.
 
-        Needs g[0] = 0 and g[1] != 0.  Solves [q^n] sum_k h_k.g^k = [n == 1]
-        for h_n, using that g^k has valuation k.
+        Needs g[0] = 0 and g[1] != 0.  With the unit series p = q/g,
+        n.h_n = [q^(n-1)] p^n.  Reverting q + q^2 gives signed Catalan numbers:
+
+        >>> RatSeries([0, 1, 1], order=4).revert().coeffs
+        (Fraction(0, 1), Fraction(1, 1), Fraction(-1, 1), Fraction(2, 1), Fraction(-5, 1))
         """
         g = self._coeffs
         if g[0] != 0 or self.order < 1 or g[1] == 0:
             raise NotReversible("reversion needs g[0] = 0 and g[1] != 0")
         M = self.order
-        powers = [RatSeries.one(M)]
-        for _ in range(M):
-            powers.append(powers[-1] * self)
-        h = [Fraction(0)] * (M + 1)
+        p = RatSeries(g[1:]).inverse()
+        power = RatSeries.one(M - 1)
+        h = [Fraction(0)]
         for n in range(1, M + 1):
-            t = Fraction(1 if n == 1 else 0)
-            for k in range(1, n):
-                if h[k]:
-                    t -= h[k] * powers[k][n]
-            h[n] = t / powers[n][n]
+            power = power * p
+            h.append(power[n - 1] / n)
         return RatSeries(h)

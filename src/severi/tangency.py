@@ -7,10 +7,10 @@ trailing zeros; equality is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 TangencySeq = tuple[int, ...]
+SeveriKey = tuple[int, int, TangencySeq, TangencySeq]
 
 
 class InvalidState(ValueError):
@@ -56,31 +56,19 @@ def seq_from_text(text: str) -> TangencySeq:
         raise ValueError(f"bad tangency text {text!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class ChState:
-    """A recursion state (d, delta, alpha, beta), canonicalized on build."""
-
-    d: int
-    delta: int
-    alpha: TangencySeq
-    beta: TangencySeq
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", canonical(self.alpha))
-        object.__setattr__(self, "beta", canonical(self.beta))
-        if self.d < 1:
-            raise InvalidState(f"degree must be positive, got {self.d}")
-        if self.delta < 0:
-            raise InvalidState(f"node count must be nonnegative, got {self.delta}")
-        wa, wb = weight(self.alpha), weight(self.beta)
-        if wa + wb != self.d:
-            raise InvalidState(
-                f"weight(alpha) + weight(beta) = {wa}+{wb} != d = {self.d}"
-            )
-
-    @property
-    def key(self) -> tuple[int, int, TangencySeq, TangencySeq]:
-        return (self.d, self.delta, self.alpha, self.beta)
+def state_key(
+    d: int, delta: int, alpha: Iterable[int], beta: Iterable[int]
+) -> SeveriKey:
+    """The key (d, delta, alpha, beta) of a valid state, alpha and beta canonical."""
+    a, b = canonical(alpha), canonical(beta)
+    if d < 1:
+        raise InvalidState(f"degree must be positive, got {d}")
+    if delta < 0:
+        raise InvalidState(f"node count must be nonnegative, got {delta}")
+    wa, wb = weight(a), weight(b)
+    if wa + wb != d:
+        raise InvalidState(f"weight(alpha) + weight(beta) = {wa}+{wb} != d = {d}")
+    return (d, delta, a, b)
 
 
 def point_count(d: int, delta: int, beta: TangencySeq) -> int:

@@ -112,6 +112,15 @@ def test_malformed_lines_are_parse_errors(tmp_path, line):
         cache_load(path)
 
 
+def test_inconsistent_state_line_names_the_broken_invariant(tmp_path):
+    path = tmp_path / "c"
+    path.write_text("SEVERI-CACHE v1\n1 0 - 2 1\n")
+    with pytest.raises(ParseError) as err:
+        cache_load(path)
+    assert ":2:" in str(err.value)
+    assert "weight(alpha) + weight(beta)" in str(err.value)
+
+
 def test_conflicting_file_entries_are_corruption(tmp_path):
     path = tmp_path / "c"
     path.write_text("SEVERI-CACHE v1\n2 1 - 2 3\n2 1 - 2 4\n")

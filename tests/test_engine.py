@@ -13,7 +13,7 @@ from severi import (
     severi_degree,
     severi_table,
 )
-from severi.tangency import ChState, point_count, weight
+from severi.tangency import point_count, state_key, weight
 
 
 # -- oracles ---------------------------------------------------------------
@@ -258,7 +258,7 @@ def _states(draw):
         k = draw(st.integers(1, left))
         (alpha if draw(st.booleans()) else beta)[k - 1] += 1
         left -= k
-    return ChState(d, delta, alpha, beta).key
+    return state_key(d, delta, alpha, beta)
 
 
 @settings(deadline=None)

@@ -43,6 +43,17 @@ def test_plane_series_collects_u_powers(shared_cache):
     assert ps[2] == 6 * n1 + n2
 
 
+def test_plane_series_is_the_counts_composed_with_u(shared_cache):
+    # the explicit sum of N^{6,delta} u^delta, built with * and +
+    u = form_catalog(5).u
+    total = RatSeries.zero(5)
+    u_power = RatSeries.one(5)
+    for delta in range(6):
+        total = total + severi_degree(6, delta, cache=shared_cache) * u_power
+        u_power = u_power * u
+    assert plane_generating_series(6, 5, cache=shared_cache) == total
+
+
 def test_plane_series_degree_guard(shared_cache):
     with pytest.raises(DegreeTooSmall):
         plane_generating_series(3, 3, cache=shared_cache)

@@ -93,6 +93,22 @@ def _ref_log(a):
     return tuple(g)
 
 
+def _ref_revert(g):
+    # order-by-order back-substitution: [q^n] sum_k h_k.g^k = [n == 1]
+    M = g.order
+    powers = [RatSeries.one(M)]
+    for _ in range(M):
+        powers.append(powers[-1] * g)
+    h = [F(0)] * (M + 1)
+    for n in range(1, M + 1):
+        t = F(1 if n == 1 else 0)
+        for k in range(1, n):
+            if h[k]:
+                t -= h[k] * powers[k][n]
+        h[n] = t / powers[n][n]
+    return tuple(h)
+
+
 # -- frozen examples ------------------------------------------------------
 
 def test_add_examples():
@@ -341,3 +357,16 @@ def test_log_kernel_matches_reference(rest):
     g = RatSeries(a).log()
     assert g.coeffs == _ref_log(a)
     assert _reduced(g)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(st.sampled_from([1, -1, 2, -2]), _FRACTIONS.filter(bool)),
+    _coeff_lists(min_size=0, max_size=29),
+)
+def test_revert_matches_reference(g1, rest):
+    # orders 1..30; the linear term may be negative or fractional
+    g = RatSeries([0, g1] + rest)
+    h = g.revert()
+    assert h.coeffs == _ref_revert(g)
+    assert _reduced(h)

@@ -3,13 +3,13 @@
 import pytest
 
 from severi.tangency import (
-    ChState,
     InvalidState,
     canonical,
     point_count,
     seq_from_text,
     seq_to_text,
     size,
+    state_key,
     weight,
 )
 
@@ -49,20 +49,19 @@ def test_text_form():
 
 
 def test_state_validates_weight():
-    st = ChState(3, 1, (1,), (2,))
-    assert st.key == (3, 1, (1,), (2,))
+    assert state_key(3, 1, (1,), (2,)) == (3, 1, (1,), (2,))
     with pytest.raises(InvalidState):
-        ChState(3, 1, (1,), (1,))
+        state_key(3, 1, (1,), (1,))
     with pytest.raises(InvalidState):
-        ChState(0, 0, (), ())
+        state_key(0, 0, (), ())
     with pytest.raises(InvalidState):
-        ChState(2, -1, (), (2,))
+        state_key(2, -1, (), (2,))
 
 
 def test_state_canonicalizes_on_build():
-    st = ChState(2, 0, (0, 1, 0), (0,))
-    assert st.alpha == (0, 1)
-    assert st.beta == ()
+    _, _, alpha, beta = state_key(2, 0, (0, 1, 0), (0,))
+    assert alpha == (0, 1)
+    assert beta == ()
 
 
 def test_point_count_examples():
