@@ -10,16 +10,35 @@ The count satisfies, with I = weight and |.| = size:
 where the second sum runs over alpha' <= alpha and beta' >= beta with
 I(alpha') + I(beta') = d-1 and delta' = delta + |beta'| - |beta| - (d-1)
 in the range 0 <= delta' <= (d-1)(d-2)/2.  Base cases: zero when
-delta > d(d-1)/2 or the point count is negative; degree 1 counts a
-single line when delta = 0.
+delta > d(d-1)/2; degree 1 counts a single line when delta = 0.
 
 Evaluation is iterative (explicit work stack): dependency chains have
 length about d(d+3)/2 and must not touch the native call stack.
+
+Packed states.  The evaluation works on one int per state,
+delta << 64 | id(alpha) << 32 | id(beta), where id numbers the distinct
+canonical tangency sequences in order of first sight and d is read back
+as I(alpha) + I(beta) from a per-id weight table.  delta is the unbounded
+top field; an id that does not fit in 32 bits raises.  CacheStore keys
+its table by these ints and converts at its boundary, so callers and the
+cache file only ever see (d, delta, alpha, beta) tuples.
+
+Children are read from three tables keyed by sequence ids: _STEPS, one
+order-k step of a sequence (the tangency moves); _ALPHAS, the alpha'
+candidates per (alpha, top weight); and _GAMMAS, the (coefficient,
+beta') lists per (beta, I(gamma), excess of gamma).  They hold facts
+about sequences, not about any store, so like _PARTITIONS they are
+process-global and every store shares them; a store keeps only its
+values.  Each table is bounded by the number of distinct tangency
+sequences times a range of orders or weights below d.  After
+threshold_report(9), which fills a store with 347,929 states, there
+are 1,880 sequences and the tables hold 10,620, 5,953 and 2,803 entries.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from typing import Iterable, Iterator
 
@@ -28,9 +47,10 @@ from .tangency import (
     SeveriKey,
     TangencySeq,
     canonical,
+    parts_from_text,
     point_count,
-    seq_from_text,
     seq_to_text,
+    size,
     state_key,
     weight,
 )
@@ -51,52 +71,104 @@ class ParseError(ValueError):
     """Cache file is empty or malformed."""
 
 
+_ID_MASK = (1 << 32) - 1
+
+# sequence id -> sequence, I(sequence), |sequence|; and sequence -> id
+_SEQS: list[TangencySeq] = []
+_WEIGHTS: list[int] = []
+_SIZES: list[int] = []
+_IDS: dict[TangencySeq, int] = {}
+
+
+def _seq_id(seq: TangencySeq) -> int:
+    """The id of a canonical sequence, numbered on first sight."""
+    sid = _IDS.get(seq)
+    if sid is None:
+        canon = canonical(seq)  # the interned tuple
+        if canon != seq:
+            raise InvalidState(f"tangency sequence {seq} is not canonical")
+        sid = len(_SEQS)
+        if sid > _ID_MASK:
+            raise OverflowError("more than 2**32 distinct tangency sequences")
+        _SEQS.append(canon)
+        _WEIGHTS.append(weight(canon))
+        _SIZES.append(size(canon))
+        _IDS[canon] = sid
+    return sid
+
+
+def pack(key: SeveriKey) -> int:
+    """The packed state of a key built by state_key.
+
+    Refuses what the layout cannot hold: a negative delta, or a d other
+    than I(alpha) + I(beta), which unpack would not give back.
+    """
+    d, delta, alpha, beta = key
+    ia, ib = _seq_id(alpha), _seq_id(beta)
+    if delta < 0 or _WEIGHTS[ia] + _WEIGHTS[ib] != d:
+        raise InvalidState(f"{key} is not a valid state")
+    return delta << 64 | ia << 32 | ib
+
+
+def unpack(state: int) -> SeveriKey:
+    """The (d, delta, alpha, beta) key of a packed state."""
+    ia, ib = state >> 32 & _ID_MASK, state & _ID_MASK
+    return (_WEIGHTS[ia] + _WEIGHTS[ib], state >> 64, _SEQS[ia], _SEQS[ib])
+
+
 class CacheStore:
     """Memo table keyed by canonical (d, delta, alpha, beta).
 
-    Inserts through put() are conflict-checked: writing a different value
-    for an existing key raises CacheCorruption.  The roots are the keys
-    stored through put() or found by get(): the counts callers asked for,
-    and all that cache_save persists.  hits and misses count root lookups
-    through get(); the evaluation loop writes intermediate states into the
-    table directly.
+    Keys are stored packed (see the module docstring); every method takes
+    and returns tuples.  Inserts through put() are conflict-checked:
+    writing a different value for an existing key raises CacheCorruption.
+    The roots are the keys stored through put() or found by get(): the
+    counts callers asked for, and all that cache_save persists.  hits and
+    misses count root lookups through get(); the evaluation loop writes
+    intermediate states into the table directly.
     """
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self._data: dict[SeveriKey, int] = {}
-        self._roots: set[SeveriKey] = set()
+        self._data: dict[int, int] = {}
+        self._roots: set[int] = set()
 
     def get(self, key: SeveriKey) -> int | None:
-        value = self._data.get(key)
+        state = pack(key)
+        value = self._data.get(state)
         if value is None:
             self.misses += 1
         else:
             self.hits += 1
-            self._roots.add(key)
+            self._roots.add(state)
         return value
 
+    def peek(self, key: SeveriKey) -> int | None:
+        """The value held for key, or None; counts nothing, marks no root."""
+        return self._data.get(pack(key))
+
     def put(self, key: SeveriKey, value: int) -> None:
-        old = self._data.setdefault(key, value)
+        state = pack(key)
+        old = self._data.setdefault(state, value)
         if old != value:
             raise CacheCorruption(
                 f"key {key} already holds {old}, refusing to store {value}"
             )
-        self._roots.add(key)
+        self._roots.add(state)
 
     def __len__(self) -> int:
         return len(self._data)
 
     def __contains__(self, key: SeveriKey) -> bool:
-        return key in self._data
+        return pack(key) in self._data
 
     def items(self) -> Iterator[tuple[SeveriKey, int]]:
-        return iter(sorted(self._data.items()))
+        return iter(sorted((unpack(s), v) for s, v in self._data.items()))
 
     def roots(self) -> Iterator[tuple[SeveriKey, int]]:
         """The persisted part of the table, sorted like items()."""
-        return iter(sorted((key, self._data[key]) for key in self._roots))
+        return iter(sorted((unpack(s), self._data[s]) for s in self._roots))
 
     @property
     def root_count(self) -> int:
@@ -109,21 +181,6 @@ _DEFAULT_CACHE = CacheStore()
 def default_cache() -> CacheStore:
     """The process-wide memo table used when no cache is passed."""
     return _DEFAULT_CACHE
-
-
-def _max_nodes(d: int) -> int:
-    # a reduced degree-d curve has at most d(d-1)/2 nodes (d general lines)
-    return d * (d - 1) // 2
-
-
-def _immediate(d: int, delta: int, alpha: TangencySeq, beta: TangencySeq) -> int | None:
-    if delta > _max_nodes(d):
-        return 0
-    if point_count(d, delta, beta) < 0:
-        return 0
-    if d == 1:
-        return 1 if delta == 0 else 0
-    return None
 
 
 _PARTITIONS: dict[int, tuple[tuple[int, ...], ...]] = {0: ((),)}
@@ -148,102 +205,150 @@ def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return result
 
 
-def _alpha_candidates(
-    alpha: TangencySeq, wlo: int, whi: int
-) -> Iterator[tuple[TangencySeq, int, int]]:
-    """Sub-sequences alpha' <= alpha with weight in [wlo, whi].
+class _Table(dict):
+    """A memo whose missing entries are built on first lookup."""
 
-    Yields (alpha', weight, C(alpha, alpha')).  Orders >= 2 are walked
-    explicitly (their multiplicities are tiny); the order-1 entry is then
-    forced by the target weight.
+    def __init__(self, build) -> None:
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(*key)
+        return value
+
+
+def _step(sid: int, k: int) -> int:
+    """id(s + e_k) for k > 0 and id(s - e_-k) for k < 0, where s = _SEQS[sid]."""
+    i = abs(k) - 1
+    parts = list(_SEQS[sid]) + [0] * (i + 1 - len(_SEQS[sid]))
+    parts[i] += 1 if k > 0 else -1
+    return _seq_id(canonical(parts))
+
+
+def _alpha_candidates(ia: int, whi: int) -> tuple[tuple[int, int, int], ...]:
+    """Sub-sequences alpha' <= alpha with weight at most whi.
+
+    Returns (id(alpha'), weight, C(alpha, alpha')) triples.  Orders >= 2
+    are walked explicitly (their multiplicities are tiny); the order-1
+    entry is then forced by the target weight.
     """
+    alpha = _SEQS[ia]
     high = [i for i in range(1, len(alpha)) if alpha[i] > 0]
     a1 = alpha[0] if alpha else 0
+    out: list[tuple[int, int, int]] = []
 
-    def walk(pos: int, wh: int, counts: dict[int, int], binom: int):
+    def walk(pos: int, wh: int, counts: dict[int, int], binom: int) -> None:
         if pos == len(high):
-            lo = max(wlo, wh)
-            for wprime in range(lo, whi + 1):
+            for wprime in range(wh, min(whi, wh + a1) + 1):
                 c1 = wprime - wh
-                if 0 <= c1 <= a1:
-                    parts = [0] * len(alpha)
-                    if alpha:
-                        parts[0] = c1
-                    for i, c in counts.items():
-                        parts[i] = c
-                    yield canonical(parts), wprime, binom * math.comb(a1, c1)
+                parts = [0] * len(alpha)
+                if alpha:
+                    parts[0] = c1
+                for i, c in counts.items():
+                    parts[i] = c
+                sid = _seq_id(canonical(parts))
+                out.append((sid, wprime, binom * math.comb(a1, c1)))
             return
         i = high[pos]
         for c in range(alpha[i] + 1):
             counts[i] = c
-            yield from walk(pos + 1, wh + c * (i + 1), counts, binom * math.comb(alpha[i], c))
+            walk(pos + 1, wh + c * (i + 1), counts, binom * math.comb(alpha[i], c))
         del counts[i]
 
-    yield from walk(0, 0, {}, 1)
+    walk(0, 0, {}, 1)
+    return tuple(out)
 
 
-def _transitions(key: SeveriKey) -> list[tuple[int, SeveriKey]]:
-    """Weighted children of a state; the state's value is the dot product."""
-    d, delta, alpha, beta = key
-    out: list[tuple[int, SeveriKey]] = []
+def _beta_extensions(ib: int, w: int, excess: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Coefficients C(beta', beta) . I^gamma and ids of beta' = beta + gamma.
+
+    gamma runs over the sequences of weight w and excess I(gamma) - |gamma|
+    equal to excess: one order-(p+1) part per part p of a partition of the
+    excess, plus order-1 parts filling the weight.
+    """
+    beta = _SEQS[ib]
+    coefs: list[int] = []
+    ids: list[int] = []
+    for mu in _partitions(excess):
+        m1 = w - excess - len(mu)
+        if m1 < 0:
+            continue
+        coef = 1
+        top = mu[0] if mu else 0
+        b2 = list(beta) + [0] * max(0, top + 1 - len(beta))
+        if m1:
+            coef *= math.comb(b2[0] + m1, m1)
+            b2[0] += m1
+        run_val = run_len = 0
+        for p in mu + (-1,):
+            if p == run_val:
+                run_len += 1
+                continue
+            if run_len:
+                coef *= (run_val + 1) ** run_len
+                coef *= math.comb(b2[run_val] + run_len, run_len)
+                b2[run_val] += run_len
+            run_val, run_len = p, 1
+        coefs.append(coef)
+        ids.append(_seq_id(canonical(b2)))
+    return tuple(coefs), tuple(ids)
+
+
+# (sid, +-k) -> id(s +- e_k); (ia, whi) -> alpha' candidates;
+# (ib, I(gamma), excess) -> beta' extensions
+_STEPS = _Table(_step)
+_ALPHAS = _Table(_alpha_candidates)
+_GAMMAS = _Table(_beta_extensions)
+
+
+def _transitions(state: int) -> tuple[list[int], list[int]]:
+    """Weighted children of a packed state, as parallel lists of
+    coefficients and children; the state's value is their dot product."""
+    delta = state >> 64
+    ia, ib = state >> 32 & _ID_MASK, state & _ID_MASK
+    ia_w = _WEIGHTS[ia]
+    d = ia_w + _WEIGHTS[ib]
+    coefs: list[int] = []
+    kids: list[int] = []
     if __debug__:
-        pc = point_count(d, delta, beta)
+        # each child has one point condition fewer; point_count is
+        # point_count(d, delta, ()) + |beta|, and |beta'| is read from _SIZES
+        pc = point_count(d, delta, _SEQS[ib])
 
     # move one unassigned order-k tangency onto an assigned point
-    for i, b in enumerate(beta):
+    same = delta << 64
+    for i, b in enumerate(_SEQS[ib]):
         if b:
-            a2 = list(alpha) + [0] * (i + 1 - len(alpha))
-            a2[i] += 1
-            b2 = list(beta)
-            b2[i] -= 1
-            child = (d, delta, canonical(a2), canonical(b2))
-            if __debug__:
-                assert point_count(d, delta, child[3]) == pc - 1
-            out.append((i + 1, child))
+            k = i + 1
+            child = same | _STEPS[ia, k] << 32 | _STEPS[ib, -k]
+            if __debug__:  # same d and delta, so |beta| drops by one
+                assert _SIZES[child & _ID_MASK] == _SIZES[ib] - 1
+            coefs.append(k)
+            kids.append(child)
 
     # degenerate to degree d-1: alpha' <= alpha, beta' = beta + gamma,
     # I(gamma) = I(alpha) - I(alpha') - 1, delta' = delta + |gamma| - (d-1)
-    ia = weight(alpha)
-    mn_next = _max_nodes(d - 1)
-    # 0 <= delta' <= mn_next pins I(alpha') to a window of width delta
-    wlo = max(0, ia - d)
-    whi = min(ia - 1, ia - d + delta)
-    if whi < wlo:
-        return out
-    for alpha_p, wprime, c_alpha in _alpha_candidates(alpha, wlo, whi):
-        W = ia - wprime - 1  # total weight of gamma
-        e_hi = min(W, delta + W - (d - 1))  # excess(gamma) caps delta'
-        e_lo = max(0, W - (mn_next + (d - 1) - delta))
+    mn_next = (d - 1) * (d - 2) // 2
+    # I(gamma) >= 1, and delta' >= 0 caps I(alpha') at delta - I(beta)
+    whi = min(ia_w - 1, ia_w - d + delta)
+    if whi < 0:
+        return coefs, kids
+    for ia_p, wprime, c_alpha in _ALPHAS[ia, whi]:
+        w = ia_w - wprime - 1  # total weight of gamma
+        e_hi = min(w, delta + w - (d - 1))  # excess(gamma) caps delta'
+        e_lo = max(0, w - (mn_next + (d - 1) - delta))
         for excess in range(e_lo, e_hi + 1):
-            for mu in _partitions(excess):
-                # gamma has one order-(p+1) part per part p of mu, plus
-                # m1 order-1 parts filling the weight budget
-                m1 = W - excess - len(mu)
-                if m1 < 0:
-                    continue
-                delta_p = delta + (W - excess) - (d - 1)
-                coef = c_alpha
-                top = mu[0] if mu else 0
-                b2 = list(beta) + [0] * max(0, top + 1 - len(beta))
-                if m1:
-                    coef *= math.comb(b2[0] + m1, m1)
-                    b2[0] += m1
-                run_val = run_len = 0
-                for p in mu + (-1,):
-                    if p == run_val:
-                        run_len += 1
-                        continue
-                    if run_len:
-                        coef *= (run_val + 1) ** run_len
-                        coef *= math.comb(b2[run_val] + run_len, run_len)
-                        b2[run_val] += run_len
-                    run_val, run_len = p, 1
-                child = (d - 1, delta_p, alpha_p, canonical(b2))
-                if __debug__:
-                    assert 0 <= delta_p <= mn_next
-                    assert point_count(d - 1, delta_p, child[3]) == pc - 1
-                out.append((coef, child))
-    return out
+            delta_p = delta + (w - excess) - (d - 1)
+            gcoefs, gids = _GAMMAS[ib, w, excess]
+            if __debug__:
+                assert 0 <= delta_p <= mn_next
+                dropped = point_count(d - 1, delta_p, ())
+                for ib_p in gids:
+                    assert dropped + _SIZES[ib_p] == pc - 1
+            high = delta_p << 64 | ia_p << 32
+            kids.extend([high | ib_p for ib_p in gids])
+            coefs.extend([c_alpha * c for c in gcoefs] if c_alpha != 1 else gcoefs)
+    return coefs, kids
 
 
 def _evaluate(root: SeveriKey, cache: CacheStore) -> int:
@@ -251,33 +356,44 @@ def _evaluate(root: SeveriKey, cache: CacheStore) -> int:
     if cached is not None:
         return cached
     # each state is stored once, so the DFS writes the table directly;
-    # only the root goes through put(), which marks it for persistence
+    # only the root goes through put(), which marks it for persistence.
+    # The recursion is acyclic (the point count drops by one per step).
     data = cache._data
-    stack = [root]
-    children: dict[SeveriKey, list[tuple[int, SeveriKey]]] = {}
+    top = pack(root)
+    stack = [top]
+    children: dict[int, tuple[list[int], list[int]]] = {}
     while stack:
-        key = stack[-1]
-        if key in data:
+        state = stack[-1]
+        if state in data:
             stack.pop()
             continue
-        deps = children.get(key)
+        deps = children.pop(state, None)
         if deps is None:
-            value = _immediate(*key)
-            if value is not None:
-                data[key] = value
+            delta = state >> 64
+            d = _WEIGHTS[state >> 32 & _ID_MASK] + _WEIGHTS[state & _ID_MASK]
+            # a reduced degree-d curve has at most d(d-1)/2 nodes (d general
+            # lines); below that bound d + |beta| > 0 point conditions remain
+            if delta > d * (d - 1) // 2:
+                data[state] = 0
                 stack.pop()
                 continue
-            deps = children[key] = _transitions(key)
-        # post-order: a state is stored once all of its children are
-        missing = [c for _, c in deps if c not in data]
-        if missing:
-            stack.extend(missing)
-            continue
-        data[key] = sum(coef * data[child] for coef, child in deps)
-        del children[key]
+            if d == 1:
+                data[state] = 1  # delta = 0: the line through two points
+                stack.pop()
+                continue
+            deps = _transitions(state)
+            missing = [c for c in deps[1] if c not in data]
+            if missing:
+                # post-order: every state pushed above this one is stored
+                # by the time it is back on top
+                children[state] = deps
+                stack.extend(missing)
+                continue
+        coefs, kids = deps
+        data[state] = sum(map(operator.mul, coefs, map(data.__getitem__, kids)))
         stack.pop()
-    cache.put(root, data[root])
-    return data[root]
+    cache.put(root, data[top])
+    return data[top]
 
 
 def relative_severi(
@@ -340,8 +456,8 @@ def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:
         if os.path.exists(path):
             mode = os.stat(path).st_mode & 0o777
             for key, value in cache_load(path).items():
-                held = cache._data.get(key, value)
-                if held != value:
+                held = cache.peek(key)
+                if held is not None and held != value:
                     raise CacheCorruption(
                         f"{path} holds {value} for key {key}, the store holds {held}"
                     )
@@ -390,8 +506,8 @@ def cache_load(path: str | os.PathLike[str]) -> CacheStore:
             raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
         try:
             d, delta = int(fields[0]), int(fields[1])
-            alpha = seq_from_text(fields[2] if fields[2] != "-" else "")
-            beta = seq_from_text(fields[3] if fields[3] != "-" else "")
+            alpha = parts_from_text(fields[2] if fields[2] != "-" else "")
+            beta = parts_from_text(fields[3] if fields[3] != "-" else "")
             key = state_key(d, delta, alpha, beta)  # InvalidState is a ValueError
             value = int(fields[4])
         except ValueError as exc:

@@ -17,8 +17,12 @@ class InvalidState(ValueError):
     """Raised when (d, delta, alpha, beta) violates the state invariants."""
 
 
+# every canonical sequence built so far, so equal sequences share one tuple
+_INTERNED: dict[TangencySeq, TangencySeq] = {}
+
+
 def canonical(parts: Iterable[int]) -> TangencySeq:
-    """Trim trailing zeros; reject negative entries.
+    """Trim trailing zeros; reject negative entries; intern the result.
 
     >>> canonical([2, 0, 1, 0, 0])
     (2, 0, 1)
@@ -29,7 +33,8 @@ def canonical(parts: Iterable[int]) -> TangencySeq:
             raise ValueError("tangency multiplicities must be nonnegative")
     while out and out[-1] == 0:
         out.pop()
-    return tuple(out)
+    seq = tuple(out)
+    return _INTERNED.setdefault(seq, seq)
 
 
 def weight(s: TangencySeq) -> int:
@@ -47,11 +52,20 @@ def seq_to_text(s: TangencySeq) -> str:
     return ",".join(str(v) for v in s)
 
 
-def seq_from_text(text: str) -> TangencySeq:
+def parts_from_text(text: str) -> list[int]:
+    """The integers of comma-separated tangency text, as written."""
     if text == "":
-        return ()
+        return []
     try:
-        return canonical(int(p) for p in text.split(","))
+        return [int(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad tangency text {text!r}: {exc}") from None
+
+
+def seq_from_text(text: str) -> TangencySeq:
+    parts = parts_from_text(text)
+    try:
+        return canonical(parts)
     except ValueError as exc:
         raise ValueError(f"bad tangency text {text!r}: {exc}") from None
 

@@ -185,6 +185,17 @@ def test_save_merges_the_roots_already_in_the_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "c.lock"]
 
 
+def test_save_merge_check_counts_no_lookup(tmp_path):
+    path = tmp_path / "c"
+    first, second = CacheStore(), CacheStore()
+    severi_degree(5, 2, cache=first)
+    severi_table(5, 3, cache=second)
+    cache_save(first, path)
+    counters = (second.hits, second.misses, second.root_count)
+    cache_save(second, path)
+    assert (second.hits, second.misses, second.root_count) == counters
+
+
 def test_save_refuses_a_file_that_contradicts_the_store(tmp_path):
     path = tmp_path / "c"
     path.write_text("SEVERI-CACHE v1\n2 1 - 2 4\n")

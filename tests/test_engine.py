@@ -1,6 +1,7 @@
 """Recursion engine against independent combinatorial and algebraic oracles."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from severi import (
     severi_degree,
     severi_table,
 )
-from severi.tangency import point_count, state_key, weight
+from severi.tangency import canonical, point_count, state_key, weight
 
 
 # -- oracles ---------------------------------------------------------------
@@ -261,12 +262,92 @@ def _states(draw):
     return state_key(d, delta, alpha, beta)
 
 
+def _ref_alpha_candidates(alpha, wlo, whi):
+    """(alpha', weight, C(alpha, alpha')) for alpha' <= alpha of weight in [wlo, whi]."""
+    high = [i for i in range(1, len(alpha)) if alpha[i] > 0]
+    a1 = alpha[0] if alpha else 0
+
+    def walk(pos, wh, counts, binom):
+        if pos == len(high):
+            for wprime in range(max(wlo, wh), whi + 1):
+                c1 = wprime - wh
+                if 0 <= c1 <= a1:
+                    parts = [0] * len(alpha)
+                    if alpha:
+                        parts[0] = c1
+                    for i, c in counts.items():
+                        parts[i] = c
+                    yield canonical(parts), wprime, binom * math.comb(a1, c1)
+            return
+        i = high[pos]
+        for c in range(alpha[i] + 1):
+            counts[i] = c
+            yield from walk(pos + 1, wh + c * (i + 1), counts, binom * math.comb(alpha[i], c))
+        del counts[i]
+
+    yield from walk(0, 0, {}, 1)
+
+
+def _ref_transitions(key):
+    """The engine's transitions on (d, delta, alpha, beta) tuples, as they
+    were before states were packed: (coef, child) pairs."""
+    d, delta, alpha, beta = key
+    out = []
+    for i, b in enumerate(beta):
+        if b:
+            a2 = list(alpha) + [0] * (i + 1 - len(alpha))
+            a2[i] += 1
+            b2 = list(beta)
+            b2[i] -= 1
+            out.append((i + 1, (d, delta, canonical(a2), canonical(b2))))
+    ia = weight(alpha)
+    mn_next = (d - 1) * (d - 2) // 2
+    wlo = max(0, ia - d)
+    whi = min(ia - 1, ia - d + delta)
+    if whi < wlo:
+        return out
+    for alpha_p, wprime, c_alpha in _ref_alpha_candidates(alpha, wlo, whi):
+        W = ia - wprime - 1
+        e_hi = min(W, delta + W - (d - 1))
+        e_lo = max(0, W - (mn_next + (d - 1) - delta))
+        for excess in range(e_lo, e_hi + 1):
+            for mu in _partitions_of(excess):
+                m1 = W - excess - len(mu)
+                if m1 < 0:
+                    continue
+                delta_p = delta + (W - excess) - (d - 1)
+                coef = c_alpha
+                top = mu[0] if mu else 0
+                b2 = list(beta) + [0] * max(0, top + 1 - len(beta))
+                if m1:
+                    coef *= math.comb(b2[0] + m1, m1)
+                    b2[0] += m1
+                run_val = run_len = 0
+                for p in mu + (-1,):
+                    if p == run_val:
+                        run_len += 1
+                        continue
+                    if run_len:
+                        coef *= (run_val + 1) ** run_len
+                        coef *= math.comb(b2[run_val] + run_len, run_len)
+                        b2[run_val] += run_len
+                    run_val, run_len = p, 1
+                out.append((coef, (d - 1, delta_p, alpha_p, canonical(b2))))
+    return out
+
+
+def _decoded_transitions(key):
+    coefs, kids = engine._transitions(engine.pack(key))
+    assert len(coefs) == len(kids)
+    return [(coef, engine.unpack(kid)) for coef, kid in zip(coefs, kids)]
+
+
 @settings(deadline=None)
 @given(_states())
 def test_transitions_keep_the_point_count_invariant(key):
     d, delta, _, beta = key
     pc = point_count(d, delta, beta)
-    for _, (d2, delta2, alpha2, beta2) in engine._transitions(key):
+    for _, (d2, delta2, alpha2, beta2) in _decoded_transitions(key):
         assert point_count(d2, delta2, beta2) == pc - 1
         assert weight(alpha2) + weight(beta2) == d2
         if d2 == d - 1:
@@ -274,6 +355,52 @@ def test_transitions_keep_the_point_count_invariant(key):
             assert 0 <= delta2 <= d2 * (d2 - 1) // 2
         else:
             assert (d2, delta2) == (d, delta)
+
+
+@settings(deadline=None)
+@given(_states())
+def test_packed_transitions_match_the_tuple_reference(key):
+    assert Counter(_decoded_transitions(key)) == Counter(_ref_transitions(key))
+
+
+@given(_states())
+def test_pack_round_trips(key):
+    state = engine.pack(key)
+    assert engine.unpack(state) == key
+    assert engine.pack(engine.unpack(state)) == state
+
+
+def test_huge_node_counts_keep_distinct_keys():
+    # equal modulo 2**64: a fixed-width delta field would merge them
+    store = CacheStore()
+    low, high = (3, 2**70, (), (3,)), (3, 2**71, (), (3,))
+    assert engine.pack(low) != engine.pack(high)
+    assert engine.unpack(engine.pack(high)) == high
+    assert relative_severi(3, 2**70, (), (3,), cache=store) == 0
+    assert relative_severi(3, 2**71, (), (3,), cache=store) == 0
+    assert len(store) == 2
+    assert dict(store.items()) == {low: 0, high: 0}
+
+
+def test_sequence_ids_past_32_bits_raise(monkeypatch):
+    class Full(list):
+        def __len__(self):
+            return 1 << 32
+
+    monkeypatch.setattr(engine, "_SEQS", Full(engine._SEQS))
+    unseen = (0,) * 60 + (1,)
+    with pytest.raises(OverflowError):
+        engine.pack((61, 0, (), unseen))
+
+
+def test_states_evaluated_per_table():
+    # pinned work counters: the memo sizes of a cold table
+    store = CacheStore()
+    severi_table(10, 6, cache=store)
+    assert len(store) == 2747
+    store = CacheStore()
+    severi_table(18, 9, cache=store)
+    assert len(store) == 62982
 
 
 def test_table_shape_and_values(shared_cache):

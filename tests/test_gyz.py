@@ -108,13 +108,14 @@ def test_inconsistency_is_detected(shared_cache):
     # corrupt one fully computed count so a single equation moves;
     # corrupting before warming would propagate consistently instead
     from severi import CacheStore
+    from severi.engine import pack
 
     poisoned = CacheStore()
     for d in (2, 3, 4):
         severi_degree(d, 1, cache=poisoned)
-    key = (3, 1, (), (3,))
-    assert poisoned._data[key] == 12
-    poisoned._data[key] = 13
+    state = pack((3, 1, (), (3,)))
+    assert poisoned._data[state] == 12
+    poisoned._data[state] = 13
     with pytest.raises(InconsistentSystem):
         extract_b_series(1, [2, 3, 4], cache=poisoned)
 
