@@ -10,7 +10,17 @@ The count satisfies, with I = weight and |.| = size:
 where the second sum runs over alpha' <= alpha and beta' >= beta with
 I(alpha') + I(beta') = d-1 and delta' = delta + |beta'| - |beta| - (d-1)
 in the range 0 <= delta' <= (d-1)(d-2)/2.  Base cases: zero when
-delta > d(d-1)/2; degree 1 counts a single line when delta = 0.
+delta > d(d-1)/2, and the closed form
+
+  N^{d,0}(alpha,beta) = |beta|!/prod_k beta_k! . prod_k k^beta_k
+
+when delta = 0.  The degree-d curves through the points with the alpha
+contacts form a linear system; off those contacts it meets the line in
+a general linear space of binary forms of degree I(beta) and dimension
+I(beta) - |beta|.  It meets the |beta|-dimensional locus of forms with
+root type beta in as many points as that locus has degree, the closed
+form above, whatever d and alpha are.
+Degree 1 is one of these two cases.
 
 Evaluation is iterative (explicit work stack): dependency chains have
 length about d(d+3)/2 and must not touch the native call stack.
@@ -31,8 +41,8 @@ about sequences, not about any store, so like _PARTITIONS they are
 process-global and every store shares them; a store keeps only its
 values.  Each table is bounded by the number of distinct tangency
 sequences times a range of orders or weights below d.  After
-threshold_report(9), which fills a store with 347,929 states, there
-are 1,880 sequences and the tables hold 10,620, 5,953 and 2,803 entries.
+threshold_report(9), which fills a store with 228,863 states, there
+are 1,880 sequences and the tables hold 7,430, 5,384 and 2,803 entries.
 """
 
 from __future__ import annotations
@@ -73,10 +83,12 @@ class ParseError(ValueError):
 
 _ID_MASK = (1 << 32) - 1
 
-# sequence id -> sequence, I(sequence), |sequence|; and sequence -> id
+# sequence id -> sequence, I(sequence), |sequence|, N^{d,0}(alpha, sequence);
+# and sequence -> id
 _SEQS: list[TangencySeq] = []
 _WEIGHTS: list[int] = []
 _SIZES: list[int] = []
+_SMOOTH: list[int] = []
 _IDS: dict[TangencySeq, int] = {}
 
 
@@ -93,6 +105,13 @@ def _seq_id(seq: TangencySeq) -> int:
         _SEQS.append(canon)
         _WEIGHTS.append(weight(canon))
         _SIZES.append(size(canon))
+        # |s|!/prod s_k! . prod k^s_k as binomials over the running part
+        # count, so the absolute root (d,) costs C(d, d) and no d!
+        smooth, parts = 1, 0
+        for i, b in enumerate(canon):
+            parts += b
+            smooth *= math.comb(parts, b) * (i + 1) ** b
+        _SMOOTH.append(smooth)
         _IDS[canon] = sid
     return sid
 
@@ -377,8 +396,8 @@ def _evaluate(root: SeveriKey, cache: CacheStore) -> int:
                 data[state] = 0
                 stack.pop()
                 continue
-            if d == 1:
-                data[state] = 1  # delta = 0: the line through two points
+            if delta == 0:
+                data[state] = _SMOOTH[state & _ID_MASK]
                 stack.pop()
                 continue
             deps = _transitions(state)

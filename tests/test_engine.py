@@ -248,11 +248,12 @@ def test_invalid_states_raise(shared_cache):
 
 
 @st.composite
-def _states(draw):
+def _states(draw, dmin=2, dmax=9, nodes=True):
     """A valid (d, delta, alpha, beta): d split into tangency orders, each
-    assigned (alpha) or not (beta), and 0 <= delta <= d(d-1)/2."""
-    d = draw(st.integers(2, 9))
-    delta = draw(st.integers(0, d * (d - 1) // 2))
+    assigned (alpha) or not (beta), and 0 <= delta <= d(d-1)/2 (delta = 0
+    without nodes)."""
+    d = draw(st.integers(dmin, dmax))
+    delta = draw(st.integers(0, d * (d - 1) // 2)) if nodes else 0
     alpha, beta = [0] * d, [0] * d
     left = d
     while left:
@@ -394,13 +395,93 @@ def test_sequence_ids_past_32_bits_raise(monkeypatch):
 
 
 def test_states_evaluated_per_table():
-    # pinned work counters: the memo sizes of a cold table
+    # pinned work counters: the memo sizes of a cold table; delta = 0
+    # states are closed-form leaves, so the recursion stops there
     store = CacheStore()
     severi_table(10, 6, cache=store)
-    assert len(store) == 2747
+    assert len(store) == 2339
     store = CacheStore()
     severi_table(18, 9, cache=store)
-    assert len(store) == 62982
+    assert len(store) == 48394
+    store = CacheStore()
+    assert severi_degree(10**4, 0, cache=store) == 1
+    assert len(store) == 1
+
+
+# -- delta = 0 closed form ---------------------------------------------------
+
+def _ref_severi(key, memo):
+    """N on tuple keys by _ref_transitions, with only the recursion's own
+    base cases (zero above d(d-1)/2 nodes, one line at degree 1)."""
+    stack = [key]
+    while stack:
+        state = stack[-1]
+        if state in memo:
+            stack.pop()
+            continue
+        d, delta = state[0], state[1]
+        if delta > d * (d - 1) // 2:
+            memo[state] = 0
+        elif d == 1:
+            memo[state] = 1
+        else:
+            pairs = _ref_transitions(state)
+            missing = [child for _, child in pairs if child not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            memo[state] = sum(coef * memo[child] for coef, child in pairs)
+        stack.pop()
+    return memo[key]
+
+
+def _smooth_states(d):
+    """Every valid (d, 0, alpha, beta): each part of each partition of d
+    assigned (alpha) or not (beta)."""
+    keys = set()
+    for parts in _partitions_of(d):
+        for mask in range(1 << len(parts)):
+            alpha, beta = [0] * d, [0] * d
+            for j, p in enumerate(parts):
+                (alpha if mask >> j & 1 else beta)[p - 1] += 1
+            keys.add(state_key(d, 0, alpha, beta))
+    return sorted(keys)
+
+
+def test_smooth_states_match_naive_recursion():
+    store, memo = CacheStore(), {}
+    for d in range(1, 8):
+        for key in _smooth_states(d):
+            assert relative_severi(*key, cache=store) == naive_relative(*key, memo), key
+
+
+@settings(deadline=None)
+@given(_states(1, 12, nodes=False))
+def test_smooth_states_match_the_reference_recursion(key):
+    assert relative_severi(*key, cache=CacheStore()) == _ref_severi(key, {})
+
+
+def test_states_above_smooth_leaves_match_the_reference_recursion():
+    # the delta >= 1 states whose delta = 0 children are now leaves
+    store, memo = CacheStore(), {}
+    severi_table(12, 7, cache=store)
+    for key, value in store.items():
+        assert value == _ref_severi(key, memo), key
+
+
+@pytest.mark.slow
+def test_threshold_store_matches_the_reference_recursion():
+    from severi.nodepoly import threshold_report
+
+    store = CacheStore()
+    threshold_report(7, cache=store)
+    memo = {}
+    for key, value in store.items():
+        assert value == _ref_severi(key, memo), key
+
+
+def test_readme_conics_tangent_to_a_line():
+    assert relative_severi(2, 0, (), (0, 1), cache=CacheStore()) == 2
 
 
 def test_table_shape_and_values(shared_cache):
