@@ -22,8 +22,25 @@ root type beta in as many points as that locus has degree, the closed
 form above, whatever d and alpha are.
 Degree 1 is one of these two cases.
 
-Evaluation is iterative (explicit work stack): dependency chains have
-length about d(d+3)/2 and must not touch the native call stack.
+Move-path frontier.  delta' >= 0 needs I(alpha') <= delta - I(beta), so
+a state with delta < I(beta) has move terms only.  Unrolled, they run
+along paths that stop at the first beta' with I(beta') <= delta.  A path
+taking gamma = beta - beta' off beta is an ordering of the parts of
+gamma of weight prod_k k^gamma_k; it stops first at beta' when its last
+move, of order k, has I(beta') + k > delta.  Counting those orderings,
+
+  N^{d,delta}(alpha,beta) = sum_{beta' <= beta, I(beta') <= delta}
+      c_delta(beta,beta') . N^{d,delta}(alpha+gamma, beta')
+  c_delta(beta,beta') = prod_k k^gamma_k . (|gamma|-1)!/prod_j gamma_j!
+      . sum_{k: gamma_k >= 1, I(beta')+k > delta} gamma_k
+
+are such a state's children.  At delta = 0 the frontier is beta' = ()
+alone, with c_0 the closed form.
+
+Evaluation is iterative (explicit work stack): the point count drops by
+at least one per step, so a dependency chain has fewer than d(d+3)/2
+steps (N^{30,9}: 275, 485 without the frontier) and must not touch the
+native call stack.
 
 Packed states.  The evaluation works on one int per state,
 delta << 64 | id(alpha) << 32 | id(beta), where id numbers the distinct
@@ -33,16 +50,14 @@ top field; an id that does not fit in 32 bits raises.  CacheStore keys
 its table by these ints and converts at its boundary, so callers and the
 cache file only ever see (d, delta, alpha, beta) tuples.
 
-Children are read from three tables keyed by sequence ids: _STEPS, one
-order-k step of a sequence (the tangency moves); _ALPHAS, the alpha'
-candidates per (alpha, top weight); and _GAMMAS, the (coefficient,
-beta') lists per (beta, I(gamma), excess of gamma).  They hold facts
-about sequences, not about any store, so like _PARTITIONS they are
-process-global and every store shares them; a store keeps only its
-values.  Each table is bounded by the number of distinct tangency
-sequences times a range of orders or weights below d.  After
-threshold_report(9), which fills a store with 228,863 states, there
-are 1,880 sequences and the tables hold 7,430, 5,384 and 2,803 entries.
+Children are read from five tables keyed by sequence ids (_STEPS,
+_ALPHAS, _GAMMAS, _FRONTIER, _SUMS; see their definitions).  They hold
+facts about sequences, not about any store, so like _PARTITIONS they
+are process-global and every store shares them; a store keeps only its
+values.  Each builder asserts the invariants of an entry once, when it
+builds it.  After threshold_report(9), which fills a store with 41,923
+states, there are 1,880 sequences and the tables hold 2,377, 5,384,
+2,803, 4,075 and 5,387 entries.
 """
 
 from __future__ import annotations
@@ -50,6 +65,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from itertools import zip_longest
 from typing import Iterable, Iterator
 
 from .tangency import (
@@ -58,7 +74,6 @@ from .tangency import (
     TangencySeq,
     canonical,
     parts_from_text,
-    point_count,
     seq_to_text,
     size,
     state_key,
@@ -92,6 +107,17 @@ _SMOOTH: list[int] = []
 _IDS: dict[TangencySeq, int] = {}
 
 
+def _orderings(parts: Iterable[int]) -> int:
+    """|s|!/prod s_k! . prod k^s_k: the move paths taking all of s, each
+    weighted by its orders.  Binomials over the running part count, so
+    the absolute root (d,) costs C(d, d) and no d!."""
+    out, count = 1, 0
+    for i, b in enumerate(parts):
+        count += b
+        out *= math.comb(count, b) * (i + 1) ** b
+    return out
+
+
 def _seq_id(seq: TangencySeq) -> int:
     """The id of a canonical sequence, numbered on first sight."""
     sid = _IDS.get(seq)
@@ -105,13 +131,7 @@ def _seq_id(seq: TangencySeq) -> int:
         _SEQS.append(canon)
         _WEIGHTS.append(weight(canon))
         _SIZES.append(size(canon))
-        # |s|!/prod s_k! . prod k^s_k as binomials over the running part
-        # count, so the absolute root (d,) costs C(d, d) and no d!
-        smooth, parts = 1, 0
-        for i, b in enumerate(canon):
-            parts += b
-            smooth *= math.comb(parts, b) * (i + 1) ** b
-        _SMOOTH.append(smooth)
+        _SMOOTH.append(_orderings(canon))
         _IDS[canon] = sid
     return sid
 
@@ -241,7 +261,9 @@ def _step(sid: int, k: int) -> int:
     i = abs(k) - 1
     parts = list(_SEQS[sid]) + [0] * (i + 1 - len(_SEQS[sid]))
     parts[i] += 1 if k > 0 else -1
-    return _seq_id(canonical(parts))
+    nid = _seq_id(canonical(parts))
+    assert _SIZES[nid] == _SIZES[sid] + (1 if k > 0 else -1)
+    return nid
 
 
 def _alpha_candidates(ia: int, whi: int) -> tuple[tuple[int, int, int], ...]:
@@ -310,14 +332,37 @@ def _beta_extensions(ib: int, w: int, excess: int) -> tuple[tuple[int, ...], tup
             run_val, run_len = p, 1
         coefs.append(coef)
         ids.append(_seq_id(canonical(b2)))
+        assert _SIZES[ids[-1]] == _SIZES[ib] + w - excess
     return tuple(coefs), tuple(ids)
 
 
-# (sid, +-k) -> id(s +- e_k); (ia, whi) -> alpha' candidates;
-# (ib, I(gamma), excess) -> beta' extensions
+def _frontier(ib: int, delta: int) -> tuple[tuple[int, int, int], ...]:
+    """(c_delta(beta, beta'), id(gamma), id(beta')), gamma = beta - beta',
+    for the beta' of the module docstring's frontier with c_delta != 0."""
+    out: list[tuple[int, int, int]] = []
+    for ib_p, w_p, _ in _ALPHAS[ib, delta]:
+        gamma = [b - c for b, c in zip_longest(_SEQS[ib], _SEQS[ib_p], fillvalue=0)]
+        ends = sum(g for i, g in enumerate(gamma) if w_p + i + 1 > delta)
+        if ends:
+            num, den = _orderings(gamma) * ends, sum(gamma)
+            assert w_p <= delta and _SIZES[ib_p] + den == _SIZES[ib] and num % den == 0
+            out.append((num // den, _seq_id(canonical(gamma)), ib_p))
+    return tuple(out)
+
+
+def _seq_sum(ia: int, ig: int) -> int:
+    """id(alpha + gamma)."""
+    return _seq_id(canonical(map(sum, zip_longest(_SEQS[ia], _SEQS[ig], fillvalue=0))))
+
+
+# (sid, +-k) -> id(s +- e_k); (sid, whi) -> sub-sequences of weight <= whi;
+# (ib, I(gamma), excess) -> beta' extensions; (ib, delta) -> move-path
+# frontier of beta; (ia, id(gamma)) -> id(alpha + gamma)
 _STEPS = _Table(_step)
 _ALPHAS = _Table(_alpha_candidates)
 _GAMMAS = _Table(_beta_extensions)
+_FRONTIER = _Table(_frontier)
+_SUMS = _Table(_seq_sum)
 
 
 def _transitions(state: int) -> tuple[list[int], list[int]]:
@@ -325,25 +370,22 @@ def _transitions(state: int) -> tuple[list[int], list[int]]:
     coefficients and children; the state's value is their dot product."""
     delta = state >> 64
     ia, ib = state >> 32 & _ID_MASK, state & _ID_MASK
+    same = delta << 64
+    if delta < _WEIGHTS[ib]:
+        # moves only: the first states with I(beta') <= delta on the move paths
+        front = _FRONTIER[ib, delta]
+        return [c for c, _, _ in front], [same | _SUMS[ia, ig] << 32 | b for _, ig, b in front]
     ia_w = _WEIGHTS[ia]
     d = ia_w + _WEIGHTS[ib]
     coefs: list[int] = []
     kids: list[int] = []
-    if __debug__:
-        # each child has one point condition fewer; point_count is
-        # point_count(d, delta, ()) + |beta|, and |beta'| is read from _SIZES
-        pc = point_count(d, delta, _SEQS[ib])
 
     # move one unassigned order-k tangency onto an assigned point
-    same = delta << 64
     for i, b in enumerate(_SEQS[ib]):
         if b:
             k = i + 1
-            child = same | _STEPS[ia, k] << 32 | _STEPS[ib, -k]
-            if __debug__:  # same d and delta, so |beta| drops by one
-                assert _SIZES[child & _ID_MASK] == _SIZES[ib] - 1
             coefs.append(k)
-            kids.append(child)
+            kids.append(same | _STEPS[ia, k] << 32 | _STEPS[ib, -k])
 
     # degenerate to degree d-1: alpha' <= alpha, beta' = beta + gamma,
     # I(gamma) = I(alpha) - I(alpha') - 1, delta' = delta + |gamma| - (d-1)
@@ -359,11 +401,6 @@ def _transitions(state: int) -> tuple[list[int], list[int]]:
         for excess in range(e_lo, e_hi + 1):
             delta_p = delta + (w - excess) - (d - 1)
             gcoefs, gids = _GAMMAS[ib, w, excess]
-            if __debug__:
-                assert 0 <= delta_p <= mn_next
-                dropped = point_count(d - 1, delta_p, ())
-                for ib_p in gids:
-                    assert dropped + _SIZES[ib_p] == pc - 1
             high = delta_p << 64 | ia_p << 32
             kids.extend([high | ib_p for ib_p in gids])
             coefs.extend([c_alpha * c for c in gcoefs] if c_alpha != 1 else gcoefs)

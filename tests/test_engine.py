@@ -1,7 +1,11 @@
 """Recursion engine against independent combinatorial and algebraic oracles."""
 
 import math
+import subprocess
+import sys
 from collections import Counter
+from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +18,8 @@ from severi import (
     severi_degree,
     severi_table,
 )
-from severi.tangency import canonical, point_count, state_key, weight
+from severi.tangency import canonical, point_count, size, state_key, weight
+from test_cli import child_env
 
 
 # -- oracles ---------------------------------------------------------------
@@ -337,6 +342,24 @@ def _ref_transitions(key):
     return out
 
 
+def _ref_move_frontier(key):
+    """_ref_transitions applied until I(beta) <= delta, as {child: coef}
+    with the coefficient products summed over the move paths."""
+    d, delta = key[:2]
+    level, out = Counter({key: 1}), Counter()
+    while level:
+        below = Counter()
+        for state, w in level.items():
+            if weight(state[3]) <= delta:
+                out[state] += w
+                continue
+            for coef, child in _ref_transitions(state):
+                assert child[:2] == (d, delta)  # delta < I(beta) leaves only moves
+                below[child] += w * coef
+        level = below
+    return out
+
+
 def _decoded_transitions(key):
     coefs, kids = engine._transitions(engine.pack(key))
     assert len(coefs) == len(kids)
@@ -346,11 +369,19 @@ def _decoded_transitions(key):
 @settings(deadline=None)
 @given(_states())
 def test_transitions_keep_the_point_count_invariant(key):
-    d, delta, _, beta = key
+    d, delta, alpha, beta = key
     pc = point_count(d, delta, beta)
     for _, (d2, delta2, alpha2, beta2) in _decoded_transitions(key):
-        assert point_count(d2, delta2, beta2) == pc - 1
         assert weight(alpha2) + weight(beta2) == d2
+        if delta < weight(beta):
+            # one jump to the end of the move paths: gamma leaves beta for alpha
+            gamma = [a2 - a for a2, a in zip_longest(alpha2, alpha, fillvalue=0)]
+            assert (d2, delta2) == (d, delta) and min(gamma) >= 0 and size(gamma) >= 1
+            assert canonical(map(sum, zip_longest(beta2, gamma, fillvalue=0))) == beta
+            assert weight(beta2) <= delta
+            assert point_count(d2, delta2, beta2) == pc - size(gamma)
+            continue
+        assert point_count(d2, delta2, beta2) == pc - 1
         if d2 == d - 1:
             # a reduced curve of degree d2 has at most d2(d2-1)/2 nodes
             assert 0 <= delta2 <= d2 * (d2 - 1) // 2
@@ -361,7 +392,41 @@ def test_transitions_keep_the_point_count_invariant(key):
 @settings(deadline=None)
 @given(_states())
 def test_packed_transitions_match_the_tuple_reference(key):
-    assert Counter(_decoded_transitions(key)) == Counter(_ref_transitions(key))
+    got = _decoded_transitions(key)
+    if key[1] < weight(key[3]):
+        assert len({child for _, child in got}) == len(got)
+        assert {child: coef for coef, child in got} == _ref_move_frontier(key)
+    else:
+        assert Counter(got) == Counter(_ref_transitions(key))
+
+
+def test_smooth_leaf_is_the_delta_zero_frontier():
+    # at delta = 0 every move path runs to beta' = (): gamma = beta, and
+    # c_0 is the coincident-root count of the closed-form leaf
+    severi_table(12, 7, cache=CacheStore())
+    empty = engine._seq_id(())
+    for ib in range(len(engine._SEQS)):
+        if engine._SEQS[ib]:
+            assert engine._FRONTIER[ib, 0] == ((engine._SMOOTH[ib], ib, empty),)
+
+
+def test_optimized_mode_computes_the_same_table():
+    # the asserts live in the table builders; python -O drops them, and
+    # must not change a single stored value
+    script = (
+        "from severi import CacheStore, severi_table\n"
+        "store = CacheStore()\n"
+        "severi_table(12, 7, cache=store)\n"
+        "print(__debug__, list(store.items()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    store = CacheStore()
+    severi_table(12, 7, cache=store)
+    assert proc.stdout == f"False {list(store.items())}\n"
 
 
 @given(_states())
@@ -396,13 +461,14 @@ def test_sequence_ids_past_32_bits_raise(monkeypatch):
 
 def test_states_evaluated_per_table():
     # pinned work counters: the memo sizes of a cold table; delta = 0
-    # states are closed-form leaves, so the recursion stops there
+    # states are closed-form leaves, and a state with delta < I(beta)
+    # jumps over its move paths, so neither stores the states in between
     store = CacheStore()
     severi_table(10, 6, cache=store)
-    assert len(store) == 2339
+    assert len(store) == 1618
     store = CacheStore()
     severi_table(18, 9, cache=store)
-    assert len(store) == 48394
+    assert len(store) == 18542
     store = CacheStore()
     assert severi_degree(10**4, 0, cache=store) == 1
     assert len(store) == 1
@@ -478,6 +544,64 @@ def test_threshold_store_matches_the_reference_recursion():
     memo = {}
     for key, value in store.items():
         assert value == _ref_severi(key, memo), key
+
+
+# -- genus 0 against Kontsevich ----------------------------------------------
+
+def _kontsevich(dmax):
+    """Rational plane curves of degree d through 3d-1 points, by WDVV."""
+    n = [0, 1]
+    for d in range(2, dmax + 1):
+        n.append(sum(
+            n[a] * n[d - a] * (
+                a * a * (d - a) ** 2 * math.comb(3 * d - 4, 3 * a - 2)
+                - a ** 3 * (d - a) * math.comb(3 * d - 4, 3 * a - 1)
+            )
+            for a in range(1, d)
+        ))
+    return n[1:]
+
+
+def _irreducible_genus_zero(dmax, store):
+    """(3d-1)! [y^-1 z^d lambda^(3d-1)] of log sum N^{d,delta} y^(g-1) z^d
+    lambda^n/n!, n = 3d+g-1, g = (d-1)(d-2)/2 - delta, for d <= dmax.
+
+    Nodes, genus minus one and points all add over the components of a
+    reducible curve, and the points are shared out among them, so the log
+    keeps the irreducible curves (exponential formula).  lambda^n is fixed
+    by z^d y^e, so a coefficient is N/n! at y^e z^d.  A term of genus
+    g > dmax - d cannot reach y^-1 below degree dmax + 1, so it is left out.
+    """
+    series = []
+    for d in range(1, dmax + 1):
+        top = (d - 1) * (d - 2) // 2
+        series.append({
+            top - delta - 1: Fraction(severi_degree(d, delta, cache=store),
+                                      math.factorial(3 * d + top - delta - 1))
+            for delta in range(max(0, top - (dmax - d)), d * (d - 1) // 2 + 1)
+        })
+    logs = []  # d G_d = d F_d - sum_j j G_j F_{d-j}
+    for d in range(1, dmax + 1):
+        acc = Counter({e: d * c for e, c in series[d - 1].items()})
+        for j in range(1, d):
+            for e1, a in logs[j - 1].items():
+                for e2, b in series[d - j - 1].items():
+                    acc[e1 + e2] -= j * a * b
+        logs.append({e: c / d for e, c in acc.items()})
+    return [logs[d - 1].get(-1, 0) * math.factorial(3 * d - 1) for d in range(1, dmax + 1)]
+
+
+def test_kontsevich_reference_values():
+    assert _kontsevich(6) == [1, 1, 12, 620, 87304, 26312976]
+
+
+def test_irreducible_counts_match_kontsevich():
+    assert _irreducible_genus_zero(9, CacheStore()) == _kontsevich(9)
+
+
+@pytest.mark.slow
+def test_irreducible_counts_match_kontsevich_to_degree_11():
+    assert _irreducible_genus_zero(11, CacheStore()) == _kontsevich(11)
 
 
 def test_readme_conics_tangent_to_a_line():
