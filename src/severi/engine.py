@@ -37,6 +37,16 @@ move, of order k, has I(beta') + k > delta.  Counting those orderings,
 are such a state's children.  At delta = 0 the frontier is beta' = ()
 alone, with c_0 the closed form.
 
+Degeneration templates.  With gamma = beta' - beta, I(gamma) =
+d-1 - I(alpha') - I(beta) and excess(gamma) = I(gamma) - |gamma|,
+
+  delta' = budget - excess(gamma),  budget = delta - I(beta) - I(alpha'),
+
+so 0 <= delta' <= (d-1)(d-2)/2 bounds the excess to
+max(0, budget - (d-1)(d-2)/2) .. min(I(gamma), budget).  The children
+of one alpha' are then fixed by (beta, I(gamma), budget, lower excess
+bound) up to id(alpha'), which a state ORs into a stored template.
+
 Evaluation is iterative (explicit work stack): the point count drops by
 at least one per step, so a dependency chain has fewer than d(d+3)/2
 steps (N^{30,9}: 275, 485 without the frontier) and must not touch the
@@ -50,14 +60,15 @@ top field; an id that does not fit in 32 bits raises.  CacheStore keys
 its table by these ints and converts at its boundary, so callers and the
 cache file only ever see (d, delta, alpha, beta) tuples.
 
-Children are read from five tables keyed by sequence ids (_STEPS,
-_ALPHAS, _GAMMAS, _FRONTIER, _SUMS; see their definitions).  They hold
-facts about sequences, not about any store, so like _PARTITIONS they
-are process-global and every store shares them; a store keeps only its
-values.  Each builder asserts the invariants of an entry once, when it
-builds it.  After threshold_report(9), which fills a store with 41,923
-states, there are 1,880 sequences and the tables hold 2,377, 5,384,
-2,803, 4,075 and 5,387 entries.
+Children are read from six tables keyed by sequence ids (_STEPS,
+_ALPHAS, _GAMMAS, _FRONTIER, _SUMS, _TEMPLATES; see their definitions).
+They hold facts about sequences, not about any store, so like
+_PARTITIONS they are process-global and every store shares them; a
+store keeps only its values.  The builders assert an entry's invariants
+once, when they build it; _TEMPLATES copies checked _GAMMAS entries.
+After threshold_report(9), which fills a store with 41,923 states,
+there are 1,880 sequences and the tables hold 2,377, 5,384, 2,803,
+4,075, 5,387 and 3,008 entries; the templates hold 21,600 children.
 """
 
 from __future__ import annotations
@@ -292,6 +303,8 @@ def _alpha_candidates(ia: int, whi: int) -> tuple[tuple[int, int, int], ...]:
             return
         i = high[pos]
         for c in range(alpha[i] + 1):
+            if wh + c * (i + 1) > whi:
+                break  # every leaf below is heavier than whi
             counts[i] = c
             walk(pos + 1, wh + c * (i + 1), counts, binom * math.comb(alpha[i], c))
         del counts[i]
@@ -355,14 +368,30 @@ def _seq_sum(ia: int, ig: int) -> int:
     return _seq_id(canonical(map(sum, zip_longest(_SEQS[ia], _SEQS[ig], fillvalue=0))))
 
 
+def _template(ib: int, w: int, budget: int, e_lo: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The _GAMMAS extensions of beta by weight w for excess e_lo..min(w, budget),
+    as coefficients and pre-shifted children delta' << 64 | id(beta'),
+    delta' = budget - excess."""
+    coefs: list[int] = []
+    lows: list[int] = []
+    for excess in range(e_lo, min(w, budget) + 1):
+        gcoefs, gids = _GAMMAS[ib, w, excess]
+        high = budget - excess << 64
+        coefs.extend(gcoefs)
+        lows.extend([high | ib_p for ib_p in gids])
+    return tuple(coefs), tuple(lows)
+
+
 # (sid, +-k) -> id(s +- e_k); (sid, whi) -> sub-sequences of weight <= whi;
 # (ib, I(gamma), excess) -> beta' extensions; (ib, delta) -> move-path
-# frontier of beta; (ia, id(gamma)) -> id(alpha + gamma)
+# frontier of beta; (ia, id(gamma)) -> id(alpha + gamma);
+# (ib, I(gamma), budget, e_lo) -> degree-(d-1) children of beta
 _STEPS = _Table(_step)
 _ALPHAS = _Table(_alpha_candidates)
 _GAMMAS = _Table(_beta_extensions)
 _FRONTIER = _Table(_frontier)
 _SUMS = _Table(_seq_sum)
+_TEMPLATES = _Table(_template)
 
 
 def _transitions(state: int) -> tuple[list[int], list[int]]:
@@ -375,8 +404,7 @@ def _transitions(state: int) -> tuple[list[int], list[int]]:
         # moves only: the first states with I(beta') <= delta on the move paths
         front = _FRONTIER[ib, delta]
         return [c for c, _, _ in front], [same | _SUMS[ia, ig] << 32 | b for _, ig, b in front]
-    ia_w = _WEIGHTS[ia]
-    d = ia_w + _WEIGHTS[ib]
+    ia_w, ib_w = _WEIGHTS[ia], _WEIGHTS[ib]
     coefs: list[int] = []
     kids: list[int] = []
 
@@ -387,23 +415,20 @@ def _transitions(state: int) -> tuple[list[int], list[int]]:
             coefs.append(k)
             kids.append(same | _STEPS[ia, k] << 32 | _STEPS[ib, -k])
 
-    # degenerate to degree d-1: alpha' <= alpha, beta' = beta + gamma,
-    # I(gamma) = I(alpha) - I(alpha') - 1, delta' = delta + |gamma| - (d-1)
-    mn_next = (d - 1) * (d - 2) // 2
-    # I(gamma) >= 1, and delta' >= 0 caps I(alpha') at delta - I(beta)
-    whi = min(ia_w - 1, ia_w - d + delta)
+    # degenerate to degree d-1 (see "Degeneration templates"): alpha' <= alpha
+    # with I(gamma) = I(alpha) - I(alpha') - 1 >= 1 and budget >= 0
+    top = delta - ib_w  # the budget at alpha' = ()
+    whi = min(ia_w - 1, top)
     if whi < 0:
         return coefs, kids
+    # delta' <= (d-1)(d-2)/2: the lower excess bound is max(0, over - I(alpha'))
+    over = top - (ia_w + ib_w - 1) * (ia_w + ib_w - 2) // 2
     for ia_p, wprime, c_alpha in _ALPHAS[ia, whi]:
-        w = ia_w - wprime - 1  # total weight of gamma
-        e_hi = min(w, delta + w - (d - 1))  # excess(gamma) caps delta'
-        e_lo = max(0, w - (mn_next + (d - 1) - delta))
-        for excess in range(e_lo, e_hi + 1):
-            delta_p = delta + (w - excess) - (d - 1)
-            gcoefs, gids = _GAMMAS[ib, w, excess]
-            high = delta_p << 64 | ia_p << 32
-            kids.extend([high | ib_p for ib_p in gids])
-            coefs.extend([c_alpha * c for c in gcoefs] if c_alpha != 1 else gcoefs)
+        e_lo = over - wprime if over > wprime else 0
+        gcoefs, lows = _TEMPLATES[ib, ia_w - wprime - 1, top - wprime, e_lo]
+        high = ia_p << 32
+        kids.extend([high | low for low in lows])
+        coefs.extend([c_alpha * c for c in gcoefs] if c_alpha != 1 else gcoefs)
     return coefs, kids
 
 

@@ -18,6 +18,7 @@ from severi import (
     severi_degree,
     severi_table,
 )
+from severi.nodepoly import threshold_report
 from severi.tangency import canonical, point_count, size, state_key, weight
 from test_cli import child_env
 
@@ -389,15 +390,42 @@ def test_transitions_keep_the_point_count_invariant(key):
             assert (d2, delta2) == (d, delta)
 
 
-@settings(deadline=None)
-@given(_states())
-def test_packed_transitions_match_the_tuple_reference(key):
+def _assert_transitions_match_the_reference(key):
     got = _decoded_transitions(key)
     if key[1] < weight(key[3]):
         assert len({child for _, child in got}) == len(got)
         assert {child: coef for coef, child in got} == _ref_move_frontier(key)
     else:
         assert Counter(got) == Counter(_ref_transitions(key))
+
+
+@settings(deadline=None)
+@given(_states())
+def test_packed_transitions_match_the_tuple_reference(key):
+    _assert_transitions_match_the_reference(key)
+
+
+def test_transitions_match_the_reference_on_every_small_state():
+    # exhaustive up to d = 6: near d(d-1)/2 nodes the cap on delta' raises
+    # the lowest excess above 0, a case random states seldom reach
+    keys = [(d, delta) + key[2:]
+            for d in range(1, 7)
+            for key in _smooth_states(d)
+            for delta in range(d * (d - 1) // 2 + 1)]
+    # (alpha, beta) pairs of partitions with I(alpha) + I(beta) = d:
+    # 2, 5, 10, 20, 36, 65, times d(d-1)/2 + 1 values of delta
+    assert len(keys) == 1628
+    for key in keys:
+        _assert_transitions_match_the_reference(key)
+
+
+def test_alpha_candidates_match_the_unpruned_walk():
+    # every (alpha, whi) the tables hold after a table run, rebuilt and
+    # compared with the walk over every combination of parts
+    severi_table(12, 7, cache=CacheStore())
+    for ia, whi in list(engine._ALPHAS):
+        got = Counter((engine._SEQS[s], w, c) for s, w, c in engine._alpha_candidates(ia, whi))
+        assert got == Counter(_ref_alpha_candidates(engine._SEQS[ia], 0, whi)), (ia, whi)
 
 
 def test_smooth_leaf_is_the_delta_zero_frontier():
@@ -470,6 +498,9 @@ def test_states_evaluated_per_table():
     severi_table(18, 9, cache=store)
     assert len(store) == 18542
     store = CacheStore()
+    threshold_report(9, cache=store)
+    assert len(store) == 41923
+    store = CacheStore()
     assert severi_degree(10**4, 0, cache=store) == 1
     assert len(store) == 1
 
@@ -537,8 +568,6 @@ def test_states_above_smooth_leaves_match_the_reference_recursion():
 
 @pytest.mark.slow
 def test_threshold_store_matches_the_reference_recursion():
-    from severi.nodepoly import threshold_report
-
     store = CacheStore()
     threshold_report(7, cache=store)
     memo = {}

@@ -184,3 +184,51 @@ def test_consistent_property():
         d_used=(2, 3), consistency=(3,), integral=True,
     )
     assert good.consistent
+
+
+# -- predictions against closed forms, without plane data -------------------
+
+def _given_b_series(b1, b2):
+    """A BSeriesSolution carrying fixed B1, B2 prefixes; no engine run."""
+    b1, b2 = RatSeries(b1), RatSeries(b2)
+    return BSeriesSolution(
+        order=b1.order, b1=b1, b2=b2, log_b1=b1.log(), log_b2=b2.log(),
+        d_used=(), consistency=(), integral=True,
+    )
+
+
+def _yau_zaslow(order):
+    """[q^g] prod_n (1 - q^n)^-24 for g <= order, by 24 passes of
+    multiplying by each geometric series 1/(1 - q^n)."""
+    coeffs = [1] + [0] * order
+    for n in range(1, order + 1):
+        for _ in range(24):
+            for g in range(n, order + 1):
+                coeffs[g] += coeffs[g - n]
+    return coeffs
+
+
+def test_yau_zaslow_reference_values():
+    assert _yau_zaslow(8) == [1, 24, 324, 3200, 25650, 176256, 1073720, 5930496, 30178575]
+
+
+def test_k3_predictions_are_the_yau_zaslow_numbers():
+    # K3: K = 0 and c2 = 24, so z = y = 0 and B1, B2 drop out; the
+    # g-nodal curves in |L|, L.L = 2g - 2, are counted by Yau-Zaslow
+    sol = _given_b_series([1] * 9, [1] * 9)
+    yz = _yau_zaslow(8)
+    for g in range(1, 9):
+        assert gyz_predict(Invariants(x=2 * g - 2, y=0, z=0, t=24), sol, order=g)[g] == yz[g], g
+
+
+@pytest.mark.parametrize("x, y, z, t", [
+    (1, 1, 9, 3), (4, -6, 9, 3), (2, 0, 0, 24), (5, -1, 8, 4),
+    (0, -2, 10, 2), (7, 3, -1, 13), (10, -4, 24, 0), (3, 5, 6, -6),
+])
+def test_predictions_match_kleiman_piene(x, y, z, t):
+    # n_1 = 3x + 2y + t and 2 n_2 - n_1^2 = -42x - 39y - 6z - 7t, from the
+    # published B1, B2 prefixes
+    sol = _given_b_series(B1_PREFIX[:3], B2_PREFIX[:3])
+    _, n1, n2 = gyz_predict(Invariants(x=x, y=y, z=z, t=t), sol)
+    assert n1 == 3 * x + 2 * y + t
+    assert 2 * n2 - n1 * n1 == -42 * x - 39 * y - 6 * z - 7 * t
