@@ -35,7 +35,11 @@ move, of order k, has I(beta') + k > delta.  Counting those orderings,
       . sum_{k: gamma_k >= 1, I(beta')+k > delta} gamma_k
 
 are such a state's children.  At delta = 0 the frontier is beta' = ()
-alone, with c_0 the closed form.
+alone, with c_0 the closed form.  At delta = I(beta) - 1 it is the single
+moves: each beta - e_k has I <= delta and I(beta - e_k) + k = I(beta) >
+delta, so c = k, while a gamma of two or more parts has no part k >=
+I(gamma) and c = 0.  A state with delta >= I(beta) reads its move terms
+there.
 
 Degeneration templates.  With gamma = beta' - beta, I(gamma) =
 d-1 - I(alpha') - I(beta) and excess(gamma) = I(gamma) - |gamma|,
@@ -60,15 +64,14 @@ top field; an id that does not fit in 32 bits raises.  CacheStore keys
 its table by these ints and converts at its boundary, so callers and the
 cache file only ever see (d, delta, alpha, beta) tuples.
 
-Children are read from six tables keyed by sequence ids (_STEPS,
-_ALPHAS, _GAMMAS, _FRONTIER, _SUMS, _TEMPLATES; see their definitions).
-They hold facts about sequences, not about any store, so like
-_PARTITIONS they are process-global and every store shares them; a
-store keeps only its values.  The builders assert an entry's invariants
-once, when they build it; _TEMPLATES copies checked _GAMMAS entries.
-After threshold_report(9), which fills a store with 41,923 states,
-there are 1,880 sequences and the tables hold 2,377, 5,384, 2,803,
-4,075, 5,387 and 3,008 entries; the templates hold 21,600 children.
+Children are read from four tables keyed by sequence ids (_ALPHAS,
+_FRONTIER, _SUMS, _TEMPLATES; see their definitions).  They hold facts
+about sequences, not about any store, so like _PARTITIONS they are
+process-global and every store shares them; a store keeps only its
+values.  The builders assert an entry's invariants once, when they
+build it.  After threshold_report(9), which fills a store with 41,923
+states, there are 1,880 sequences and the tables hold 5,385, 4,077,
+7,641 and 3,008 entries; the templates hold 21,600 children.
 """
 
 from __future__ import annotations
@@ -267,16 +270,6 @@ class _Table(dict):
         return value
 
 
-def _step(sid: int, k: int) -> int:
-    """id(s + e_k) for k > 0 and id(s - e_-k) for k < 0, where s = _SEQS[sid]."""
-    i = abs(k) - 1
-    parts = list(_SEQS[sid]) + [0] * (i + 1 - len(_SEQS[sid]))
-    parts[i] += 1 if k > 0 else -1
-    nid = _seq_id(canonical(parts))
-    assert _SIZES[nid] == _SIZES[sid] + (1 if k > 0 else -1)
-    return nid
-
-
 def _alpha_candidates(ia: int, whi: int) -> tuple[tuple[int, int, int], ...]:
     """Sub-sequences alpha' <= alpha with weight at most whi.
 
@@ -313,42 +306,6 @@ def _alpha_candidates(ia: int, whi: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def _beta_extensions(ib: int, w: int, excess: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Coefficients C(beta', beta) . I^gamma and ids of beta' = beta + gamma.
-
-    gamma runs over the sequences of weight w and excess I(gamma) - |gamma|
-    equal to excess: one order-(p+1) part per part p of a partition of the
-    excess, plus order-1 parts filling the weight.
-    """
-    beta = _SEQS[ib]
-    coefs: list[int] = []
-    ids: list[int] = []
-    for mu in _partitions(excess):
-        m1 = w - excess - len(mu)
-        if m1 < 0:
-            continue
-        coef = 1
-        top = mu[0] if mu else 0
-        b2 = list(beta) + [0] * max(0, top + 1 - len(beta))
-        if m1:
-            coef *= math.comb(b2[0] + m1, m1)
-            b2[0] += m1
-        run_val = run_len = 0
-        for p in mu + (-1,):
-            if p == run_val:
-                run_len += 1
-                continue
-            if run_len:
-                coef *= (run_val + 1) ** run_len
-                coef *= math.comb(b2[run_val] + run_len, run_len)
-                b2[run_val] += run_len
-            run_val, run_len = p, 1
-        coefs.append(coef)
-        ids.append(_seq_id(canonical(b2)))
-        assert _SIZES[ids[-1]] == _SIZES[ib] + w - excess
-    return tuple(coefs), tuple(ids)
-
-
 def _frontier(ib: int, delta: int) -> tuple[tuple[int, int, int], ...]:
     """(c_delta(beta, beta'), id(gamma), id(beta')), gamma = beta - beta',
     for the beta' of the module docstring's frontier with c_delta != 0."""
@@ -369,26 +326,38 @@ def _seq_sum(ia: int, ig: int) -> int:
 
 
 def _template(ib: int, w: int, budget: int, e_lo: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The _GAMMAS extensions of beta by weight w for excess e_lo..min(w, budget),
-    as coefficients and pre-shifted children delta' << 64 | id(beta'),
-    delta' = budget - excess."""
+    """Coefficients C(beta', beta) . I^gamma and children delta' << 64 |
+    id(beta'), delta' = budget - excess, of beta' = beta + gamma, where
+    gamma has weight w and excess I(gamma) - |gamma| in e_lo..min(w, budget):
+    one order-(p+1) part per part p of a partition of the excess, plus
+    order-1 parts filling the weight."""
+    beta = _SEQS[ib]
     coefs: list[int] = []
     lows: list[int] = []
     for excess in range(e_lo, min(w, budget) + 1):
-        gcoefs, gids = _GAMMAS[ib, w, excess]
         high = budget - excess << 64
-        coefs.extend(gcoefs)
-        lows.extend([high | ib_p for ib_p in gids])
+        for mu in _partitions(excess):
+            m1 = w - excess - len(mu)
+            if m1 < 0:
+                continue
+            b2 = list(beta) + [0] * (excess + 1)
+            coef = math.comb(b2[0] + m1, m1)
+            b2[0] += m1
+            for p in set(mu):
+                r = mu.count(p)
+                coef *= (p + 1) ** r * math.comb(b2[p] + r, r)
+                b2[p] += r
+            ib_p = _seq_id(canonical(b2))
+            assert _SIZES[ib_p] == _SIZES[ib] + w - excess
+            coefs.append(coef)
+            lows.append(high | ib_p)
     return tuple(coefs), tuple(lows)
 
 
-# (sid, +-k) -> id(s +- e_k); (sid, whi) -> sub-sequences of weight <= whi;
-# (ib, I(gamma), excess) -> beta' extensions; (ib, delta) -> move-path
+# (sid, whi) -> sub-sequences of weight <= whi; (ib, delta) -> move-path
 # frontier of beta; (ia, id(gamma)) -> id(alpha + gamma);
 # (ib, I(gamma), budget, e_lo) -> degree-(d-1) children of beta
-_STEPS = _Table(_step)
 _ALPHAS = _Table(_alpha_candidates)
-_GAMMAS = _Table(_beta_extensions)
 _FRONTIER = _Table(_frontier)
 _SUMS = _Table(_seq_sum)
 _TEMPLATES = _Table(_template)
@@ -399,25 +368,20 @@ def _transitions(state: int) -> tuple[list[int], list[int]]:
     coefficients and children; the state's value is their dot product."""
     delta = state >> 64
     ia, ib = state >> 32 & _ID_MASK, state & _ID_MASK
-    same = delta << 64
-    if delta < _WEIGHTS[ib]:
-        # moves only: the first states with I(beta') <= delta on the move paths
-        front = _FRONTIER[ib, delta]
-        return [c for c, _, _ in front], [same | _SUMS[ia, ig] << 32 | b for _, ig, b in front]
     ia_w, ib_w = _WEIGHTS[ia], _WEIGHTS[ib]
+    same = delta << 64
+    top = delta - ib_w  # the budget at alpha' = ()
     coefs: list[int] = []
     kids: list[int] = []
 
-    # move one unassigned order-k tangency onto an assigned point
-    for i, b in enumerate(_SEQS[ib]):
-        if b:
-            k = i + 1
-            coefs.append(k)
-            kids.append(same | _STEPS[ia, k] << 32 | _STEPS[ib, -k])
+    # moves (see "Move-path frontier"): the whole paths when delta < I(beta),
+    # else the single moves, which are the frontier at I(beta) - 1
+    for c, ig, b in _FRONTIER[ib, delta if top < 0 else ib_w - 1]:
+        coefs.append(c)
+        kids.append(same | _SUMS[ia, ig] << 32 | b)
 
     # degenerate to degree d-1 (see "Degeneration templates"): alpha' <= alpha
     # with I(gamma) = I(alpha) - I(alpha') - 1 >= 1 and budget >= 0
-    top = delta - ib_w  # the budget at alpha' = ()
     whi = min(ia_w - 1, top)
     if whi < 0:
         return coefs, kids
@@ -567,8 +531,11 @@ def cache_load(path: str | os.PathLike[str]) -> CacheStore:
 
     The round trip through cache_save is bit-exact.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cache file {path} is not UTF-8 text: {exc.reason}") from None
     if not lines or not lines[0].strip():
         raise ParseError(f"cache file {path} is empty")
     header = lines[0].split()

@@ -119,6 +119,8 @@ def extract_b_series(
     9.l1[m] - 3d.l2[m] = R_d[m], and every pair of degrees must produce
     the same exact solution (l1[m], l2[m]).
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     degrees = tuple(sorted(set(int(d) for d in d_list)))
     if len(degrees) < 2:
         raise ValueError("extraction needs at least two distinct degrees")
@@ -190,6 +192,8 @@ def gyz_predict(
     """
     if order is None:
         order = sol.order
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if order > sol.order:
         raise ValueError(f"order {order} exceeds the solution's {sol.order}")
     if order == 0:

@@ -248,6 +248,7 @@ def expect_error(capsys, expected_code, expected_type, *argv):
     doc = json.loads(out)
     assert doc["error"]["type"] == expected_type
     assert doc["error"]["message"]
+    return doc["error"]["message"]
 
 
 def test_invalid_state_is_input_error(capsys):
@@ -302,6 +303,22 @@ def test_degree_too_small_is_input_error(capsys):
     )
 
 
+def test_negative_bseries_order_is_input_error(capsys):
+    message = expect_error(
+        capsys, 1, "ValueError",
+        "bseries", "--order", "-1", "--dlist", "1,2", "--no-cache",
+    )
+    assert message == "order must be nonnegative"
+
+
+def test_negative_predict_order_is_input_error(capsys):
+    message = expect_error(
+        capsys, 1, "ValueError",
+        "predict", "--d", "3", "--order", "-1", "--dlist", "1,2", "--no-cache",
+    )
+    assert message == "order must be nonnegative"
+
+
 def test_unreadable_cache_header_is_input_error(capsys, isolated_cwd):
     bad = isolated_cwd / "bad.cache"
     bad.write_text("junk\n")
@@ -309,6 +326,12 @@ def test_unreadable_cache_header_is_input_error(capsys, isolated_cwd):
         capsys, 1, "ParseError",
         "count", "--d", "2", "--delta", "0", "--cache", str(bad),
     )
+
+
+def test_non_utf8_cache_is_input_error(capsys, isolated_cwd):
+    bad = isolated_cwd / "bad.cache"
+    bad.write_bytes(b"\xff\xfe\n")
+    expect_error(capsys, 1, "ParseError", "cache", "stats", "--cache", str(bad))
 
 
 def test_old_cache_version_is_input_error(capsys, isolated_cwd):

@@ -438,6 +438,24 @@ def test_smooth_leaf_is_the_delta_zero_frontier():
             assert engine._FRONTIER[ib, 0] == ((engine._SMOOTH[ib], ib, empty),)
 
 
+def test_single_moves_are_the_frontier_below_beta():
+    # at delta = I(beta) - 1 every move path stops after one move, so the
+    # frontier is k . (alpha + e_k, beta - e_k) over beta_k >= 1: the move
+    # terms of a state with delta >= I(beta)
+    severi_table(12, 7, cache=CacheStore())
+    for ib in range(len(engine._SEQS)):
+        beta = engine._SEQS[ib]
+        if not beta:
+            continue
+        moves = Counter()
+        for i, b in enumerate(beta):
+            if b:
+                e_k = canonical([0] * i + [1])
+                rest = canonical(list(beta[:i]) + [b - 1] + list(beta[i + 1:]))
+                moves[i + 1, engine._seq_id(e_k), engine._seq_id(rest)] += 1
+        assert Counter(engine._FRONTIER[ib, weight(beta) - 1]) == moves, beta
+
+
 def test_optimized_mode_computes_the_same_table():
     # the asserts live in the table builders; python -O drops them, and
     # must not change a single stored value

@@ -148,6 +148,12 @@ def test_prediction_order_cannot_exceed_solution(shared_cache):
         gyz_predict(plane_invariants(9), sol, order=3)
 
 
+def test_prediction_order_must_be_nonnegative(shared_cache):
+    sol = extract_b_series(2, [3, 4], cache=shared_cache)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        gyz_predict(plane_invariants(9), sol, order=-1)
+
+
 def test_invalid_invariants_rejected(shared_cache):
     from severi import InvalidInvariants
 
