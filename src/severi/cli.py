@@ -217,8 +217,8 @@ def _run_bell(args) -> dict:
 @_with_store
 def _run_bseries(args, store) -> dict:
     degrees = _parse_int_list(args.dlist, "--dlist")
-    _progress(f"extracting B-series to order {args.order} from degrees {degrees}")
     sol = gyz.extract_b_series(args.order, degrees, cache=store)
+    _progress(f"extracting B-series to order {args.order} from degrees {degrees}")
     return {
         "order": sol.order,
         "b1": sol.b1.to_strings(),
@@ -232,12 +232,10 @@ def _run_bseries(args, store) -> dict:
 @_with_store
 def _run_predict(args, store) -> dict:
     degrees = _parse_int_list(args.dlist, "--dlist")
+    sol = gyz.extract_b_series(args.order, degrees, cache=store)
     if args.d in degrees:
         _progress(f"note: --d {args.d} is in --dlist, prediction is in-sample")
-    catalog = forms.form_catalog(max(args.order, 1))
-    sol = gyz.extract_b_series(args.order, degrees, cache=store, forms=catalog)
-    inv = gyz.plane_invariants(args.d)
-    values = gyz.gyz_predict(inv, sol, forms=catalog, order=args.order)
+    values = gyz.gyz_predict(gyz.plane_invariants(args.d), sol)
     return {
         "d": args.d,
         "order": args.order,

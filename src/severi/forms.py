@@ -46,13 +46,19 @@ def b3_series(order: int) -> RatSeries:
 
 
 def delta_series(order: int) -> RatSeries:
-    """The discriminant Delta = q . prod_{n>=1} (1 - q^n)^24."""
+    """The discriminant Delta = q . prod_{n>=1} (1 - q^n)^24.
+
+    The product is Euler's pentagonal series: prod (1 - q^n) is the sum
+    over all integers k of (-1)^k q^{k(3k-1)/2}.
+    """
     if order < 1:
         raise ValueError("Delta needs order >= 1")
-    euler = RatSeries.one(order - 1)
-    for n in range(1, order):
-        euler = euler * RatSeries([1] + [0] * (n - 1) + [-1], order=order - 1)
-    return RatSeries([0, *(euler ** 24).coeffs])
+    euler = [0] * order  # q^0 .. q^(order-1)
+    for k in range(-order, order + 1):
+        n = k * (3 * k - 1) // 2
+        if n < order:
+            euler[n] = -1 if k % 2 else 1
+    return RatSeries([0, *(RatSeries(euler) ** 24).coeffs])
 
 
 def b4_series(order: int) -> RatSeries:

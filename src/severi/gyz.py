@@ -2,16 +2,18 @@
 
 The product formula sum_delta n_delta u(q)^delta =
 B1(q)^z B2(q)^y B3(q)^chi B4(q)^(-nu/2) leaves exactly two unknown
-series once u, B3, B4 are fixed.  Plane data (z = 9, y = -3d)
-turns each q-order into an overdetermined linear system for the log
-coefficients of B1 and B2, solved pairwise in exact arithmetic; any
-pair disagreement is a hard error, not noise.
+series once u, B3, B4 are fixed.  Both directions work on its log.
+Plane data (z = 9, y = -3d) makes each degree one linear equation in
+log(B1) and log(B2); the first two degrees solve it in exact
+arithmetic and every other degree must agree, so any disagreement is a
+hard error, not noise.  Prediction sums the four logs and takes one exp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .engine import CacheStore, severi_degree
 from .forms import FormCatalog, form_catalog
@@ -73,8 +75,6 @@ class BSeriesSolution:
     order: int
     b1: RatSeries
     b2: RatSeries
-    log_b1: RatSeries
-    log_b2: RatSeries
     d_used: tuple[int, ...]
     consistency: tuple[int, ...]  # agreeing degree pairs per order 1..M
     integral: bool
@@ -82,6 +82,21 @@ class BSeriesSolution:
     @property
     def consistent(self) -> bool:
         return all(npairs >= 1 for npairs in self.consistency)
+
+
+def _catalog(order: int, forms: FormCatalog | None = None) -> FormCatalog:
+    """`forms` if it reaches `order`, else a new catalog; u needs order >= 1."""
+    if forms is None or forms.order < order:
+        forms = form_catalog(max(order, 1))
+    return forms
+
+
+def _log_b3_b4(inv: Invariants, forms: FormCatalog, order: int) -> RatSeries:
+    """log(B3^chi . B4^(-nu/2)), the factors fixed by the forms."""
+    return (
+        inv.chi * forms.b3.truncate(order).log()
+        - Fraction(inv.nu, 2) * forms.b4.truncate(order).log()
+    )
 
 
 def plane_generating_series(
@@ -98,10 +113,7 @@ def plane_generating_series(
             f"degree {d} is below order + 1 = {order + 1}; "
             "all delta <= order must sit in the polynomial regime"
         )
-    if order == 0:
-        return RatSeries.one(0)
-    if forms is None or forms.order < order:
-        forms = form_catalog(order)
+    forms = _catalog(order, forms)
     counts = [severi_degree(d, delta, cache=cache) for delta in range(order + 1)]
     return RatSeries(counts).compose(forms.u)
 
@@ -110,85 +122,57 @@ def extract_b_series(
     order: int,
     d_list: "list[int] | tuple[int, ...] | set[int]",
     cache: CacheStore | None = None,
-    forms: FormCatalog | None = None,
 ) -> BSeriesSolution:
     """Solve for B1, B2 from plane data at the given degrees.
 
-    For each degree, R_d = log(plane series) - chi(d).log(B3)
-    + (1/2).log(B4); each order m then demands
-    9.l1[m] - 3d.l2[m] = R_d[m], and every pair of degrees must produce
-    the same exact solution (l1[m], l2[m]).
+    For each degree, R_d = log(plane series) - log(B3^chi(d) . B4^(-1/2))
+    must equal 9.log(B1) - 3d.log(B2).  The two smallest degrees solve
+    for log(B1) and log(B2) as whole series; every other degree must then
+    agree exactly, which is the same as every pair of degrees giving the
+    same solution at every order.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     degrees = tuple(sorted(set(int(d) for d in d_list)))
     if len(degrees) < 2:
         raise ValueError("extraction needs at least two distinct degrees")
-    too_small = [d for d in degrees if d < order + 1]
-    if too_small:
-        raise DegreeTooSmall(
-            f"degrees {too_small} are below order + 1 = {order + 1}"
-        )
-    if order == 0:
-        one = RatSeries.one(0)
-        zero = RatSeries.zero(0)
-        return BSeriesSolution(
-            order=0, b1=one, b2=one, log_b1=zero, log_b2=zero,
-            d_used=degrees, consistency=(), integral=True,
-        )
-    if forms is None or forms.order < order:
-        forms = form_catalog(order)
-    log_b3 = forms.b3.truncate(order).log()
-    log_b4 = forms.b4.truncate(order).log()
-    residues = {}
-    for d in degrees:
-        plane = plane_generating_series(d, order, cache=cache, forms=forms)
-        chi = plane_invariants(d).chi
-        residues[d] = plane.log() - chi * log_b3 + Fraction(1, 2) * log_b4
-    l1 = [Fraction(0)] * (order + 1)
-    l2 = [Fraction(0)] * (order + 1)
-    pair_counts = []
-    for m in range(1, order + 1):
-        solution = None
-        pairs = 0
-        for i in range(len(degrees)):
-            for j in range(i + 1, len(degrees)):
-                di, dj = degrees[i], degrees[j]
-                ri, rj = residues[di][m], residues[dj][m]
-                # subtracting the two equations eliminates l1
-                y = (ri - rj) / (3 * (dj - di))
-                x = (ri + 3 * di * y) / 9
-                if solution is None:
-                    solution = (x, y)
-                elif solution != (x, y):
-                    raise InconsistentSystem(
-                        f"order {m}: degrees ({di},{dj}) give {(x, y)}, "
-                        f"previous pairs gave {solution}"
-                    )
-                pairs += 1
-        l1[m], l2[m] = solution
-        pair_counts.append(pairs)
-    log_b1 = RatSeries(l1)
-    log_b2 = RatSeries(l2)
+    forms = _catalog(order)
+    # ascending, so the smallest degree meets the DegreeTooSmall guard first
+    residues = [
+        plane_generating_series(d, order, cache=cache, forms=forms).log()
+        - _log_b3_b4(plane_invariants(d), forms, order)
+        for d in degrees
+    ]
+    (d0, d1), (r0, r1) = degrees[:2], residues[:2]
+    # subtracting the two equations eliminates log(B1)
+    log_b2 = (r0 - r1) * Fraction(1, 3 * (d1 - d0))
+    log_b1 = (r0 + 3 * d0 * log_b2) * Fraction(1, 9)
+    for d, r in zip(degrees[2:], residues[2:]):
+        fitted = 9 * log_b1 - 3 * d * log_b2
+        if fitted != r:
+            m = next(m for m in range(order + 1) if fitted[m] != r[m])
+            raise InconsistentSystem(
+                f"order {m}: degree {d} has residue {r[m]}, "
+                f"degrees ({d0},{d1}) predict {fitted[m]}"
+            )
     b1 = log_b1.exp()
     b2 = log_b2.exp()
     integral = all(c.denominator == 1 for c in (*b1.coeffs, *b2.coeffs))
     return BSeriesSolution(
-        order=order, b1=b1, b2=b2, log_b1=log_b1, log_b2=log_b2,
-        d_used=degrees, consistency=tuple(pair_counts), integral=integral,
+        order=order, b1=b1, b2=b2, d_used=degrees,
+        consistency=(comb(len(degrees), 2),) * order, integral=integral,
     )
 
 
 def gyz_predict(
     inv: Invariants,
     sol: BSeriesSolution,
-    forms: FormCatalog | None = None,
     order: int | None = None,
 ) -> list[int]:
     """Counts n_delta for delta <= order from the four invariants.
 
-    Builds F = B1^z B2^y B3^chi B4^(-nu/2) and reads off the
-    u-coefficients through reversion of u(q).
+    Builds F = B1^z B2^y B3^chi B4^(-nu/2) as one exp of its log and
+    reads off the u-coefficients through reversion of u(q).
     """
     if order is None:
         order = sol.order
@@ -196,18 +180,13 @@ def gyz_predict(
         raise ValueError("order must be nonnegative")
     if order > sol.order:
         raise ValueError(f"order {order} exceeds the solution's {sol.order}")
-    if order == 0:
-        return [1]
-    if forms is None or forms.order < order:
-        forms = form_catalog(order)
-    product = (
-        sol.b1.truncate(order).pow_rat(inv.z)
-        * sol.b2.truncate(order).pow_rat(inv.y)
-        * forms.b3.truncate(order).pow_rat(inv.chi)
-        * forms.b4.truncate(order).pow_rat(Fraction(-inv.nu, 2))
+    forms = _catalog(order)
+    log_f = (
+        inv.z * sol.b1.truncate(order).log()
+        + inv.y * sol.b2.truncate(order).log()
+        + _log_b3_b4(inv, forms, order)
     )
-    u_inverse = forms.u.truncate(order).revert()
-    in_u = product.compose(u_inverse)
+    in_u = log_f.exp().compose(forms.u.revert())
     values = []
     for delta in range(order + 1):
         c = in_u[delta]

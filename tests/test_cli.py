@@ -131,6 +131,16 @@ def test_predict_in_sample_notes_on_stderr(capsys):
     assert doc["values"][1] == "27"
 
 
+def test_bseries_and_predict_at_order_zero(capsys):
+    doc, _ = run_json(capsys, "bseries", "--order", "0", "--dlist", "1,2")
+    assert doc == {
+        "order": 0, "b1": ["1"], "b2": ["1"], "d_used": [1, 2],
+        "consistent": True, "integral": True,
+    }
+    doc, _ = run_json(capsys, "predict", "--d", "5", "--order", "0", "--dlist", "1,2")
+    assert doc == {"d": 5, "order": 0, "values": ["1"]}
+
+
 def test_forms(capsys):
     doc, _ = run_json(capsys, "forms", "--order", "3")
     assert doc == {
@@ -317,6 +327,17 @@ def test_negative_predict_order_is_input_error(capsys):
         "predict", "--d", "3", "--order", "-1", "--dlist", "1,2", "--no-cache",
     )
     assert message == "order must be nonnegative"
+
+
+@pytest.mark.parametrize("command", [
+    ["bseries", "--order", "-1", "--dlist", "1,2"],
+    ["predict", "--d", "1", "--order", "-1", "--dlist", "1,2"],
+])
+def test_rejected_extraction_prints_no_progress(capsys, command):
+    # the notes follow extraction, so input it rejects leaves stderr empty
+    code, _, err = run_cli(capsys, *command, "--no-cache")
+    assert code == 1
+    assert err == ""
 
 
 def test_unreadable_cache_header_is_input_error(capsys, isolated_cwd):

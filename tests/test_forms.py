@@ -59,6 +59,19 @@ def test_delta_prefix_is_tau():
     assert delta[0] == 0
 
 
+def test_delta_equals_the_product_multiplied_out():
+    # q . prod_{n>=1} (1 - q^n)^24 through q^40, one factor (1 - q^n) at a time
+    top = 40
+    coeffs = [1] + [0] * (top - 1)  # q^0 .. q^(top-1)
+    for n in range(1, top):
+        for _ in range(24):
+            for g in range(top - 1, n - 1, -1):
+                coeffs[g] -= coeffs[g - n]
+    expected = [0, *coeffs]
+    for order in range(1, top + 1):
+        assert delta_series(order).coeffs == tuple(expected[: order + 1]), order
+
+
 def test_delta_equals_q_times_jacobi_cube_to_the_eighth():
     order = 24
     cube = jacobi_cube(order - 1)

@@ -63,8 +63,8 @@ def test_extraction_by_hand_at_order_one(shared_cache):
     # two degrees give 9 l1[1] - 3d l2[1] = R_d[1]; solving the 2x2
     # system by hand for d = 2, 3 gives l1[1] = -1, l2[1] = 5
     sol = extract_b_series(1, [2, 3], cache=shared_cache)
-    assert sol.log_b1[1] == -1
-    assert sol.log_b2[1] == 5
+    assert sol.b1.log()[1] == -1
+    assert sol.b2.log()[1] == 5
     assert sol.b1[1] == -1
     assert sol.b2[1] == 5
     assert sol.consistent
@@ -104,20 +104,34 @@ def test_extraction_duplicate_degrees_collapse(shared_cache):
     assert sol.d_used == (2, 3)
 
 
-def test_inconsistency_is_detected(shared_cache):
+@pytest.mark.parametrize("bad", [2, 3, 4, 5])
+def test_inconsistency_is_detected(bad):
     # corrupt one fully computed count so a single equation moves;
-    # corrupting before warming would propagate consistently instead
+    # corrupting before warming would propagate consistently instead.
+    # Degrees 2 and 3 solve the system, 4 and 5 are only checked.
     from severi import CacheStore
     from severi.engine import pack
 
     poisoned = CacheStore()
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 5):
         severi_degree(d, 1, cache=poisoned)
-    state = pack((3, 1, (), (3,)))
-    assert poisoned._data[state] == 12
-    poisoned._data[state] = 13
-    with pytest.raises(InconsistentSystem):
-        extract_b_series(1, [2, 3, 4], cache=poisoned)
+    state = pack((bad, 1, (), (bad,)))
+    assert poisoned._data[state] == 3 * (bad - 1) ** 2
+    poisoned._data[state] += 1
+    # a poisoned solving degree moves the line, so degree 4 is the first off it
+    with pytest.raises(InconsistentSystem, match=f"degree {max(bad, 4)} "):
+        extract_b_series(1, [2, 3, 4, 5], cache=poisoned)
+
+
+def test_extraction_and_prediction_at_order_zero(shared_cache):
+    sol = extract_b_series(0, [1, 2], cache=shared_cache)
+    assert sol.b1 == sol.b2 == RatSeries.one(0)
+    assert sol.consistency == ()
+    assert sol.integral
+    k3 = Invariants(x=4, y=0, z=0, t=24)
+    for given in (sol, _given_b_series(B1_PREFIX, B2_PREFIX)):
+        assert gyz_predict(plane_invariants(5), given, order=0) == [1]
+        assert gyz_predict(k3, given, order=0) == [1]
 
 
 def test_prediction_reproduces_plane_counts(shared_cache):
@@ -165,28 +179,24 @@ def test_invalid_invariants_rejected(shared_cache):
 def test_non_integral_prediction_is_an_error():
     # a synthetic solution with a fractional log coefficient cannot
     # produce integer counts for the plane
-    forms = form_catalog(2)
     log_b1 = RatSeries([0, Fraction(1, 7), 0])
     log_b2 = RatSeries([0, 0, 0])
     fake = BSeriesSolution(
         order=2,
         b1=log_b1.exp(),
         b2=log_b2.exp(),
-        log_b1=log_b1,
-        log_b2=log_b2,
         d_used=(3, 4),
         consistency=(1, 1),
         integral=False,
     )
     with pytest.raises(NonIntegralPrediction):
-        gyz_predict(plane_invariants(5), fake, forms=forms)
+        gyz_predict(plane_invariants(5), fake)
 
 
 def test_consistent_property():
-    zero = RatSeries.zero(1)
     one = RatSeries.one(1)
     good = BSeriesSolution(
-        order=1, b1=one, b2=one, log_b1=zero, log_b2=zero,
+        order=1, b1=one, b2=one,
         d_used=(2, 3), consistency=(3,), integral=True,
     )
     assert good.consistent
@@ -198,8 +208,7 @@ def _given_b_series(b1, b2):
     """A BSeriesSolution carrying fixed B1, B2 prefixes; no engine run."""
     b1, b2 = RatSeries(b1), RatSeries(b2)
     return BSeriesSolution(
-        order=b1.order, b1=b1, b2=b2, log_b1=b1.log(), log_b2=b2.log(),
-        d_used=(), consistency=(), integral=True,
+        order=b1.order, b1=b1, b2=b2, d_used=(), consistency=(), integral=True,
     )
 
 
@@ -227,10 +236,13 @@ def test_k3_predictions_are_the_yau_zaslow_numbers():
         assert gyz_predict(Invariants(x=2 * g - 2, y=0, z=0, t=24), sol, order=g)[g] == yz[g], g
 
 
-@pytest.mark.parametrize("x, y, z, t", [
+KLEIMAN_PIENE_INVARIANTS = [
     (1, 1, 9, 3), (4, -6, 9, 3), (2, 0, 0, 24), (5, -1, 8, 4),
     (0, -2, 10, 2), (7, 3, -1, 13), (10, -4, 24, 0), (3, 5, 6, -6),
-])
+]
+
+
+@pytest.mark.parametrize("x, y, z, t", KLEIMAN_PIENE_INVARIANTS)
 def test_predictions_match_kleiman_piene(x, y, z, t):
     # n_1 = 3x + 2y + t and 2 n_2 - n_1^2 = -42x - 39y - 6z - 7t, from the
     # published B1, B2 prefixes
@@ -238,3 +250,26 @@ def test_predictions_match_kleiman_piene(x, y, z, t):
     _, n1, n2 = gyz_predict(Invariants(x=x, y=y, z=z, t=t), sol)
     assert n1 == 3 * x + 2 * y + t
     assert 2 * n2 - n1 * n1 == -42 * x - 39 * y - 6 * z - 7 * t
+
+
+def _four_powers(inv, sol, order):
+    """Reference prediction: B1^z B2^y B3^chi B4^(-nu/2) as a product of
+    four rational powers, composed with the reverted u."""
+    forms = form_catalog(max(order, 1))
+    product = (
+        sol.b1.truncate(order).pow_rat(inv.z)
+        * sol.b2.truncate(order).pow_rat(inv.y)
+        * forms.b3.truncate(order).pow_rat(inv.chi)
+        * forms.b4.truncate(order).pow_rat(Fraction(-inv.nu, 2))
+    )
+    return list(product.compose(forms.u.revert()).coeffs)
+
+
+def test_prediction_matches_the_product_of_four_powers():
+    sol = _given_b_series(B1_PREFIX, B2_PREFIX)
+    invariants = [plane_invariants(d) for d in range(1, 13)]
+    invariants.append(Invariants(x=10, y=0, z=0, t=24))  # K3, genus 6
+    invariants += [Invariants(*inv) for inv in KLEIMAN_PIENE_INVARIANTS]
+    for inv in invariants:
+        for order in range(7):
+            assert gyz_predict(inv, sol, order=order) == _four_powers(inv, sol, order), (inv, order)
