@@ -1,14 +1,17 @@
 """Truncated formal power series with exact rational coefficients.
 
 A series is known modulo q^(M+1) where M is its truncation order.  All
-arithmetic is exact over Fraction; binary operations truncate to the
-minimum of the two orders so precision loss is always explicit.
+arithmetic is exact; binary operations truncate to the minimum of the
+two orders so precision loss is always explicit.
 
-The inner sums of multiplication, inversion, exp and log run on Python
-ints: each operand is scaled to integer numerators over the lcm of its
-denominators, and the coefficients already computed are kept over one
-running common denominator.  Each output coefficient is then a single
-reduced Fraction, so a series still holds reduced Fractions only.
+A series holds integer numerators over one positive denominator,
+c_k = nums[k]/den, reduced so that gcd(den, *nums) == 1.  That makes den
+the lcm of the reduced denominators, so the form is canonical: equality
+and hashing compare (nums, den).  Sums, products, scalar operations and
+the inverse, exp and log recurrences run on Python ints and reduce once
+per result; the recurrences keep the coefficients already computed over
+one running denominator.  The reduced Fractions of `coeffs` are built on
+first read and kept.
 """
 
 from __future__ import annotations
@@ -53,25 +56,31 @@ def _as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
-def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over the lcm of the denominators: c_k = nums[k]/den."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _push(nums: list[int], den: int, s: int, q: int) -> int:
+    """Append s/q to the numerators over den and return the new den.
 
-
-def _push(nums: list[int], den: int, c: Fraction, w: int = 1) -> int:
-    """Append w.c to the numerators over den and return the new den.
-
-    The list is rescaled in place only when c's denominator does not
-    divide den.
+    s/q is reduced first; the list is rescaled in place only when the
+    reduced denominator does not divide den.
     """
-    q = c.denominator
+    g = gcd(s, q)
+    s, q = (s // g, q // g) if q > 0 else (-s // g, -q // g)
     if den % q:
         f = q // gcd(den, q)
         nums[:] = [n * f for n in nums]
         den *= f
-    nums.append(w * c.numerator * (den // q))
+    nums.append(s * (den // q))
     return den
+
+
+def _make(nums: Sequence[int], den: int) -> "RatSeries":
+    """The series nums[k]/den, brought to its canonical form; needs den > 0."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    s = object.__new__(RatSeries)
+    s._nums, s._den, s._coeffs = tuple(nums), den, None
+    return s
 
 
 class RatSeries:
@@ -80,9 +89,15 @@ class RatSeries:
     >>> s = RatSeries([1, 1, 1])        # 1 + q + q^2, order 2
     >>> (s * s).coeffs
     (Fraction(1, 1), Fraction(2, 1), Fraction(3, 1))
+
+    The stored form is canonical, so two series with equal coefficients
+    are equal, and hash alike, however they were built:
+
+    >>> RatSeries([Fraction(1, 2), Fraction(1, 3)]) == RatSeries([3, 2]) * Fraction(1, 6)
+    True
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
         cs = [_as_fraction(c) for c in coeffs]
@@ -95,7 +110,10 @@ class RatSeries:
                 cs.extend(Fraction(0) for _ in range(order + 1 - len(cs)))
         if not cs:
             raise ValueError("a series needs at least its constant term")
-        self._coeffs = tuple(cs)
+        # reduced Fractions over the lcm of their denominators are canonical
+        den = lcm(*(c.denominator for c in cs))
+        self._nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den, self._coeffs = den, tuple(cs)
 
     # -- constructors ------------------------------------------------
 
@@ -118,36 +136,42 @@ class RatSeries:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        cs = self._coeffs
+        if cs is None:
+            den = self._den
+            cs = self._coeffs = tuple(Fraction(n, den) for n in self._nums)
+        return cs
 
     def __getitem__(self, m: int) -> Fraction:
         if not 0 <= m <= self.order:
             raise IndexError(f"coefficient {m} outside truncation order {self.order}")
-        return self._coeffs[m]
+        return self.coeffs[m]
 
     def truncate(self, order: int) -> "RatSeries":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return RatSeries(self._coeffs[: order + 1])
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        return _make(self._nums[: order + 1], self._den)
 
     def to_strings(self) -> list[str]:
         """Coefficients as "num/den" (or "num" when the denominator is 1)."""
-        return [str(c) for c in self._coeffs]
+        return [str(c) for c in self.coeffs]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RatSeries):
-            return self._coeffs == other._coeffs
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:7])
+        shown = ", ".join(str(c) for c in self.coeffs[:7])
         if self.order > 6:
             shown += ", ..."
         return f"RatSeries([{shown}]; order={self.order})"
@@ -156,18 +180,23 @@ class RatSeries:
 
     def __add__(self, other: "RatSeries | Scalar") -> "RatSeries":
         if isinstance(other, (int, Fraction)):
-            cs = list(self._coeffs)
-            cs[0] += other
-            return RatSeries(cs)
+            p, q = other.numerator, other.denominator
+            den = lcm(self._den, q)
+            f = den // self._den
+            nums = [n * f for n in self._nums]
+            nums[0] += p * (den // q)
+            return _make(nums, den)
         if not isinstance(other, RatSeries):
             return NotImplemented
-        M = min(self.order, other.order)
-        return RatSeries([self._coeffs[m] + other._coeffs[m] for m in range(M + 1)])
+        # zip stops at the shorter operand, the common order
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        return _make([x * fa + y * fb for x, y in zip(self._nums, other._nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatSeries":
-        return RatSeries([-c for c in self._coeffs])
+        return _make([-n for n in self._nums], self._den)
 
     def __sub__(self, other: "RatSeries | Scalar") -> "RatSeries":
         if not isinstance(other, (int, Fraction, RatSeries)):
@@ -179,33 +208,30 @@ class RatSeries:
 
     def __mul__(self, other: "RatSeries | Scalar") -> "RatSeries":
         if isinstance(other, (int, Fraction)):
-            return RatSeries([c * other for c in self._coeffs])
+            p = other.numerator
+            return _make([n * p for n in self._nums], self._den * other.denominator)
         if not isinstance(other, RatSeries):
             return NotImplemented
         M = min(self.order, other.order)
-        a, da = _scaled(self._coeffs[: M + 1])
-        b, db = _scaled(other._coeffs[: M + 1])
-        den = da * db
-        return RatSeries(
-            [Fraction(sum(map(mul, a[: k + 1], b[k::-1])), den) for k in range(M + 1)]
+        a, b = self._nums[: M + 1], other._nums[: M + 1]
+        return _make(
+            [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(M + 1)],
+            self._den * other._den,
         )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RatSeries":
         """Multiplicative inverse by back-substitution; needs a[0] != 0."""
-        if self._coeffs[0] == 0:
+        a, da = self._nums, self._den
+        if a[0] == 0:
             raise ZeroConstantTerm("cannot invert a series with constant term 0")
-        M = self.order
-        a, da = _scaled(self._coeffs)
         # out_m = -(1/a_0) sum_{k=1..m} a_k.out_{m-k}, with out_j = nums[j]/den
-        c = Fraction(da, a[0])
-        out, nums, den = [c], [c.numerator], c.denominator
-        for m in range(1, M + 1):
-            c = Fraction(-sum(map(mul, a[1 : m + 1], nums[m - 1 :: -1])), den * a[0])
-            den = _push(nums, den, c)
-            out.append(c)
-        return RatSeries(out)
+        nums: list[int] = []
+        den = _push(nums, 1, da, a[0])
+        for m in range(1, len(a)):
+            den = _push(nums, den, -sum(map(mul, a[1 : m + 1], nums[m - 1 :: -1])), den * a[0])
+        return _make(nums, den)
 
     def exp(self) -> "RatSeries":
         """Formal exponential; needs a[0] = 0.
@@ -213,18 +239,15 @@ class RatSeries:
         Recurrence from f' = a'.f in q-derivative form:
         m.f_m = sum_{k=1..m} k.a_k.f_{m-k}.
         """
-        if self._coeffs[0] != 0:
+        a, da = self._nums, self._den
+        if a[0] != 0:
             raise NonzeroConstantTerm("exp needs constant term 0")
-        M = self.order
-        a, da = _scaled(self._coeffs)
         ka = [k * x for k, x in enumerate(a)]
         # f_j = nums[j]/den
-        f, nums, den = [Fraction(1)], [1], 1
-        for m in range(1, M + 1):
-            c = Fraction(sum(map(mul, ka[1 : m + 1], nums[m - 1 :: -1])), m * da * den)
-            den = _push(nums, den, c)
-            f.append(c)
-        return RatSeries(f)
+        nums, den = [1], 1
+        for m in range(1, len(a)):
+            den = _push(nums, den, sum(map(mul, ka[1 : m + 1], nums[m - 1 :: -1])), m * da * den)
+        return _make(nums, den)
 
     def log(self) -> "RatSeries":
         """Formal logarithm; needs a[0] = 1.
@@ -232,22 +255,22 @@ class RatSeries:
         Recurrence from a.g' = a' in q-derivative form:
         m.g_m = m.a_m - sum_{k=1..m-1} k.g_k.a_{m-k}.
         """
-        if self._coeffs[0] != 1:
+        a, da = self._nums, self._den
+        if a[0] != da:
             raise ConstantTermNotOne("log needs constant term 1")
-        M = self.order
-        a, da = _scaled(self._coeffs)
+        M = len(a) - 1
         # k.g_k = nums[k]/den
-        g, nums, den = [Fraction(0)], [0], 1
+        nums, den = [0], 1
         for m in range(1, M + 1):
             s = m * a[m] * den - sum(map(mul, nums[1:m], a[m - 1 : 0 : -1]))
-            c = Fraction(s, m * da * den)
-            den = _push(nums, den, c, m)
-            g.append(c)
-        return RatSeries(g)
+            den = _push(nums, den, s, da * den)
+        # g_k = nums[k].(L/k) / (den.L) over L = lcm(1..M)
+        L = lcm(*range(1, M + 1))
+        return _make([0] + [n * (L // k) for k, n in enumerate(nums[1:], 1)], den * L)
 
     def pow_rat(self, e: Scalar) -> "RatSeries":
         """a^e for rational e as exp(e.log(a)); needs a[0] = 1."""
-        if self._coeffs[0] != 1:
+        if self._nums[0] != self._den:
             raise ConstantTermNotOne("rational powers need constant term 1")
         e = _as_fraction(e)
         return (self.log() * e).exp()
@@ -269,14 +292,15 @@ class RatSeries:
 
     def compose(self, inner: "RatSeries") -> "RatSeries":
         """self(inner(q)) truncated; needs inner[0] = 0."""
-        if inner._coeffs[0] != 0:
+        if inner._nums[0] != 0:
             raise PositiveValuationRequired("composition needs inner constant term 0")
         M = min(self.order, inner.order)
         g = inner.truncate(M) if inner.order > M else inner
-        out = RatSeries([self._coeffs[min(self.order, M)]], order=M)
+        cs = self.coeffs
+        out = RatSeries([cs[M]], order=M)
         # Horner from the top coefficient down
-        for i in range(min(self.order, M) - 1, -1, -1):
-            out = out * g + self._coeffs[i]
+        for i in range(M - 1, -1, -1):
+            out = out * g + cs[i]
         return out
 
     def revert(self) -> "RatSeries":
@@ -288,14 +312,14 @@ class RatSeries:
         >>> RatSeries([0, 1, 1], order=4).revert().coeffs
         (Fraction(0, 1), Fraction(1, 1), Fraction(-1, 1), Fraction(2, 1), Fraction(-5, 1))
         """
-        g = self._coeffs
+        g = self._nums
         if g[0] != 0 or self.order < 1 or g[1] == 0:
             raise NotReversible("reversion needs g[0] = 0 and g[1] != 0")
         M = self.order
-        p = RatSeries(g[1:]).inverse()
+        p = _make(g[1:], self._den).inverse()
         power = RatSeries.one(M - 1)
         h = [Fraction(0)]
         for n in range(1, M + 1):
             power = power * p
-            h.append(power[n - 1] / n)
+            h.append(Fraction(power._nums[n - 1], power._den * n))
         return RatSeries(h)

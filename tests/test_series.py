@@ -109,6 +109,16 @@ def _ref_revert(g):
     return tuple(h)
 
 
+def _ref_compose(f, g):
+    # Horner on Fractions, truncated to the common order
+    M = min(len(f), len(g)) - 1
+    out = [f[M]] + [F(0)] * M
+    for i in range(M - 1, -1, -1):
+        out = list(_ref_mul(out, g[: M + 1]))
+        out[0] += f[i]
+    return tuple(out)
+
+
 # -- frozen examples ------------------------------------------------------
 
 def test_add_examples():
@@ -370,3 +380,73 @@ def test_revert_matches_reference(g1, rest):
     h = g.revert()
     assert h.coeffs == _ref_revert(g)
     assert _reduced(h)
+
+
+@settings(deadline=None)
+@given(_coeff_lists(max_size=10), _coeff_lists(min_size=0, max_size=9))
+def test_compose_matches_reference(f, rest):
+    # the inner series may be longer or shorter than the outer one
+    g = [F(0)] + rest
+    h = RatSeries(f).compose(RatSeries(g))
+    assert h.coeffs == _ref_compose(f, g)
+    assert _reduced(h)
+
+
+@settings(deadline=None)
+@given(_coeff_lists(), _coeff_lists(), _SCALARS)
+def test_add_sub_neg_match_reference(a, b, c):
+    sa, sb = RatSeries(a), RatSeries(b)
+    results = [
+        (sa + sb, tuple(x + y for x, y in zip(a, b))),
+        (sa - sb, tuple(x - y for x, y in zip(a, b))),
+        (-sa, tuple(-x for x in a)),
+        (sa + c, (a[0] + c, *a[1:])),
+        (c + sa, (c + a[0], *a[1:])),
+        (sa - c, (a[0] - c, *a[1:])),
+        (c - sa, (c - a[0], *(-x for x in a[1:]))),
+    ]
+    for s, expected in results:
+        assert s.coeffs == expected
+        assert _reduced(s)
+
+
+@settings(deadline=None)
+@given(_coeff_lists())
+def test_truncate_matches_reference_at_every_order(a):
+    s = RatSeries(a)
+    for order in range(len(a)):
+        t = s.truncate(order)
+        assert t.coeffs == tuple(a[: order + 1])
+        assert _reduced(t)
+    for order in (len(a), -1, -2):
+        with pytest.raises(ValueError):
+            s.truncate(order)
+
+
+# -- the canonical form, seen through the public API ------------------------
+
+def _is_canonical(s: RatSeries) -> bool:
+    rebuilt = RatSeries(s.coeffs)
+    return rebuilt == s and hash(rebuilt) == hash(s) and s.coeffs is s.coeffs
+
+
+@settings(deadline=None)
+@given(_coeff_lists(), _coeff_lists(), _SCALARS)
+def test_results_are_canonical(a, b, c):
+    sa, sb = RatSeries(a), RatSeries(b)
+    results = [sa * sb, sa + sb, sa - sb, -sa, sa * c, sa + c]
+    results += [sa.truncate(order) for order in range(len(a))]
+    for s in results:
+        assert _is_canonical(s)
+
+
+def test_equal_coefficients_mean_equal_series():
+    # truncation, sums and scalar products can drop a denominator: reduce again
+    cut = RatSeries([1, F(1, 2)]).truncate(0)
+    assert cut == RatSeries.one(0) and hash(cut) == hash(RatSeries.one(0))
+    total = RatSeries([F(1, 2), F(1, 2)]) + RatSeries([F(1, 2), F(-1, 2)])
+    assert total == RatSeries([1, 0]) and hash(total) == hash(RatSeries([1, 0]))
+    assert RatSeries([F(1, 2), F(1, 3)]) == RatSeries([3, 2]) * F(1, 6)
+    assert RatSeries([F(2, 3)]) * F(3, 2) == RatSeries.one(0)
+    assert RatSeries([0, 0]) * F(1, 7) == RatSeries.zero(1)
+    assert RatSeries([1, 2]) != RatSeries([1, 2, 0])
