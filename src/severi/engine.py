@@ -136,17 +136,16 @@ def _seq_id(seq: TangencySeq) -> int:
     """The id of a canonical sequence, numbered on first sight."""
     sid = _IDS.get(seq)
     if sid is None:
-        canon = canonical(seq)  # the interned tuple
-        if canon != seq:
+        if canonical(seq) != seq:
             raise InvalidState(f"tangency sequence {seq} is not canonical")
         sid = len(_SEQS)
         if sid > _ID_MASK:
             raise OverflowError("more than 2**32 distinct tangency sequences")
-        _SEQS.append(canon)
-        _WEIGHTS.append(weight(canon))
-        _SIZES.append(size(canon))
-        _SMOOTH.append(_orderings(canon))
-        _IDS[canon] = sid
+        _SEQS.append(seq)
+        _WEIGHTS.append(weight(seq))
+        _SIZES.append(size(seq))
+        _SMOOTH.append(_orderings(seq))
+        _IDS[seq] = sid
     return sid
 
 
@@ -400,6 +399,13 @@ def _evaluate(root: SeveriKey, cache: CacheStore) -> int:
     cached = cache.get(root)
     if cached is not None:
         return cached
+    # a reduced degree-d curve has at most d(d-1)/2 nodes (d general lines).
+    # Only a root can break the bound: a move keeps (d, delta), and a
+    # template's lower excess bound gives delta' <= (d-1)(d-2)/2
+    d, delta = root[0], root[1]
+    if delta > d * (d - 1) // 2:
+        cache.put(root, 0)
+        return 0
     # each state is stored once, so the DFS writes the table directly;
     # only the root goes through put(), which marks it for persistence.
     # The recursion is acyclic (the point count drops by one per step).
@@ -414,15 +420,7 @@ def _evaluate(root: SeveriKey, cache: CacheStore) -> int:
             continue
         deps = children.pop(state, None)
         if deps is None:
-            delta = state >> 64
-            d = _WEIGHTS[state >> 32 & _ID_MASK] + _WEIGHTS[state & _ID_MASK]
-            # a reduced degree-d curve has at most d(d-1)/2 nodes (d general
-            # lines); below that bound d + |beta| > 0 point conditions remain
-            if delta > d * (d - 1) // 2:
-                data[state] = 0
-                stack.pop()
-                continue
-            if delta == 0:
+            if state >> 64 == 0:
                 data[state] = _SMOOTH[state & _ID_MASK]
                 stack.pop()
                 continue

@@ -38,13 +38,6 @@ def u_series(order: int) -> RatSeries:
     return RatSeries([0] + [n * sigma1(n) for n in range(1, order + 1)])
 
 
-def b3_series(order: int) -> RatSeries:
-    """B3 = D(G2)/q: coefficient of q^m is (m+1).sigma1(m+1)."""
-    if order < 1:
-        raise ValueError("B3 needs order >= 1")
-    return RatSeries([(m + 1) * sigma1(m + 1) for m in range(order + 1)])
-
-
 def delta_series(order: int) -> RatSeries:
     """The discriminant Delta = q . prod_{n>=1} (1 - q^n)^24.
 
@@ -61,15 +54,6 @@ def delta_series(order: int) -> RatSeries:
     return RatSeries([0, *(RatSeries(euler) ** 24).coeffs])
 
 
-def b4_series(order: int) -> RatSeries:
-    """B4 = (Delta/q).(D^2(G2)/q), where D^2(G2) has coefficient n^2.sigma1(n)."""
-    if order < 1:
-        raise ValueError("B4 needs order >= 1")
-    delta_over_q = RatSeries(delta_series(order + 1).coeffs[1:])
-    ddg2_over_q = RatSeries([(m + 1) ** 2 * sigma1(m + 1) for m in range(order + 1)])
-    return delta_over_q * ddg2_over_q
-
-
 @dataclass(frozen=True)
 class FormCatalog:
     """The forms needed by the B-series pipeline, all at one order."""
@@ -81,18 +65,27 @@ class FormCatalog:
     delta_form: RatSeries
 
     def __post_init__(self) -> None:
-        assert self.u[0] == 0 and self.u[1] == 1
+        assert self.u.coeffs[:2] == (0, 1)[: self.order + 1]
         assert self.b3[0] == 1
         assert self.b4[0] == 1
-        assert self.delta_form[0] == 0 and self.delta_form[1] == 1
+        assert self.delta_form.coeffs[:2] == (0, 1)[: self.order + 1]
 
 
 def form_catalog(order: int) -> FormCatalog:
-    """Build u, B3, B4 and Delta at the given truncation order."""
+    """Build u, B3, B4 and Delta at the given truncation order.
+
+    u and Delta are built once, to order + 1, and B3 and B4 read off
+    them: B3 = u/q, and D^2(G2)/q has coefficient (m+1).B3_m at q^m.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    u, delta = u_series(order + 1), delta_series(order + 1)
+    b3 = RatSeries(u.coeffs[1:])
+    ddg2_over_q = RatSeries([(m + 1) * c for m, c in enumerate(b3.coeffs)])
     return FormCatalog(
         order=order,
-        u=u_series(order),
-        b3=b3_series(order),
-        b4=b4_series(order),
-        delta_form=delta_series(order),
+        u=u.truncate(order),
+        b3=b3,
+        b4=RatSeries(delta.coeffs[1:]) * ddg2_over_q,
+        delta_form=delta.truncate(order),
     )

@@ -85,7 +85,7 @@ class BSeriesSolution:
 
 
 def _catalog(order: int, forms: FormCatalog | None = None) -> FormCatalog:
-    """`forms` if it reaches `order`, else a new catalog; u needs order >= 1."""
+    """`forms` if it reaches `order`, else a new catalog; u.revert() needs order >= 1."""
     if forms is None or forms.order < order:
         forms = form_catalog(max(order, 1))
     return forms

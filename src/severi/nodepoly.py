@@ -184,18 +184,20 @@ def log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:
     return out
 
 
+def _egf_exp(a: Sequence[Scalar]) -> RatSeries:
+    """exp(sum a_k u^k/k!) to order len(a), with a_k = a[k-1]."""
+    return RatSeries(
+        [0] + [Fraction(x) / math.factorial(k) for k, x in enumerate(a, 1)]
+    ).exp()
+
+
 def bell_polynomial(delta: int, a: Sequence[Scalar]) -> Fraction:
     """Complete Bell polynomial P_delta = delta! [u^delta] exp(sum a_k u^k/k!)."""
     if delta < 0:
         raise ValueError("node count must be nonnegative")
     if len(a) < delta:
         raise ValueError(f"P_{delta} needs {delta} arguments, got {len(a)}")
-    if delta == 0:
-        return Fraction(1)
-    inner = RatSeries(
-        [0] + [Fraction(a[k - 1]) / math.factorial(k) for k in range(1, delta + 1)]
-    )
-    return inner.exp()[delta] * math.factorial(delta)
+    return _egf_exp(a[:delta])[delta] * math.factorial(delta)
 
 
 def reconstruct_from_log_forms(
@@ -209,8 +211,4 @@ def reconstruct_from_log_forms(
     if len(forms) < delta_max:
         raise ValueError("forms must cover every kappa <= delta_max")
     by_kappa = {f.kappa: f for f in forms}
-    inner = RatSeries(
-        [0]
-        + [by_kappa[k](d) / math.factorial(k) for k in range(1, delta_max + 1)]
-    )
-    return list(inner.exp().coeffs)
+    return list(_egf_exp([by_kappa[k](d) for k in range(1, delta_max + 1)]).coeffs)

@@ -276,9 +276,11 @@ class RatSeries:
         return (self.log() * e).exp()
 
     def __pow__(self, e: Scalar) -> "RatSeries":
-        # nonnegative integer exponents work on any series; everything else
-        # goes through exp/log and needs constant term 1
-        if isinstance(e, int) and e >= 0:
+        # nonnegative integer exponents work on any series, negative ones on
+        # any unit; other exponents go through exp/log and need constant term 1
+        if isinstance(e, int) and e < 0:
+            return self.inverse() ** -e
+        if isinstance(e, int):
             result = RatSeries.one(self.order)
             base = self
             n = e

@@ -17,12 +17,8 @@ class InvalidState(ValueError):
     """Raised when (d, delta, alpha, beta) violates the state invariants."""
 
 
-# every canonical sequence built so far, so equal sequences share one tuple
-_INTERNED: dict[TangencySeq, TangencySeq] = {}
-
-
 def canonical(parts: Iterable[int]) -> TangencySeq:
-    """Trim trailing zeros; reject negative entries; intern the result.
+    """Trim trailing zeros; reject negative entries.
 
     >>> canonical([2, 0, 1, 0, 0])
     (2, 0, 1)
@@ -33,8 +29,7 @@ def canonical(parts: Iterable[int]) -> TangencySeq:
             raise ValueError("tangency multiplicities must be nonnegative")
     while out and out[-1] == 0:
         out.pop()
-    seq = tuple(out)
-    return _INTERNED.setdefault(seq, seq)
+    return tuple(out)
 
 
 def weight(s: TangencySeq) -> int:
@@ -83,13 +78,3 @@ def state_key(
     if wa + wb != d:
         raise InvalidState(f"weight(alpha) + weight(beta) = {wa}+{wb} != d = {d}")
     return (d, delta, a, b)
-
-
-def point_count(d: int, delta: int, beta: TangencySeq) -> int:
-    """Number of point conditions the counted curves pass through.
-
-    Family dimension d(d+3)/2, one condition per node, k per assigned
-    order-k tangency, k-1 per unassigned one; with I(alpha)+I(beta) = d
-    this is d(d+3)/2 - delta - d + |beta|.
-    """
-    return d * (d + 3) // 2 - delta - d + size(beta)

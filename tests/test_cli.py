@@ -152,6 +152,11 @@ def test_forms(capsys):
     }
 
 
+def test_forms_at_order_zero(capsys):
+    doc, _ = run_json(capsys, "forms", "--order", "0")
+    assert doc == {"order": 0, "u": ["0"], "b3": ["1"], "b4": ["1"], "delta_form": ["0"]}
+
+
 # ---------------------------------------------------------------- cache wiring
 
 
@@ -326,6 +331,11 @@ def test_negative_predict_order_is_input_error(capsys):
         capsys, 1, "ValueError",
         "predict", "--d", "3", "--order", "-1", "--dlist", "1,2", "--no-cache",
     )
+    assert message == "order must be nonnegative"
+
+
+def test_negative_forms_order_is_input_error(capsys):
+    message = expect_error(capsys, 1, "ValueError", "forms", "--order", "-1")
     assert message == "order must be nonnegative"
 
 

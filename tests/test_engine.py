@@ -19,11 +19,27 @@ from severi import (
     severi_table,
 )
 from severi.nodepoly import threshold_report
-from severi.tangency import canonical, point_count, size, state_key, weight
+from severi.tangency import TangencySeq, canonical, size, state_key, weight
 from test_cli import child_env
 
 
 # -- oracles ---------------------------------------------------------------
+
+def point_count(d: int, delta: int, beta: TangencySeq) -> int:
+    """Number of point conditions the counted curves pass through.
+
+    Family dimension d(d+3)/2, one condition per node, k per assigned
+    order-k tangency, k-1 per unassigned one; with I(alpha)+I(beta) = d
+    this is d(d+3)/2 - delta - d + |beta|.
+    """
+    return d * (d + 3) // 2 - delta - d + size(beta)
+
+
+def test_point_count_examples():
+    assert point_count(2, 0, (2,)) == 5
+    assert point_count(1, 0, (1,)) == 2
+    assert point_count(2, 1, (1,)) == 3
+
 
 def matchings_into_pairs(n: int) -> int:
     """Perfect matchings of n labeled points: n! / (2^(n/2) (n/2)!)."""
@@ -668,6 +684,17 @@ def test_zero_above_maximal_nodes(shared_cache):
         mn = d * (d - 1) // 2
         assert severi_degree(d, mn + 1, cache=shared_cache) == 0
         assert severi_degree(d, mn + 5, cache=shared_cache) == 0
+
+
+def test_only_roots_exceed_the_node_bound():
+    # the evaluation checks delta <= d(d-1)/2 at the root alone: a move
+    # keeps (d, delta) and a template child has delta' <= (d-1)(d-2)/2
+    store = CacheStore()
+    severi_table(10, 60, cache=store)
+    roots = {key for key, _ in store.roots()}
+    above = [(key, v) for key, v in store.items() if key[1] > key[0] * (key[0] - 1) // 2]
+    assert above  # the table asks for counts above the bound
+    assert all(key in roots and v == 0 for key, v in above)
 
 
 def test_fresh_caches_agree(shared_cache):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from severi import RatSeries, form_catalog, sigma1
-from severi.forms import b3_series, b4_series, delta_series, u_series
+from severi.forms import delta_series, u_series
 
 # tau(n) for n = 1..12, the discriminant coefficients (Lehmer's table)
 TAU = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944]
@@ -25,6 +25,18 @@ def jacobi_cube(order: int) -> RatSeries:
     return RatSeries(coeffs)
 
 
+def b3_reference(order: int) -> RatSeries:
+    """B3 = D(G2)/q: coefficient of q^m is (m+1).sigma1(m+1)."""
+    return RatSeries([(m + 1) * sigma1(m + 1) for m in range(order + 1)])
+
+
+def b4_reference(order: int) -> RatSeries:
+    """B4 = (Delta/q).(D^2(G2)/q), where D^2(G2) has coefficient n^2.sigma1(n)."""
+    delta_over_q = RatSeries(delta_series(order + 1).coeffs[1:])
+    ddg2_over_q = RatSeries([(m + 1) ** 2 * sigma1(m + 1) for m in range(order + 1)])
+    return delta_over_q * ddg2_over_q
+
+
 def test_sigma1_against_brute_force():
     for n in range(1, 200):
         assert sigma1(n) == sigma1_oracle(n)
@@ -41,14 +53,13 @@ def test_u_prefix():
 
 
 def test_b3_prefix():
-    b3 = b3_series(6)
+    b3 = form_catalog(6).b3
     assert [b3[m] for m in range(7)] == [1, 6, 12, 28, 30, 72, 56]
 
 
 def test_u_is_q_times_b3():
-    order = 20
-    u = u_series(order)
-    b3 = b3_series(order)
+    cat = form_catalog(20)
+    u, b3 = cat.u, cat.b3
     shifted = RatSeries([0, *b3.coeffs[:-1]])
     assert u == shifted
 
@@ -80,7 +91,7 @@ def test_delta_equals_q_times_jacobi_cube_to_the_eighth():
 
 
 def test_b4_prefix():
-    b4 = b4_series(6)
+    b4 = form_catalog(6).b4
     assert [b4[m] for m in range(7)] == [1, -12, 0, 800, -6300, 23976, -52480]
 
 
@@ -89,7 +100,7 @@ def test_b4_from_definition():
     order = 11
     tau = [Fraction(t) for t in TAU[: order + 1]]
     dd = [Fraction((m + 1) ** 2 * sigma1_oracle(m + 1)) for m in range(order + 1)]
-    b4 = b4_series(order)
+    b4 = form_catalog(order).b4
     for m in range(order + 1):
         conv = sum(tau[k] * dd[m - k] for k in range(m + 1))
         assert b4[m] == conv
@@ -113,7 +124,20 @@ def test_catalog_orders_and_normalizations():
     assert cat.b3[0] == 1 and cat.b4[0] == 1
 
 
+def test_catalog_matches_the_reference_builds():
+    for order in range(1, 41):
+        cat = form_catalog(order)
+        assert cat.u == u_series(order), order
+        assert cat.b3 == b3_reference(order), order
+        assert cat.b4 == b4_reference(order), order
+        assert cat.delta_form == delta_series(order), order
+
+
 def test_order_validation():
-    for fn in (u_series, b3_series, delta_series, b4_series):
+    # the catalog starts at order 0 (u = 0, B3 = B4 = 1, Delta = 0);
+    # u and Delta on their own need the q term
+    with pytest.raises(ValueError):
+        form_catalog(-1)
+    for fn in (u_series, delta_series):
         with pytest.raises(ValueError):
             fn(0)

@@ -210,6 +210,15 @@ def test_log_forms_round_trip_to_polynomials(shared_cache):
         assert rebuilt == [p(d) for p in polys]
 
 
+def test_reconstruction_is_the_bell_polynomial_over_delta_factorial(shared_cache):
+    forms = log_forms(6, cache=shared_cache)
+    for d in range(8, 13):
+        rebuilt = reconstruct_from_log_forms(6, d, forms)
+        q = [f(d) for f in forms]
+        for delta in range(7):
+            assert rebuilt[delta] == bell_polynomial(delta, q) / math.factorial(delta)
+
+
 def test_log_forms_input_validation():
     with pytest.raises(ValueError):
         log_forms(0)

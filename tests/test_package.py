@@ -55,6 +55,20 @@ def test_demos_and_readme_import_only_exported_names():
     assert sorted(used - set(severi.__all__)) == []
 
 
+def test_readme_submodule_names_resolve():
+    # "`severi.X` (`a`, `b`, ...)" in the README names what X holds
+    readme = (ROOT / "README.md").read_text()
+    groups = re.findall(r"`severi\.(\w+)` \(([^)]*)\)", readme)
+    assert len(groups) >= 5  # the parse found the submodule list
+    missing = [
+        f"{module}.{name}"
+        for module, names in groups
+        for name in re.findall(r"`(\w+)`", names)
+        if not hasattr(importlib.import_module(f"severi.{module}"), name)
+    ]
+    assert missing == []
+
+
 def test_doctests_pass():
     failed = attempted = 0
     for info in pkgutil.iter_modules(severi.__path__):

@@ -196,6 +196,15 @@ def test_pow_int_matches_repeated_mul():
     assert (s ** -1) == s.inverse()
 
 
+def test_negative_powers_of_a_unit():
+    s = series(2, 1)
+    assert s ** -1 == s.inverse() == series(F(1, 2), F(-1, 4))
+    assert s ** -3 == s.inverse() ** 3
+    assert series(3, -1, 4, F(1, 2)) ** -2 == series(3, -1, 4, F(1, 2)).inverse() ** 2
+    with pytest.raises(ZeroConstantTerm):
+        series(0, 1, 2) ** -2
+
+
 def test_pow_rat_needs_unit_constant():
     with pytest.raises(ConstantTermNotOne):
         series(2, 1).pow_rat(F(1, 2))

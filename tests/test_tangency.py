@@ -5,7 +5,6 @@ import pytest
 from severi.tangency import (
     InvalidState,
     canonical,
-    point_count,
     seq_from_text,
     seq_to_text,
     size,
@@ -62,9 +61,3 @@ def test_state_canonicalizes_on_build():
     _, _, alpha, beta = state_key(2, 0, (0, 1, 0), (0,))
     assert alpha == (0, 1)
     assert beta == ()
-
-
-def test_point_count_examples():
-    assert point_count(2, 0, (2,)) == 5
-    assert point_count(1, 0, (1,)) == 2
-    assert point_count(2, 1, (1,)) == 3
