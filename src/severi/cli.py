@@ -94,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("forms", "dump the quasimodular form catalog")
     p.add_argument("--order", type=int, required=True)
 
-    p = add("cache", "inspect or drop the persistent cache")
+    # the cache command acts on the file itself, so it takes no --no-cache
+    p = sub.add_parser("cache", help="inspect or drop the persistent cache")
+    p.add_argument("--cache", default=None, metavar="PATH")
     p.add_argument("action", choices=["stats", "clear"])
 
     return parser
@@ -232,10 +234,11 @@ def _run_bseries(args, store) -> dict:
 @_with_store
 def _run_predict(args, store) -> dict:
     degrees = _parse_int_list(args.dlist, "--dlist")
+    invariants = gyz.plane_invariants(args.d)  # a bad --d fails before the extraction
     sol = gyz.extract_b_series(args.order, degrees, cache=store)
     if args.d in degrees:
         _progress(f"note: --d {args.d} is in --dlist, prediction is in-sample")
-    values = gyz.gyz_predict(gyz.plane_invariants(args.d), sol)
+    values = gyz.gyz_predict(invariants, sol)
     return {
         "d": args.d,
         "order": args.order,

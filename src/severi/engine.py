@@ -69,9 +69,10 @@ _FRONTIER, _SUMS, _TEMPLATES; see their definitions).  They hold facts
 about sequences, not about any store, so like _PARTITIONS they are
 process-global and every store shares them; a store keeps only its
 values.  The builders assert an entry's invariants once, when they
-build it.  After threshold_report(9), which fills a store with 41,923
-states, there are 1,880 sequences and the tables hold 5,385, 4,077,
-7,641 and 3,008 entries; the templates hold 21,600 children.
+build it, and hand their own part lists to _seq_id, which trims them;
+only pack checks a sequence from outside.  threshold_report(9) stores
+41,923 states over 1,880 sequences, with 5,385, 4,077, 7,641 and 3,008
+table entries and 21,600 template children.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from itertools import zip_longest
+from itertools import product, zip_longest
 from typing import Iterable, Iterator
 
 from .tangency import (
@@ -89,7 +90,6 @@ from .tangency import (
     canonical,
     parts_from_text,
     seq_to_text,
-    size,
     state_key,
     weight,
 )
@@ -112,11 +112,10 @@ class ParseError(ValueError):
 
 _ID_MASK = (1 << 32) - 1
 
-# sequence id -> sequence, I(sequence), |sequence|, N^{d,0}(alpha, sequence);
-# and sequence -> id
+# sequence id -> sequence, I(sequence), N^{d,0}(alpha, sequence); and
+# sequence -> id
 _SEQS: list[TangencySeq] = []
 _WEIGHTS: list[int] = []
-_SIZES: list[int] = []
 _SMOOTH: list[int] = []
 _IDS: dict[TangencySeq, int] = {}
 
@@ -132,18 +131,20 @@ def _orderings(parts: Iterable[int]) -> int:
     return out
 
 
-def _seq_id(seq: TangencySeq) -> int:
-    """The id of a canonical sequence, numbered on first sight."""
+def _seq_id(parts: Iterable[int]) -> int:
+    """The id of a sequence of nonnegative parts, trailing zeros trimmed,
+    numbered on first sight.  The table builders pass their own lists;
+    pack checks what comes from outside."""
+    seq = tuple(parts)
+    while seq and not seq[-1]:
+        seq = seq[:-1]
     sid = _IDS.get(seq)
     if sid is None:
-        if canonical(seq) != seq:
-            raise InvalidState(f"tangency sequence {seq} is not canonical")
         sid = len(_SEQS)
         if sid > _ID_MASK:
             raise OverflowError("more than 2**32 distinct tangency sequences")
         _SEQS.append(seq)
         _WEIGHTS.append(weight(seq))
-        _SIZES.append(size(seq))
         _SMOOTH.append(_orderings(seq))
         _IDS[seq] = sid
     return sid
@@ -152,11 +153,16 @@ def _seq_id(seq: TangencySeq) -> int:
 def pack(key: SeveriKey) -> int:
     """The packed state of a key built by state_key.
 
-    Refuses what the layout cannot hold: a negative delta, or a d other
-    than I(alpha) + I(beta), which unpack would not give back.
+    Refuses what the layout cannot hold: a sequence that is not canonical,
+    a negative delta, or a d other than I(alpha) + I(beta), which unpack
+    would not give back.
     """
     d, delta, alpha, beta = key
-    ia, ib = _seq_id(alpha), _seq_id(beta)
+    ia, ib = _IDS.get(alpha), _IDS.get(beta)
+    if ia is None or ib is None:
+        if canonical(alpha) != alpha or canonical(beta) != beta:
+            raise InvalidState(f"{key} has a tangency sequence that is not canonical")
+        ia, ib = _seq_id(alpha), _seq_id(beta)
     if delta < 0 or _WEIGHTS[ia] + _WEIGHTS[ib] != d:
         raise InvalidState(f"{key} is not a valid state")
     return delta << 64 | ia << 32 | ib
@@ -196,10 +202,6 @@ class CacheStore:
             self._roots.add(state)
         return value
 
-    def peek(self, key: SeveriKey) -> int | None:
-        """The value held for key, or None; counts nothing, marks no root."""
-        return self._data.get(pack(key))
-
     def put(self, key: SeveriKey, value: int) -> None:
         state = pack(key)
         old = self._data.setdefault(state, value)
@@ -235,28 +237,6 @@ def default_cache() -> CacheStore:
     return _DEFAULT_CACHE
 
 
-_PARTITIONS: dict[int, tuple[tuple[int, ...], ...]] = {0: ((),)}
-
-
-def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n into parts >= 1, each descending."""
-    got = _PARTITIONS.get(n)
-    if got is not None:
-        return got
-    out: list[tuple[int, ...]] = []
-    stack = [(n, n, ())]
-    while stack:
-        rem, maxp, cur = stack.pop()
-        if rem == 0:
-            out.append(cur)
-            continue
-        for p in range(1, min(rem, maxp) + 1):
-            stack.append((rem - p, p, cur + (p,)))
-    result = tuple(out)
-    _PARTITIONS[n] = result
-    return result
-
-
 class _Table(dict):
     """A memo whose missing entries are built on first lookup."""
 
@@ -269,39 +249,31 @@ class _Table(dict):
         return value
 
 
+def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n into parts >= 1, each descending: a first part
+    p before each partition of n - p whose parts are at most p."""
+    if n == 0:
+        return ((),)
+    return tuple((p, *rest) for p in range(1, n + 1)
+                 for rest in _PARTITIONS[n - p,] if not rest or rest[0] <= p)
+
+
 def _alpha_candidates(ia: int, whi: int) -> tuple[tuple[int, int, int], ...]:
     """Sub-sequences alpha' <= alpha with weight at most whi.
 
-    Returns (id(alpha'), weight, C(alpha, alpha')) triples.  Orders >= 2
-    are walked explicitly (their multiplicities are tiny); the order-1
-    entry is then forced by the target weight.
+    Returns (id(alpha'), weight, C(alpha, alpha')) triples.  The orders
+    k >= 2 range over their multiplicities, each capped at whi // k (they
+    are tiny); order-1 parts then fill every weight up to whi, which
+    leaves no alpha' where the higher orders already weigh more.
     """
-    alpha = _SEQS[ia]
-    high = [i for i in range(1, len(alpha)) if alpha[i] > 0]
-    a1 = alpha[0] if alpha else 0
+    a1, *highs = _SEQS[ia] or (0,)
+    caps = [range(min(a, whi // k) + 1) for k, a in enumerate(highs, 2)]
     out: list[tuple[int, int, int]] = []
-
-    def walk(pos: int, wh: int, counts: dict[int, int], binom: int) -> None:
-        if pos == len(high):
-            for wprime in range(wh, min(whi, wh + a1) + 1):
-                c1 = wprime - wh
-                parts = [0] * len(alpha)
-                if alpha:
-                    parts[0] = c1
-                for i, c in counts.items():
-                    parts[i] = c
-                sid = _seq_id(canonical(parts))
-                out.append((sid, wprime, binom * math.comb(a1, c1)))
-            return
-        i = high[pos]
-        for c in range(alpha[i] + 1):
-            if wh + c * (i + 1) > whi:
-                break  # every leaf below is heavier than whi
-            counts[i] = c
-            walk(pos + 1, wh + c * (i + 1), counts, binom * math.comb(alpha[i], c))
-        del counts[i]
-
-    walk(0, 0, {}, 1)
+    for high in product(*caps):
+        wh = sum(k * c for k, c in enumerate(high, 2))
+        binom = math.prod(map(math.comb, highs, high))
+        for c1 in range(min(whi - wh, a1) + 1):
+            out.append((_seq_id((c1, *high)), wh + c1, binom * math.comb(a1, c1)))
     return tuple(out)
 
 
@@ -314,14 +286,14 @@ def _frontier(ib: int, delta: int) -> tuple[tuple[int, int, int], ...]:
         ends = sum(g for i, g in enumerate(gamma) if w_p + i + 1 > delta)
         if ends:
             num, den = _orderings(gamma) * ends, sum(gamma)
-            assert w_p <= delta and _SIZES[ib_p] + den == _SIZES[ib] and num % den == 0
-            out.append((num // den, _seq_id(canonical(gamma)), ib_p))
+            assert w_p <= delta and sum(_SEQS[ib_p]) + den == sum(_SEQS[ib]) and num % den == 0
+            out.append((num // den, _seq_id(gamma), ib_p))
     return tuple(out)
 
 
 def _seq_sum(ia: int, ig: int) -> int:
     """id(alpha + gamma)."""
-    return _seq_id(canonical(map(sum, zip_longest(_SEQS[ia], _SEQS[ig], fillvalue=0))))
+    return _seq_id(map(sum, zip_longest(_SEQS[ia], _SEQS[ig], fillvalue=0)))
 
 
 def _template(ib: int, w: int, budget: int, e_lo: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -335,7 +307,7 @@ def _template(ib: int, w: int, budget: int, e_lo: int) -> tuple[tuple[int, ...],
     lows: list[int] = []
     for excess in range(e_lo, min(w, budget) + 1):
         high = budget - excess << 64
-        for mu in _partitions(excess):
+        for mu in _PARTITIONS[excess,]:
             m1 = w - excess - len(mu)
             if m1 < 0:
                 continue
@@ -346,16 +318,17 @@ def _template(ib: int, w: int, budget: int, e_lo: int) -> tuple[tuple[int, ...],
                 r = mu.count(p)
                 coef *= (p + 1) ** r * math.comb(b2[p] + r, r)
                 b2[p] += r
-            ib_p = _seq_id(canonical(b2))
-            assert _SIZES[ib_p] == _SIZES[ib] + w - excess
+            ib_p = _seq_id(b2)
+            assert sum(_SEQS[ib_p]) == sum(beta) + w - excess
             coefs.append(coef)
             lows.append(high | ib_p)
     return tuple(coefs), tuple(lows)
 
 
-# (sid, whi) -> sub-sequences of weight <= whi; (ib, delta) -> move-path
-# frontier of beta; (ia, id(gamma)) -> id(alpha + gamma);
-# (ib, I(gamma), budget, e_lo) -> degree-(d-1) children of beta
+# (n,) -> partitions of n; (sid, whi) -> sub-sequences of weight <= whi;
+# (ib, delta) -> move-path frontier of beta; (ia, id(gamma)) -> id(alpha +
+# gamma); (ib, I(gamma), budget, e_lo) -> degree-(d-1) children of beta
+_PARTITIONS = _Table(_partitions)
 _ALPHAS = _Table(_alpha_candidates)
 _FRONTIER = _Table(_frontier)
 _SUMS = _Table(_seq_sum)
@@ -494,22 +467,20 @@ def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:
     path = os.fspath(path)
     with open(path + ".lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
-        merged = dict(cache.roots())
+        merged = {state: cache._data[state] for state in cache._roots}
         mode = 0o644  # mkstemp creates 0o600; reuse the file's mode, or this
         if os.path.exists(path):
             mode = os.stat(path).st_mode & 0o777
-            for key, value in cache_load(path).items():
-                held = cache.peek(key)
+            for state, value in cache_load(path)._data.items():
+                held = cache._data.get(state)
                 if held is not None and held != value:
                     raise CacheCorruption(
-                        f"{path} holds {value} for key {key}, the store holds {held}"
+                        f"{path} holds {value} for key {unpack(state)}, the store holds {held}"
                     )
-                merged[key] = value
+                merged[state] = value
         lines = [f"{CACHE_MAGIC} {CACHE_VERSION}"]
-        for (d, delta, alpha, beta), value in sorted(merged.items()):
-            at = seq_to_text(alpha) or "-"
-            bt = seq_to_text(beta) or "-"
-            lines.append(f"{d} {delta} {at} {bt} {value}")
+        for (d, delta, alpha, beta), value in sorted((unpack(s), v) for s, v in merged.items()):
+            lines.append(f"{d} {delta} {seq_to_text(alpha) or '-'} {seq_to_text(beta) or '-'} {value}")
         directory, name = os.path.split(path)
         fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory or ".")
         try:

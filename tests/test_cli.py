@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import severi
-from severi import engine, relative_severi, severi_degree
+from severi import engine, gyz, relative_severi, severi_degree
 from severi.cli import CACHE_ENV_VAR, main
 
 
@@ -348,6 +348,29 @@ def test_rejected_extraction_prints_no_progress(capsys, command):
     code, _, err = run_cli(capsys, *command, "--no-cache")
     assert code == 1
     assert err == ""
+
+
+@pytest.mark.parametrize("action", ["stats", "clear"])
+def test_cache_command_refuses_no_cache(capsys, isolated_cwd, action):
+    # --no-cache reads and writes no file; the cache command acts on the
+    # file, so the flag is a usage error there and the file stays
+    run_json(capsys, "count", "--d", "3", "--delta", "1")
+    path = isolated_cwd / "severi.cache"
+    before = path.read_bytes()
+    expect_error(capsys, 1, "UsageError", "cache", action, "--no-cache")
+    assert path.read_bytes() == before
+
+
+def test_predict_checks_the_degree_before_extracting(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract_b_series ran for a bad --d")
+
+    monkeypatch.setattr(gyz, "extract_b_series", refuse)
+    message = expect_error(
+        capsys, 1, "ValueError",
+        "predict", "--d", "0", "--order", "12", "--dlist", "13,14", "--no-cache",
+    )
+    assert message == "degree must be positive"
 
 
 def test_unreadable_cache_header_is_input_error(capsys, isolated_cwd):

@@ -498,6 +498,30 @@ def test_pack_round_trips(key):
     assert engine.pack(engine.unpack(state)) == state
 
 
+def test_pack_refuses_keys_state_key_would_not_build():
+    # the engine's own builders trim their sequences in _seq_id; a key from
+    # outside must already be canonical, or two keys would share a state
+    with pytest.raises(InvalidState):
+        engine.pack((2, 0, (2, 0), ()))
+    with pytest.raises(InvalidState):
+        engine.pack((2, -1, (), (2,)))
+    with pytest.raises(InvalidState):
+        engine.pack((3, 0, (), (2,)))
+    with pytest.raises(ValueError):
+        engine.pack((1, 0, (), (3, -1)))
+
+
+def test_seq_id_trims_trailing_zeros():
+    sid = engine._seq_id([2, 0, 1, 0, 0])
+    assert sid == engine._seq_id((2, 0, 1))
+    assert engine._SEQS[sid] == (2, 0, 1)
+
+
+def test_partition_table_matches_the_recursive_generator():
+    for n in range(13):
+        assert Counter(engine._PARTITIONS[n,]) == Counter(_partitions_of(n)), n
+
+
 def test_huge_node_counts_keep_distinct_keys():
     # equal modulo 2**64: a fixed-width delta field would merge them
     store = CacheStore()
@@ -625,15 +649,35 @@ def _kontsevich(dmax):
     return n[1:]
 
 
-def _irreducible_genus_zero(dmax, store):
-    """(3d-1)! [y^-1 z^d lambda^(3d-1)] of log sum N^{d,delta} y^(g-1) z^d
-    lambda^n/n!, n = 3d+g-1, g = (d-1)(d-2)/2 - delta, for d <= dmax.
+def _getzler(dmax):
+    """Irreducible genus-1 plane curves of degree d through 3d points, by
+    Getzler's recursion (JAMS 1997) over the genus-0 counts N_d:
+
+      N1_d = C(d,3)/12 . N_d + 1/9 . sum_{d1+d2=d} C(3d-1, 3d1-1)
+             . d1 . d2 . (3d1-2) . N_d1 . N1_d2
+    """
+    n = [0] + _kontsevich(dmax)
+    n1 = [0]
+    for d in range(1, dmax + 1):
+        n1.append(Fraction(math.comb(d, 3), 12) * n[d] + Fraction(1, 9) * sum(
+            math.comb(3 * d - 1, 3 * d1 - 1) * d1 * (d - d1) * (3 * d1 - 2) * n[d1] * n1[d - d1]
+            for d1 in range(1, d)
+        ))
+    return n1[1:]
+
+
+def _irreducible(dmax, e, store):
+    """(3d+e)! [y^e z^d lambda^(3d+e)] of log sum N^{d,delta} y^(g-1) z^d
+    lambda^n/n!, n = 3d+g-1, g = (d-1)(d-2)/2 - delta, for d <= dmax: the
+    irreducible curves of genus e + 1.
 
     Nodes, genus minus one and points all add over the components of a
     reducible curve, and the points are shared out among them, so the log
     keeps the irreducible curves (exponential formula).  lambda^n is fixed
-    by z^d y^e, so a coefficient is N/n! at y^e z^d.  A term of genus
-    g > dmax - d cannot reach y^-1 below degree dmax + 1, so it is left out.
+    by z^d y^e, so a coefficient is N/n! at y^e z^d.  Every component has
+    y-exponent g - 1 >= -1 per unit of degree or more, so a term of genus
+    g > dmax - d + e + 1 cannot reach y^e below degree dmax + 1 and is left
+    out.
     """
     series = []
     for d in range(1, dmax + 1):
@@ -641,17 +685,17 @@ def _irreducible_genus_zero(dmax, store):
         series.append({
             top - delta - 1: Fraction(severi_degree(d, delta, cache=store),
                                       math.factorial(3 * d + top - delta - 1))
-            for delta in range(max(0, top - (dmax - d)), d * (d - 1) // 2 + 1)
+            for delta in range(max(0, top - (dmax - d) - (e + 1)), d * (d - 1) // 2 + 1)
         })
     logs = []  # d G_d = d F_d - sum_j j G_j F_{d-j}
     for d in range(1, dmax + 1):
-        acc = Counter({e: d * c for e, c in series[d - 1].items()})
+        acc = Counter({k: d * c for k, c in series[d - 1].items()})
         for j in range(1, d):
             for e1, a in logs[j - 1].items():
                 for e2, b in series[d - j - 1].items():
                     acc[e1 + e2] -= j * a * b
-        logs.append({e: c / d for e, c in acc.items()})
-    return [logs[d - 1].get(-1, 0) * math.factorial(3 * d - 1) for d in range(1, dmax + 1)]
+        logs.append({k: c / d for k, c in acc.items()})
+    return [logs[d - 1].get(e, 0) * math.factorial(3 * d + e) for d in range(1, dmax + 1)]
 
 
 def test_kontsevich_reference_values():
@@ -659,12 +703,20 @@ def test_kontsevich_reference_values():
 
 
 def test_irreducible_counts_match_kontsevich():
-    assert _irreducible_genus_zero(9, CacheStore()) == _kontsevich(9)
+    assert _irreducible(9, -1, CacheStore()) == _kontsevich(9)
 
 
 @pytest.mark.slow
 def test_irreducible_counts_match_kontsevich_to_degree_11():
-    assert _irreducible_genus_zero(11, CacheStore()) == _kontsevich(11)
+    assert _irreducible(11, -1, CacheStore()) == _kontsevich(11)
+
+
+def test_getzler_reference_values():
+    assert _getzler(6) == [0, 0, 1, 225, 87192, 57435240]
+
+
+def test_irreducible_genus_one_counts_match_getzler():
+    assert _irreducible(10, 0, CacheStore()) == _getzler(10)
 
 
 def test_readme_conics_tangent_to_a_line():
