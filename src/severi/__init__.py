@@ -32,7 +32,6 @@ from .gyz import (
 )
 from .nodepoly import (
     DegreeCheckFailed,
-    NotQuadratic,
     bell_polynomial,
     fit_node_polynomial,
     log_forms,
@@ -55,7 +54,6 @@ __all__ = [
     "InvalidState",
     "Invariants",
     "NonIntegralPrediction",
-    "NotQuadratic",
     "ParseError",
     "RatSeries",
     "SeriesError",

@@ -32,7 +32,6 @@ _INCONSISTENCY_ERRORS = (
     gyz.InconsistentSystem,
     gyz.NonIntegralPrediction,
     nodepoly.DegreeCheckFailed,
-    nodepoly.NotQuadratic,
 )
 
 # every bad-input class (UsageError, InvalidState, ParseError, ...) is a ValueError
@@ -78,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("logforms", "quadratic forms in the log of the generating function")
     p.add_argument("--deltamax", type=int, required=True)
 
-    p = add("bell", "complete Bell polynomial of given rational arguments")
+    # bell and forms compute no count, so they take neither store flag
+    p = sub.add_parser("bell", help="complete Bell polynomial of given rational arguments")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--values", required=True, metavar="RAT[,RAT...]")
 
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--dlist", required=True, metavar="D[,D...]")
 
-    p = add("forms", "dump the quasimodular form catalog")
+    p = sub.add_parser("forms", help="dump the quasimodular form catalog")
     p.add_argument("--order", type=int, required=True)
 
     # the cache command acts on the file itself, so it takes no --no-cache

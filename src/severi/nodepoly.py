@@ -4,8 +4,9 @@ T_delta is the degree-2delta polynomial that equals N^{d,delta} for all
 large d.  It is fitted by exact interpolation inside the proven
 polynomial regime and never assumed below it; the threshold scan finds
 where agreement actually starts.  The log of the generating function
-sum_delta T_delta(d) u^delta collapses to quadratics in d, which is the
-structure the Bell-polynomial reconstruction inverts.
+sum_delta T_delta(d) u^delta is quadratic in d by the product formula,
+so its three coefficient series are read off one B-series solution;
+the Bell-polynomial reconstruction inverts that structure.
 """
 
 from __future__ import annotations
@@ -15,16 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from . import forms, gyz
 from .engine import CacheStore, severi_degree
 from .series import RatSeries, Scalar
 
 
 class DegreeCheckFailed(RuntimeError):
     """The fitted polynomial missed the held-out guard point."""
-
-
-class NotQuadratic(RuntimeError):
-    """A log-form coefficient failed to collapse to degree <= 2 in d."""
 
 
 def interpolate(xs: Sequence[int], ys: Sequence[Scalar]) -> tuple[Fraction, ...]:
@@ -156,32 +154,32 @@ class LogForm:
 def log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:
     """The forms q_kappa(d) = kappa! [u^kappa] log sum_delta T_delta(d) u^delta.
 
-    Each coefficient of the log is a priori a polynomial of degree up to
-    2.kappa in d; it is interpolated at enough points to resolve that
-    degree, and everything above degree 2 must vanish exactly.
+    Read off one B-series solution.  With q = q(u) the reversion of u(q)
+    and L_i = log(B_i) o q, the plane case of the product formula
+    (z = 9, y = -3d, nu = 1, chi = (d^2 + 3d)/2 + 1) gives
+
+        log sum_delta T_delta(d) u^delta = 9.L1 - 3d.L2 + chi(d).L3 - L4/2
+            = d^2.(L3/2) + d.(3/2.L3 - 3.L2) + (9.L1 + L3 - L4/2),
+
+    so a2, a1, a0 are kappa! times the u^kappa coefficients of those three
+    series.  B1, B2 come from the counts at d = 2.delta_max and
+    2.delta_max + 1, where N^{d,delta} = T_delta(d) is proven (Fomin and
+    Mikhalkin); d = 2.delta_max + 2 is held out and must agree, else
+    InconsistentSystem.
     """
     if delta_max < 1:
         raise ValueError("log forms need delta_max >= 1")
-    polys = [fit_node_polynomial(delta, cache=cache) for delta in range(delta_max + 1)]
-    npoints = max(4, 2 * delta_max + 1)
-    ds = range(delta_max + 2, delta_max + 2 + npoints)
-    logs = {}
-    for d in ds:
-        gen = RatSeries([p(d) for p in polys])  # in u, constant term T_0 = 1
-        logs[d] = gen.log()
-    out = []
-    for kappa in range(1, delta_max + 1):
-        factor = math.factorial(kappa)
-        values = [factor * logs[d][kappa] for d in ds]
-        coeffs = interpolate(tuple(ds), values)
-        for power in range(3, len(coeffs)):
-            if coeffs[power] != 0:
-                raise NotQuadratic(
-                    f"q_{kappa} has a nonzero d^{power} coefficient: {coeffs[power]}"
-                )
-        a0, a1, a2 = (list(coeffs) + [Fraction(0)] * 3)[:3]
-        out.append(LogForm(kappa=kappa, a2=a2, a1=a1, a0=a0))
-    return out
+    top = 2 * delta_max
+    sol = gyz.extract_b_series(delta_max, (top, top + 1, top + 2), cache=cache)
+    catalog = forms.form_catalog(delta_max)
+    q = catalog.u.revert()
+    l1, l2, l3, l4 = (b.log().compose(q) for b in (sol.b1, sol.b2, catalog.b3, catalog.b4))
+    half = Fraction(1, 2)
+    a2, a1, a0 = l3 * half, l3 * (3 * half) - 3 * l2, 9 * l1 + l3 - l4 * half
+    return [
+        LogForm(kappa, *(math.factorial(kappa) * s[kappa] for s in (a2, a1, a0)))
+        for kappa in range(1, delta_max + 1)
+    ]
 
 
 def _egf_exp(a: Sequence[Scalar]) -> RatSeries:

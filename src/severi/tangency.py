@@ -37,11 +37,6 @@ def weight(s: TangencySeq) -> int:
     return sum((i + 1) * v for i, v in enumerate(s))
 
 
-def size(s: TangencySeq) -> int:
-    """|s| = total number of conditions."""
-    return sum(s)
-
-
 def seq_to_text(s: TangencySeq) -> str:
     """Comma-separated parts; the empty sequence is the empty string."""
     return ",".join(str(v) for v in s)

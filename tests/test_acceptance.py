@@ -27,6 +27,7 @@ from severi import (
     threshold,
 )
 from severi.engine import CacheStore, cache_load, cache_save
+from test_nodepoly import reference_log_forms
 
 
 class Budget:
@@ -88,9 +89,11 @@ def test_criterion_3_thresholds_extended(shared_cache):
 
 def test_criterion_4_log_structure(shared_cache):
     with Budget(4, "quadratic log forms, pattern, round trip, Bell oracle", 300):
-        # log_forms itself raises NotQuadratic if any q_kappa fails to
-        # collapse, so getting a result already proves quadraticity
+        # log_forms reads the quadratics off the B-series; the reference
+        # interpolates each coefficient over 13 degrees and raises
+        # NotQuadratic unless it collapses, so agreement proves quadraticity
         forms = log_forms(6, cache=shared_cache)
+        assert forms == reference_log_forms(6, cache=shared_cache)
         assert [f.kappa for f in forms] == [1, 2, 3, 4, 5, 6]
         for f in forms:
             assert f.a2.denominator == 1

@@ -350,15 +350,24 @@ def test_rejected_extraction_prints_no_progress(capsys, command):
     assert err == ""
 
 
-@pytest.mark.parametrize("action", ["stats", "clear"])
-def test_cache_command_refuses_no_cache(capsys, isolated_cwd, action):
+@pytest.mark.parametrize("command", [
+    pytest.param(["cache", "stats", "--no-cache"], id="stats"),
+    pytest.param(["cache", "clear", "--no-cache"], id="clear"),
+    pytest.param(["bell", "--delta", "2", "--values", "1,1", "--no-cache"], id="bell"),
+    pytest.param(
+        ["bell", "--delta", "2", "--values", "1,1", "--cache", "x.cache"], id="bell-cache"
+    ),
+    pytest.param(["forms", "--order", "3", "--no-cache"], id="forms"),
+    pytest.param(["forms", "--order", "3", "--cache", "x.cache"], id="forms-cache"),
+])
+def test_cache_command_refuses_no_cache(capsys, isolated_cwd, command):
     # --no-cache reads and writes no file; the cache command acts on the
-    # file, so the flag is a usage error there and the file stays
+    # file, and bell and forms compute no count, so a mode flag they do not
+    # take is a usage error and the directory stays as it was
     run_json(capsys, "count", "--d", "3", "--delta", "1")
-    path = isolated_cwd / "severi.cache"
-    before = path.read_bytes()
-    expect_error(capsys, 1, "UsageError", "cache", action, "--no-cache")
-    assert path.read_bytes() == before
+    before = {path.name: path.read_bytes() for path in isolated_cwd.iterdir()}
+    expect_error(capsys, 1, "UsageError", *command)
+    assert {path.name: path.read_bytes() for path in isolated_cwd.iterdir()} == before
 
 
 def test_predict_checks_the_degree_before_extracting(capsys, monkeypatch):

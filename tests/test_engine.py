@@ -19,11 +19,22 @@ from severi import (
     severi_table,
 )
 from severi.nodepoly import threshold_report
-from severi.tangency import TangencySeq, canonical, size, state_key, weight
+from severi.tangency import TangencySeq, canonical, state_key, weight
 from test_cli import child_env
 
 
 # -- oracles ---------------------------------------------------------------
+
+def size(s: TangencySeq) -> int:
+    """|s| = total number of conditions."""
+    return sum(s)
+
+
+def test_size():
+    assert size((2,)) == 2
+    assert size((0, 1)) == 1
+    assert size(()) == 0
+
 
 def point_count(d: int, delta: int, beta: TangencySeq) -> int:
     """Number of point conditions the counted curves pass through.
@@ -188,7 +199,7 @@ def naive_relative(d, delta, alpha, beta, memo):
     """
     from itertools import product
 
-    from severi.tangency import canonical, size, weight
+    from severi.tangency import canonical, weight
 
     alpha, beta = canonical(alpha), canonical(beta)
     key = (d, delta, alpha, beta)

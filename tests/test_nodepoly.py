@@ -1,5 +1,6 @@
 """Node polynomials, thresholds, and the exponential/log structure."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,10 +9,13 @@ import pytest
 
 from severi import (
     CacheStore,
+    InconsistentSystem,
     InvalidInvariants,
     Invariants,
+    RatSeries,
     bell_polynomial,
     fit_node_polynomial,
+    gyz,
     log_forms,
     plane_invariants,
     reconstruct_from_log_forms,
@@ -19,6 +23,7 @@ from severi import (
     threshold,
     threshold_report,
 )
+from severi.cli import main
 from severi.nodepoly import LogForm, interpolate
 
 
@@ -185,6 +190,74 @@ def test_threshold_rejects_delta_zero():
 
 
 # ------------------------------------------------------------------- log forms
+
+
+class NotQuadratic(RuntimeError):
+    """A log-form coefficient failed to collapse to degree <= 2 in d."""
+
+
+def reference_log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:
+    """The forms q_kappa(d) = kappa! [u^kappa] log sum_delta T_delta(d) u^delta.
+
+    Each coefficient of the log is a priori a polynomial of degree up to
+    2.kappa in d; it is interpolated at enough points to resolve that
+    degree, and everything above degree 2 must vanish exactly.
+    """
+    if delta_max < 1:
+        raise ValueError("log forms need delta_max >= 1")
+    polys = [fit_node_polynomial(delta, cache=cache) for delta in range(delta_max + 1)]
+    npoints = max(4, 2 * delta_max + 1)
+    ds = range(delta_max + 2, delta_max + 2 + npoints)
+    logs = {}
+    for d in ds:
+        gen = RatSeries([p(d) for p in polys])  # in u, constant term T_0 = 1
+        logs[d] = gen.log()
+    out = []
+    for kappa in range(1, delta_max + 1):
+        factor = math.factorial(kappa)
+        values = [factor * logs[d][kappa] for d in ds]
+        coeffs = interpolate(tuple(ds), values)
+        for power in range(3, len(coeffs)):
+            if coeffs[power] != 0:
+                raise NotQuadratic(
+                    f"q_{kappa} has a nonzero d^{power} coefficient: {coeffs[power]}"
+                )
+        a0, a1, a2 = (list(coeffs) + [Fraction(0)] * 3)[:3]
+        out.append(LogForm(kappa=kappa, a2=a2, a1=a1, a0=a0))
+    return out
+
+
+@pytest.mark.parametrize("delta_max", range(1, 7))
+def test_log_forms_agree_with_the_interpolated_reference(delta_max):
+    # the B-series readout against the interpolation of the node polynomials
+    # at 2.delta_max + 1 degrees, each on its own fresh store
+    forms = log_forms(delta_max, cache=CacheStore())
+    assert forms == reference_log_forms(delta_max, cache=CacheStore())
+
+
+def poison_degree(monkeypatch, delta_max):
+    """gyz sees one count off by one at the held-out degree 2.delta_max + 2."""
+    true_degree = gyz.severi_degree
+
+    def poisoned(d, delta, cache=None):
+        value = true_degree(d, delta, cache=cache)
+        return value + 1 if (d, delta) == (2 * delta_max + 2, delta_max) else value
+
+    monkeypatch.setattr(gyz, "severi_degree", poisoned)
+
+
+@pytest.mark.parametrize("delta_max", [1, 3])
+def test_log_forms_check_the_held_out_degree(monkeypatch, delta_max):
+    poison_degree(monkeypatch, delta_max)
+    with pytest.raises(InconsistentSystem, match=f"degree {2 * delta_max + 2} "):
+        log_forms(delta_max, cache=CacheStore())
+
+
+def test_logforms_cli_exits_2_on_a_held_out_mismatch(monkeypatch, capsys):
+    poison_degree(monkeypatch, 3)
+    code = main(["logforms", "--deltamax", "3", "--no-cache"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (code, error["type"]) == (2, "InconsistentSystem")
 
 
 def test_first_log_form_equals_t1(shared_cache):

@@ -3,11 +3,13 @@
 import ast
 import doctest
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
 import re
 
 import severi
+from severi.series import RatSeries
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -19,7 +21,7 @@ SURFACE = [
     "bell_polynomial", "reconstruct_from_log_forms", "RatSeries", "form_catalog",
     "sigma1", "extract_b_series", "gyz_predict", "plane_invariants", "Invariants",
     "CacheCorruption", "ParseError", "VersionMismatch", "InvalidState",
-    "DegreeCheckFailed", "NotQuadratic", "DegreeTooSmall", "InconsistentSystem",
+    "DegreeCheckFailed", "DegreeTooSmall", "InconsistentSystem",
     "NonIntegralPrediction", "InvalidInvariants", "SeriesError",
 ]
 
@@ -102,3 +104,23 @@ def test_modules_use_every_name_they_import():
         checked += len(bound)
     assert checked >= 20  # the walk found the imports
     assert unused == []
+
+
+def test_benchmark_patch_targets_resolve():
+    # perfbench/tracing.py patches severi's functions by name, and tier-1
+    # does not collect perfbench/, so a rename would go unnoticed there
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [t[:2] for t in (*tracing.PLAIN_TARGETS, *tracing.EVAL_TARGETS)]
+    targets += [("engine", name) for name in ("cache_load", "cache_save", "default_cache")]
+    assert len(targets) >= 14  # the module's tables were read
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in targets
+        if not hasattr(importlib.import_module(f"severi.{module}"), attr)
+    ]
+    missing += [name for name in tracing.SERIES_METHODS if name not in RatSeries.__dict__]
+    assert missing == []

@@ -7,7 +7,6 @@ from severi.tangency import (
     canonical,
     seq_from_text,
     seq_to_text,
-    size,
     state_key,
     weight,
 )
@@ -29,12 +28,6 @@ def test_weight():
     assert weight((0, 1)) == 2
     assert weight(()) == 0
     assert weight((1, 2, 3)) == 1 + 4 + 9
-
-
-def test_size():
-    assert size((2,)) == 2
-    assert size((0, 1)) == 1
-    assert size(()) == 0
 
 
 def test_text_form():
