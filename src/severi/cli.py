@@ -47,7 +47,11 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and shared by later `main` calls; that is safe, as
+    each `parse_args` call gets a fresh `Namespace` and argparse keeps no
+    per-call state on the parser."""
     parser = _Parser(prog="severi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cache_path(args: argparse.Namespace) -> str:
-    if args.cache is not None:
-        return args.cache
-    return os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_PATH
+    if args.cache == "":
+        raise UsageError("--cache needs a nonempty path")
+    return args.cache or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_PATH
 
 
 def _with_store(run):

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
 from .engine import CacheStore, severi_degree
 from .forms import FormCatalog, form_catalog
@@ -91,12 +92,11 @@ def _catalog(order: int, forms: FormCatalog | None = None) -> FormCatalog:
     return forms
 
 
-def _log_b3_b4(inv: Invariants, forms: FormCatalog, order: int) -> RatSeries:
-    """log(B3^chi . B4^(-nu/2)), the factors fixed by the forms."""
-    return (
-        inv.chi * forms.b3.truncate(order).log()
-        - Fraction(inv.nu, 2) * forms.b4.truncate(order).log()
-    )
+def _log_b3_b4(forms: FormCatalog, order: int) -> Callable[[Invariants], RatSeries]:
+    """inv -> log(B3^chi . B4^(-nu/2)), the factors fixed by the forms; log B3
+    and log B4 are taken once, and each surface only scales them."""
+    log_b3, log_b4 = forms.b3.truncate(order).log(), forms.b4.truncate(order).log()
+    return lambda inv: inv.chi * log_b3 - Fraction(inv.nu, 2) * log_b4
 
 
 def plane_generating_series(
@@ -137,10 +137,11 @@ def extract_b_series(
     if len(degrees) < 2:
         raise ValueError("extraction needs at least two distinct degrees")
     forms = _catalog(order)
+    fixed = _log_b3_b4(forms, order)
     # ascending, so the smallest degree meets the DegreeTooSmall guard first
     residues = [
         plane_generating_series(d, order, cache=cache, forms=forms).log()
-        - _log_b3_b4(plane_invariants(d), forms, order)
+        - fixed(plane_invariants(d))
         for d in degrees
     ]
     (d0, d1), (r0, r1) = degrees[:2], residues[:2]
@@ -184,7 +185,7 @@ def gyz_predict(
     log_f = (
         inv.z * sol.b1.truncate(order).log()
         + inv.y * sol.b2.truncate(order).log()
-        + _log_b3_b4(inv, forms, order)
+        + _log_b3_b4(forms, order)(inv)
     )
     in_u = log_f.exp().compose(forms.u.revert())
     values = []

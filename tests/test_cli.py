@@ -3,13 +3,14 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import severi
-from severi import engine, gyz, relative_severi, severi_degree
+from severi import cli, engine, gyz, relative_severi, severi_degree
 from severi.cli import CACHE_ENV_VAR, main
 
 
@@ -190,6 +191,26 @@ def test_cache_flag_beats_env_var(capsys, isolated_cwd, monkeypatch):
     run_json(capsys, "count", "--d", "3", "--delta", "1", "--cache", str(flag_target))
     assert flag_target.exists()
     assert not (isolated_cwd / "env.cache").exists()
+
+
+def test_empty_env_var_counts_as_unset(capsys, isolated_cwd, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    run_json(capsys, "count", "--d", "3", "--delta", "1")
+    assert (isolated_cwd / "severi.cache").exists()
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["count", "--d", "5", "--delta", "2"], id="count"),
+    pytest.param(["table", "--dmax", "3", "--deltamax", "1"], id="table"),
+    pytest.param(["cache", "stats"], id="stats"),
+    pytest.param(["cache", "clear"], id="clear"),
+])
+def test_empty_cache_flag_is_usage_error(capsys, isolated_cwd, command):
+    # refused before any work: no count, no cache or lock file, nothing cleared
+    run_json(capsys, "count", "--d", "3", "--delta", "1")
+    before = {path.name: path.read_bytes() for path in isolated_cwd.iterdir()}
+    expect_error(capsys, 1, "UsageError", *command, "--cache", "")
+    assert {path.name: path.read_bytes() for path in isolated_cwd.iterdir()} == before
 
 
 def test_cache_stats_and_clear(capsys, isolated_cwd):
@@ -413,6 +434,64 @@ def test_corrupted_cache_is_internal_error(capsys, isolated_cwd):
         capsys, 2, "CacheCorruption",
         "count", "--d", "2", "--delta", "0", "--cache", str(bad),
     )
+
+
+# ------------------------------------------------------- one parser per process
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    run_json(capsys, "count", "--d", "3", "--delta", "1", "--no-cache")
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    # subparsers are _Parser instances too, so any rebuild shows here
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    run_json(capsys, "count", "--d", "4", "--delta", "2", "--no-cache")
+    expect_error(capsys, 1, "UsageError", "count", "--degree", "3")
+    code, out, _ = run_cli(
+        capsys, "table", "--dmax", "2", "--deltamax", "1", "--format", "csv", "--no-cache"
+    )
+    assert code == 0
+    assert out.startswith("d,delta,value\n")
+    assert built == []
+
+
+def test_optional_flags_do_not_carry_over(capsys):
+    first, _ = run_json(
+        capsys, "count", "--d", "3", "--delta", "0", "--alpha", "1", "--beta", "2",
+        "--no-cache",
+    )
+    assert set(first) == {"d", "delta", "alpha", "beta", "value"}
+    second, _ = run_json(capsys, "count", "--d", "3", "--delta", "0", "--no-cache")
+    assert set(second) == {"d", "delta", "value"}
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    expect_error(capsys, 1, "UsageError", "count", "--d", "4", "--delta", "two")
+    doc, _ = run_json(capsys, "count", "--d", "4", "--delta", "2", "--no-cache")
+    assert doc["value"] == "225"
+
+
+def test_help_exits_zero_and_the_next_call_works(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: severi count")
+    doc, _ = run_json(capsys, "count", "--d", "4", "--delta", "2", "--no-cache")
+    assert doc["value"] == "225"
+
+
+def test_every_subcommand_has_a_runner(capsys):
+    # a subcommand missing from _RUNNERS would end main in a KeyError traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    choices = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1)
+    assert set(choices.split(",")) == set(cli._RUNNERS)
 
 
 # ------------------------------------------------------------------ entry point

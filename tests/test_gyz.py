@@ -89,6 +89,23 @@ def test_extraction_is_degree_independent(shared_cache):
     assert a.b2 == b.b2
 
 
+def test_log_b3_and_log_b4_are_taken_once_per_call(shared_cache, monkeypatch):
+    calls = []
+    log = RatSeries.log
+
+    def counting_log(self):
+        calls.append(self.order)
+        return log(self)
+
+    monkeypatch.setattr(RatSeries, "log", counting_log)
+    # one log per degree's plane series, plus log B3 and log B4 once
+    sol = extract_b_series(6, (12, 13, 14), cache=shared_cache)
+    assert len(calls) == 5
+    # log B1, log B2, log B3, log B4
+    gyz_predict(plane_invariants(20), sol)
+    assert len(calls) == 9
+
+
 def test_extraction_needs_two_degrees(shared_cache):
     with pytest.raises(ValueError):
         extract_b_series(2, [5], cache=shared_cache)
