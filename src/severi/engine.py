@@ -527,6 +527,8 @@ def cache_load(path: str | os.PathLike[str]) -> CacheStore:
             beta = parts_from_text(fields[3] if fields[3] != "-" else "")
             key = state_key(d, delta, alpha, beta)  # InvalidState is a ValueError
             value = int(fields[4])
+            if value < 0 or str(value) != fields[4]:
+                raise ValueError(f"count {fields[4]!r} is not a plain nonnegative decimal")
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
         store.put(key, value)

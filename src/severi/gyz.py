@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Callable
 
 from .engine import CacheStore, severi_degree
 from .forms import FormCatalog, form_catalog
@@ -71,32 +69,25 @@ def plane_invariants(d: int) -> Invariants:
 
 @dataclass(frozen=True)
 class BSeriesSolution:
-    """Extracted B1, B2 with the evidence for them."""
+    """log B1, log B2, log B3, log B4 to `order`, and q = u.revert() they were
+    solved with; the degrees in d_used all agreed with the first two."""
 
     order: int
-    b1: RatSeries
-    b2: RatSeries
+    logs: tuple[RatSeries, RatSeries, RatSeries, RatSeries]
+    q: RatSeries  # the reversion of u(q), to order max(order, 1)
     d_used: tuple[int, ...]
-    consistency: tuple[int, ...]  # agreeing degree pairs per order 1..M
-    integral: bool
 
     @property
-    def consistent(self) -> bool:
-        return all(npairs >= 1 for npairs in self.consistency)
+    def b1(self) -> RatSeries:
+        return self.logs[0].exp()
 
+    @property
+    def b2(self) -> RatSeries:
+        return self.logs[1].exp()
 
-def _catalog(order: int, forms: FormCatalog | None = None) -> FormCatalog:
-    """`forms` if it reaches `order`, else a new catalog; u.revert() needs order >= 1."""
-    if forms is None or forms.order < order:
-        forms = form_catalog(max(order, 1))
-    return forms
-
-
-def _log_b3_b4(forms: FormCatalog, order: int) -> Callable[[Invariants], RatSeries]:
-    """inv -> log(B3^chi . B4^(-nu/2)), the factors fixed by the forms; log B3
-    and log B4 are taken once, and each surface only scales them."""
-    log_b3, log_b4 = forms.b3.truncate(order).log(), forms.b4.truncate(order).log()
-    return lambda inv: inv.chi * log_b3 - Fraction(inv.nu, 2) * log_b4
+    @property
+    def integral(self) -> bool:
+        return all(c.denominator == 1 for c in (*self.b1.coeffs, *self.b2.coeffs))
 
 
 def plane_generating_series(
@@ -113,7 +104,8 @@ def plane_generating_series(
             f"degree {d} is below order + 1 = {order + 1}; "
             "all delta <= order must sit in the polynomial regime"
         )
-    forms = _catalog(order, forms)
+    if forms is None or forms.order < order:
+        forms = form_catalog(max(order, 1))  # u needs order >= 1
     counts = [severi_degree(d, delta, cache=cache) for delta in range(order + 1)]
     return RatSeries(counts).compose(forms.u)
 
@@ -136,12 +128,12 @@ def extract_b_series(
     degrees = tuple(sorted(set(int(d) for d in d_list)))
     if len(degrees) < 2:
         raise ValueError("extraction needs at least two distinct degrees")
-    forms = _catalog(order)
-    fixed = _log_b3_b4(forms, order)
+    forms = form_catalog(max(order, 1))
+    log_b3, log_b4 = forms.b3.truncate(order).log(), forms.b4.truncate(order).log()
     # ascending, so the smallest degree meets the DegreeTooSmall guard first
     residues = [
         plane_generating_series(d, order, cache=cache, forms=forms).log()
-        - fixed(plane_invariants(d))
+        - plane_invariants(d).chi * log_b3 + log_b4 * Fraction(1, 2)
         for d in degrees
     ]
     (d0, d1), (r0, r1) = degrees[:2], residues[:2]
@@ -156,12 +148,9 @@ def extract_b_series(
                 f"order {m}: degree {d} has residue {r[m]}, "
                 f"degrees ({d0},{d1}) predict {fitted[m]}"
             )
-    b1 = log_b1.exp()
-    b2 = log_b2.exp()
-    integral = all(c.denominator == 1 for c in (*b1.coeffs, *b2.coeffs))
     return BSeriesSolution(
-        order=order, b1=b1, b2=b2, d_used=degrees,
-        consistency=(comb(len(degrees), 2),) * order, integral=integral,
+        order=order, logs=(log_b1, log_b2, log_b3, log_b4),
+        q=forms.u.revert(), d_used=degrees,
     )
 
 
@@ -181,13 +170,9 @@ def gyz_predict(
         raise ValueError("order must be nonnegative")
     if order > sol.order:
         raise ValueError(f"order {order} exceeds the solution's {sol.order}")
-    forms = _catalog(order)
-    log_f = (
-        inv.z * sol.b1.truncate(order).log()
-        + inv.y * sol.b2.truncate(order).log()
-        + _log_b3_b4(forms, order)(inv)
-    )
-    in_u = log_f.exp().compose(forms.u.revert())
+    l1, l2, l3, l4 = (log.truncate(order) for log in sol.logs)
+    log_f = inv.z * l1 + inv.y * l2 + inv.chi * l3 - Fraction(inv.nu, 2) * l4
+    in_u = log_f.exp().compose(sol.q)
     values = []
     for delta in range(order + 1):
         c = in_u[delta]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import forms, gyz
+from . import gyz
 from .engine import CacheStore, severi_degree
 from .series import RatSeries, Scalar
 
@@ -171,9 +171,7 @@ def log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:
         raise ValueError("log forms need delta_max >= 1")
     top = 2 * delta_max
     sol = gyz.extract_b_series(delta_max, (top, top + 1, top + 2), cache=cache)
-    catalog = forms.form_catalog(delta_max)
-    q = catalog.u.revert()
-    l1, l2, l3, l4 = (b.log().compose(q) for b in (sol.b1, sol.b2, catalog.b3, catalog.b4))
+    l1, l2, l3, l4 = (log.compose(sol.q) for log in sol.logs)
     half = Fraction(1, 2)
     a2, a1, a0 = l3 * half, l3 * (3 * half) - 3 * l2, 9 * l1 + l3 - l4 * half
     return [

@@ -103,6 +103,12 @@ def test_foreign_header_is_a_parse_error(tmp_path):
         "1 0 - 2 1",  # weight inconsistent with degree
         "0 0 - - 1",  # degree out of range
         "1 0 - -1 1",  # negative part
+        # counts read back only as cache_save writes them
+        "3 1 - 3 -7",
+        "3 1 - 3 +12",
+        "3 1 - 3 1_5",
+        "3 1 - 3 007",
+        "3 1 - 3 -0",
     ],
 )
 def test_malformed_lines_are_parse_errors(tmp_path, line):

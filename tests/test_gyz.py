@@ -1,5 +1,6 @@
 """Plane generating series, B1/B2 extraction, and count prediction."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,11 @@ from severi import (
     extract_b_series,
     form_catalog,
     gyz_predict,
+    log_forms,
     plane_invariants,
     severi_degree,
 )
+from severi import forms, gyz
 from severi.gyz import BSeriesSolution, plane_generating_series
 
 B1_PREFIX = [1, -1, -5, 39, -345, 2961, -24866]
@@ -63,23 +66,18 @@ def test_extraction_by_hand_at_order_one(shared_cache):
     # two degrees give 9 l1[1] - 3d l2[1] = R_d[1]; solving the 2x2
     # system by hand for d = 2, 3 gives l1[1] = -1, l2[1] = 5
     sol = extract_b_series(1, [2, 3], cache=shared_cache)
-    assert sol.b1.log()[1] == -1
-    assert sol.b2.log()[1] == 5
+    assert sol.logs[0][1] == -1
+    assert sol.logs[1][1] == 5
     assert sol.b1[1] == -1
     assert sol.b2[1] == 5
-    assert sol.consistent
-    assert sol.consistency == (1,)
 
 
 def test_extraction_order_six(shared_cache):
     sol = extract_b_series(6, range(7, 12), cache=shared_cache)
     assert [sol.b1[m] for m in range(7)] == B1_PREFIX
     assert [sol.b2[m] for m in range(7)] == B2_PREFIX
-    assert sol.consistent
     assert sol.integral
     assert sol.d_used == (7, 8, 9, 10, 11)
-    # 5 degrees -> 10 pairs, all agreeing, at every order
-    assert sol.consistency == (10,) * 6
 
 
 def test_extraction_is_degree_independent(shared_cache):
@@ -89,21 +87,38 @@ def test_extraction_is_degree_independent(shared_cache):
     assert a.b2 == b.b2
 
 
-def test_log_b3_and_log_b4_are_taken_once_per_call(shared_cache, monkeypatch):
-    calls = []
-    log = RatSeries.log
-
-    def counting_log(self):
-        calls.append(self.order)
-        return log(self)
-
-    monkeypatch.setattr(RatSeries, "log", counting_log)
-    # one log per degree's plane series, plus log B3 and log B4 once
+def test_the_solution_holds_the_logs_and_q_it_was_solved_with(shared_cache):
     sol = extract_b_series(6, (12, 13, 14), cache=shared_cache)
-    assert len(calls) == 5
-    # log B1, log B2, log B3, log B4
+    catalog = form_catalog(6)
+    assert sol.logs[2:] == (catalog.b3.log(), catalog.b4.log())
+    assert sol.q == catalog.u.revert()
+    assert (sol.b1, sol.b2) == (sol.logs[0].exp(), sol.logs[1].exp())
+
+
+def test_series_work_per_call(shared_cache, monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("log", "exp", "revert"):
+        monkeypatch.setattr(RatSeries, name, counting(name, getattr(RatSeries, name)))
+    counting_catalog = counting("form_catalog", forms.form_catalog)
+    for module in (forms, gyz):
+        monkeypatch.setattr(module, "form_catalog", counting_catalog)
+    # one catalog, log B3 and log B4 once, one log per degree's plane series
+    sol = extract_b_series(6, (12, 13, 14), cache=shared_cache)
+    assert calls == {"form_catalog": 1, "log": 5, "revert": 1}
+    calls.clear()
     gyz_predict(plane_invariants(20), sol)
-    assert len(calls) == 9
+    assert calls == {"exp": 1}
+    calls.clear()
+    # the same extraction; the logs are composed with q as they are
+    log_forms(6, cache=shared_cache)
+    assert calls == {"form_catalog": 1, "log": 5, "revert": 1}
 
 
 def test_extraction_needs_two_degrees(shared_cache):
@@ -143,7 +158,6 @@ def test_inconsistency_is_detected(bad):
 def test_extraction_and_prediction_at_order_zero(shared_cache):
     sol = extract_b_series(0, [1, 2], cache=shared_cache)
     assert sol.b1 == sol.b2 == RatSeries.one(0)
-    assert sol.consistency == ()
     assert sol.integral
     k3 = Invariants(x=4, y=0, z=0, t=24)
     for given in (sol, _given_b_series(B1_PREFIX, B2_PREFIX)):
@@ -173,6 +187,13 @@ def test_prediction_below_threshold_overcounts(shared_cache):
     assert severi_degree(1, 3, cache=shared_cache) == 0
 
 
+def test_prediction_matches_the_recursion_across_degrees(shared_cache):
+    sol = extract_b_series(6, (12, 13, 14), cache=shared_cache)
+    for d in range(15, 31):
+        expected = [severi_degree(d, delta, cache=shared_cache) for delta in range(7)]
+        assert gyz_predict(plane_invariants(d), sol) == expected, d
+
+
 def test_prediction_order_cannot_exceed_solution(shared_cache):
     sol = extract_b_series(2, [3, 4], cache=shared_cache)
     with pytest.raises(ValueError):
@@ -196,37 +217,25 @@ def test_invalid_invariants_rejected(shared_cache):
 def test_non_integral_prediction_is_an_error():
     # a synthetic solution with a fractional log coefficient cannot
     # produce integer counts for the plane
-    log_b1 = RatSeries([0, Fraction(1, 7), 0])
-    log_b2 = RatSeries([0, 0, 0])
-    fake = BSeriesSolution(
-        order=2,
-        b1=log_b1.exp(),
-        b2=log_b2.exp(),
-        d_used=(3, 4),
-        consistency=(1, 1),
-        integral=False,
-    )
+    b1 = RatSeries([0, Fraction(1, 7), 0]).exp()
+    fake = _given_b_series(b1.coeffs, [1, 0, 0])
+    assert not fake.integral
     with pytest.raises(NonIntegralPrediction):
         gyz_predict(plane_invariants(5), fake)
-
-
-def test_consistent_property():
-    one = RatSeries.one(1)
-    good = BSeriesSolution(
-        order=1, b1=one, b2=one,
-        d_used=(2, 3), consistency=(3,), integral=True,
-    )
-    assert good.consistent
 
 
 # -- predictions against closed forms, without plane data -------------------
 
 def _given_b_series(b1, b2):
-    """A BSeriesSolution carrying fixed B1, B2 prefixes; no engine run."""
+    """A BSeriesSolution for fixed B1, B2 prefixes, with log B3, log B4 and
+    q from the form catalog, as extract_b_series builds them; no engine run."""
     b1, b2 = RatSeries(b1), RatSeries(b2)
-    return BSeriesSolution(
-        order=b1.order, b1=b1, b2=b2, d_used=(), consistency=(), integral=True,
+    order = b1.order
+    catalog = form_catalog(max(order, 1))
+    logs = tuple(
+        b.log() for b in (b1, b2, catalog.b3.truncate(order), catalog.b4.truncate(order))
     )
+    return BSeriesSolution(order=order, logs=logs, q=catalog.u.revert(), d_used=())
 
 
 def _yau_zaslow(order):
@@ -272,14 +281,14 @@ def test_predictions_match_kleiman_piene(x, y, z, t):
 def _four_powers(inv, sol, order):
     """Reference prediction: B1^z B2^y B3^chi B4^(-nu/2) as a product of
     four rational powers, composed with the reverted u."""
-    forms = form_catalog(max(order, 1))
+    catalog = form_catalog(max(order, 1))
     product = (
         sol.b1.truncate(order).pow_rat(inv.z)
         * sol.b2.truncate(order).pow_rat(inv.y)
-        * forms.b3.truncate(order).pow_rat(inv.chi)
-        * forms.b4.truncate(order).pow_rat(Fraction(-inv.nu, 2))
+        * catalog.b3.truncate(order).pow_rat(inv.chi)
+        * catalog.b4.truncate(order).pow_rat(Fraction(-inv.nu, 2))
     )
-    return list(product.compose(forms.u.revert()).coeffs)
+    return list(product.compose(catalog.u.revert()).coeffs)
 
 
 def test_prediction_matches_the_product_of_four_powers():
