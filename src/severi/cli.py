@@ -124,7 +124,10 @@ def _with_store(run):
         if args.no_cache:
             return run(args, engine.CacheStore())
         path = _cache_path(args)
-        store = engine.cache_load(path) if os.path.exists(path) else engine.CacheStore()
+        try:
+            store = engine.cache_load(path)
+        except FileNotFoundError:  # no file yet, or `severi cache clear` removed it
+            store = engine.CacheStore()
         known = store.root_count
         doc = run(args, store)
         if store.root_count > known:
@@ -268,8 +271,10 @@ def _run_cache(args) -> dict:
         if existed:
             os.remove(path)
         return {"path": path, "cleared": existed}
-    exists = os.path.exists(path)
-    store = engine.cache_load(path) if exists else engine.CacheStore()
+    try:
+        store, size = engine.cache_load(path), os.path.getsize(path)
+    except FileNotFoundError:
+        store, size = engine.CacheStore(), 0
     absolute = sum(1 for (d, _, alpha, beta), _ in store.items() if not alpha and beta == (d,))
     return {
         "path": path,
@@ -277,7 +282,7 @@ def _run_cache(args) -> dict:
         "entries": len(store),
         "absolute": absolute,
         "relative": len(store) - absolute,
-        "bytes": os.path.getsize(path) if exists else 0,
+        "bytes": size,
     }
 
 

@@ -73,6 +73,10 @@ build it, and hand their own part lists to _seq_id, which trims them;
 only pack checks a sequence from outside.  threshold_report(9) stores
 41,923 states over 1,880 sequences, with 5,385, 4,077, 7,641 and 3,008
 table entries and 21,600 template children.
+
+Cache file text.  _TEXT_IDS and _TEXTS map the text cache_save writes
+for a sequence in _SEQS ("2,0,1", "-" for ()) to its id and back.  Only
+the cache I/O fills them; a warm load reads a line's ids in two lookups.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ from .tangency import (
     SeveriKey,
     TangencySeq,
     canonical,
-    parts_from_text,
+    seq_from_text,
     seq_to_text,
     state_key,
     weight,
@@ -113,11 +117,12 @@ class ParseError(ValueError):
 _ID_MASK = (1 << 32) - 1
 
 # sequence id -> sequence, I(sequence), N^{d,0}(alpha, sequence); and
-# sequence -> id
+# sequence -> id, cache file text -> id (see "Cache file text")
 _SEQS: list[TangencySeq] = []
 _WEIGHTS: list[int] = []
 _SMOOTH: list[int] = []
 _IDS: dict[TangencySeq, int] = {}
+_TEXT_IDS: dict[str, int] = {}
 
 
 def _orderings(parts: Iterable[int]) -> int:
@@ -148,6 +153,14 @@ def _seq_id(parts: Iterable[int]) -> int:
         _SMOOTH.append(_orderings(seq))
         _IDS[seq] = sid
     return sid
+
+
+def _seq_of_text(text: str) -> TangencySeq:
+    """The sequence cache_save writes as text; ValueError for any other text."""
+    seq = seq_from_text(text if text != "-" else "")
+    if (seq_to_text(seq) or "-") != text:
+        raise ValueError(f"tangency text {text!r} is not as cache_save writes it")
+    return seq
 
 
 def pack(key: SeveriKey) -> int:
@@ -203,11 +216,13 @@ class CacheStore:
         return value
 
     def put(self, key: SeveriKey, value: int) -> None:
-        state = pack(key)
+        self._put_state(pack(key), value)
+
+    def _put_state(self, state: int, value: int) -> None:
         old = self._data.setdefault(state, value)
         if old != value:
             raise CacheCorruption(
-                f"key {key} already holds {old}, refusing to store {value}"
+                f"key {unpack(state)} already holds {old}, refusing to store {value}"
             )
         self._roots.add(state)
 
@@ -333,6 +348,8 @@ _ALPHAS = _Table(_alpha_candidates)
 _FRONTIER = _Table(_frontier)
 _SUMS = _Table(_seq_sum)
 _TEMPLATES = _Table(_template)
+# (sid,) -> cache file text of the sequence, filled by cache_save
+_TEXTS = _Table(lambda sid: seq_to_text(_SEQS[sid]) or "-")
 
 
 def _transitions(state: int) -> tuple[list[int], list[int]]:
@@ -455,11 +472,13 @@ def severi_table(
 def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:
     """Write the store's roots, merged with the file's, as sorted lines.
 
-    Each line reads "d delta alpha beta N" under a version header.  Saves
-    to one path take an exclusive lock on "<path>.lock", re-read the file
+    Each line reads "d delta alpha beta N" under a version header, each
+    sequence written as its text in the module's text table.  Saves to
+    one path take an exclusive lock on "<path>.lock", re-read the file
     under it and keep its entries (a conflicting value raises
-    CacheCorruption), then replace it through a synced temporary file in
-    the same directory, so concurrent processes lose no entry.
+    CacheCorruption; a file removed meanwhile counts as empty), then
+    replace it through a synced temporary file in the same directory, so
+    concurrent processes lose no entry.
     """
     import fcntl
     import tempfile
@@ -469,7 +488,7 @@ def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:
         fcntl.flock(lock, fcntl.LOCK_EX)
         merged = {state: cache._data[state] for state in cache._roots}
         mode = 0o644  # mkstemp creates 0o600; reuse the file's mode, or this
-        if os.path.exists(path):
+        try:
             mode = os.stat(path).st_mode & 0o777
             for state, value in cache_load(path)._data.items():
                 held = cache._data.get(state)
@@ -478,9 +497,13 @@ def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:
                         f"{path} holds {value} for key {unpack(state)}, the store holds {held}"
                     )
                 merged[state] = value
+        except FileNotFoundError:  # no file yet, or `severi cache clear` removed it
+            pass
         lines = [f"{CACHE_MAGIC} {CACHE_VERSION}"]
-        for (d, delta, alpha, beta), value in sorted((unpack(s), v) for s, v in merged.items()):
-            lines.append(f"{d} {delta} {seq_to_text(alpha) or '-'} {seq_to_text(beta) or '-'} {value}")
+        for state in sorted(merged, key=unpack):
+            ia, ib = state >> 32 & _ID_MASK, state & _ID_MASK
+            d, delta, value = _WEIGHTS[ia] + _WEIGHTS[ib], state >> 64, merged[state]
+            lines.append(f"{d} {delta} {_TEXTS[ia,]} {_TEXTS[ib,]} {value}")
         directory, name = os.path.split(path)
         fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory or ".")
         try:
@@ -498,7 +521,9 @@ def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:
 def cache_load(path: str | os.PathLike[str]) -> CacheStore:
     """Parse a cache file; every entry read is a root of the returned store.
 
-    The round trip through cache_save is bit-exact.
+    A line must read exactly as cache_save writes it, so the round trip is
+    bit-exact.  Its sequences' ids are read from _TEXT_IDS; a text not in
+    it is checked, and entered once its whole line is valid.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -516,20 +541,29 @@ def cache_load(path: str | os.PathLike[str]) -> CacheStore:
         )
     store = CacheStore()
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 5:
             raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+        d_text, delta_text, alpha_text, beta_text, count_text = fields
+        ia, ib = _TEXT_IDS.get(alpha_text), _TEXT_IDS.get(beta_text)
         try:
-            d, delta = int(fields[0]), int(fields[1])
-            alpha = parts_from_text(fields[2] if fields[2] != "-" else "")
-            beta = parts_from_text(fields[3] if fields[3] != "-" else "")
-            key = state_key(d, delta, alpha, beta)  # InvalidState is a ValueError
-            value = int(fields[4])
-            if value < 0 or str(value) != fields[4]:
-                raise ValueError(f"count {fields[4]!r} is not a plain nonnegative decimal")
+            if ia is None or ib is None:
+                alpha, beta = _seq_of_text(alpha_text), _seq_of_text(beta_text)
+                d = weight(alpha) + weight(beta)
+            else:
+                d = _WEIGHTS[ia] + _WEIGHTS[ib]
+            if d_text != str(d) or d < 1:
+                raise ValueError(f"d = {d_text!r}, not weight(alpha) + weight(beta) = {d} >= 1")
+            delta, value = int(delta_text), int(count_text)
+            if delta < 0 or value < 0 or str(delta) != delta_text or str(value) != count_text:
+                raise ValueError(f"node count {delta_text!r} and count {count_text!r} "
+                                 "must be plain nonnegative decimals")
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-        store.put(key, value)
+        if ia is None or ib is None:  # the line is valid: enter its texts
+            ia = _TEXT_IDS[alpha_text] = _seq_id(alpha)
+            ib = _TEXT_IDS[beta_text] = _seq_id(beta)
+        store._put_state(delta << 64 | ia << 32 | ib, value)
     return store

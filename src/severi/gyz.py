@@ -12,6 +12,7 @@ hard error, not noise.  Prediction sums the four logs and takes one exp.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .engine import CacheStore, severi_degree
@@ -77,11 +78,11 @@ class BSeriesSolution:
     q: RatSeries  # the reversion of u(q), to order max(order, 1)
     d_used: tuple[int, ...]
 
-    @property
+    @cached_property  # each is an exp; bseries reads them twice
     def b1(self) -> RatSeries:
         return self.logs[0].exp()
 
-    @property
+    @cached_property
     def b2(self) -> RatSeries:
         return self.logs[1].exp()
 

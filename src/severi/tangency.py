@@ -42,20 +42,10 @@ def seq_to_text(s: TangencySeq) -> str:
     return ",".join(str(v) for v in s)
 
 
-def parts_from_text(text: str) -> list[int]:
-    """The integers of comma-separated tangency text, as written."""
-    if text == "":
-        return []
-    try:
-        return [int(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad tangency text {text!r}: {exc}") from None
-
-
 def seq_from_text(text: str) -> TangencySeq:
-    parts = parts_from_text(text)
+    """The canonical sequence of comma-separated parts; "" is ()."""
     try:
-        return canonical(parts)
+        return canonical(int(p) for p in text.split(",")) if text else ()
     except ValueError as exc:
         raise ValueError(f"bad tangency text {text!r}: {exc}") from None
 

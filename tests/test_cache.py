@@ -1,8 +1,11 @@
 """Cache store semantics and the persistent file format."""
 
+import os
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from severi import (
     CacheCorruption,
@@ -13,7 +16,43 @@ from severi import (
     severi_degree,
     severi_table,
 )
-from severi.engine import cache_load, cache_save
+from severi import engine
+from severi.engine import CACHE_MAGIC, CACHE_VERSION, cache_load, cache_save
+from severi.tangency import state_key
+
+
+def reference_cache_load(path):
+    """The per-line loader that cache_load replaced, kept as its reference:
+    every field parsed, the key built by state_key, stored by put."""
+    lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[0].strip():
+        raise ParseError(f"cache file {path} is empty")
+    header = lines[0].split()
+    if len(header) != 2 or header[0] != CACHE_MAGIC:
+        raise ParseError(f"cache file {path} has no {CACHE_MAGIC} header")
+    if header[1] != CACHE_VERSION:
+        raise VersionMismatch(f"cache file {path} is version {header[1]}")
+
+    def parts(text):
+        return [int(p) for p in text.split(",")] if text != "-" else []
+
+    store = CacheStore()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if len(fields) != 5:
+            raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+        try:
+            d, delta = int(fields[0]), int(fields[1])
+            key = state_key(d, delta, parts(fields[2]), parts(fields[3]))
+            value = int(fields[4])
+            if value < 0 or str(value) != fields[4]:
+                raise ValueError(f"count {fields[4]!r} is not a plain nonnegative decimal")
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        store.put(key, value)
+    return store
 
 
 def test_put_get_and_counters():
@@ -109,11 +148,29 @@ def test_foreign_header_is_a_parse_error(tmp_path):
         "3 1 - 3 1_5",
         "3 1 - 3 007",
         "3 1 - 3 -0",
+        # and so are the key fields: each of these would read as (3, 1, (), (3,))
+        "+3 1 - 3 12",
+        "3 01 - 3 12",
+        "3 1 - +3 12",
+        "3 1 - 03 12",
+        "3 1 - 3,0 12",
+        "3 1 0 3 12",
+        "3 1_0 - 3 12",  # (3, 10, (), (3,))
+        "3 -1 - 3 12",
     ],
 )
 def test_malformed_lines_are_parse_errors(tmp_path, line):
     path = tmp_path / "c"
     path.write_text(f"SEVERI-CACHE v1\n{line}\n")
+    with pytest.raises(ParseError):
+        cache_load(path)
+    # again once the texts "-" and "1".."3" are known, so that the line's
+    # sequences are read from the text table
+    known = CacheStore()
+    severi_table(3, 0, cache=known)
+    cache_save(known, tmp_path / "known")
+    cache_load(tmp_path / "known")
+    assert {"-", "1", "2", "3"} <= engine._TEXT_IDS.keys()
     with pytest.raises(ParseError):
         cache_load(path)
 
@@ -125,6 +182,25 @@ def test_inconsistent_state_line_names_the_broken_invariant(tmp_path):
         cache_load(path)
     assert ":2:" in str(err.value)
     assert "weight(alpha) + weight(beta)" in str(err.value)
+
+
+def test_rejected_lines_leave_the_text_tables_alone(tmp_path):
+    far = "0," * 96 + "1"  # one tangency of order 97, which no computation reaches
+    sizes = (len(engine._TEXT_IDS), len(engine._TEXTS), len(engine._SEQS))
+    for line in (
+        f"1 0 - {far} 1",  # d is not I(alpha) + I(beta)
+        f"97 1_0 - {far} 5",
+        f"97 1 - {far} +5",
+        f"97 1 - {far},0 5",
+        f"97 1 {far},0 - 5",
+    ):
+        path = tmp_path / "c"
+        path.write_text(f"SEVERI-CACHE v1\n{line}\n")
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                cache_load(path)
+        assert (len(engine._TEXT_IDS), len(engine._TEXTS), len(engine._SEQS)) == sizes
+        assert far not in engine._TEXT_IDS
 
 
 def test_conflicting_file_entries_are_corruption(tmp_path):
@@ -210,3 +286,53 @@ def test_save_refuses_a_file_that_contradicts_the_store(tmp_path):
     with pytest.raises(CacheCorruption):
         cache_save(store, path)
     assert path.read_text() == "SEVERI-CACHE v1\n2 1 - 2 4\n"
+
+
+def test_save_counts_a_file_removed_under_the_lock_as_empty(tmp_path, monkeypatch):
+    path = tmp_path / "c"
+    path.write_text("SEVERI-CACHE v1\n2 1 - 2 3\n")
+    load = engine.cache_load
+
+    def removed_first(p):
+        os.remove(p)  # as by `severi cache clear`, which takes no lock
+        return load(p)
+
+    monkeypatch.setattr(engine, "cache_load", removed_first)
+    store = CacheStore()
+    severi_degree(3, 1, cache=store)
+    cache_save(store, path)
+    assert path.read_text() == "SEVERI-CACHE v1\n3 1 - 3 12\n"
+
+
+# ------------------------------------------------ the loader against its reference
+
+
+@st.composite
+def severi_keys(draw):
+    """A valid state key with d <= 12; alpha takes some of the parts."""
+    d = draw(st.integers(1, 12))
+    alpha, beta = [0] * d, [0] * d
+    left = d
+    while left:
+        k = draw(st.integers(1, left))
+        (alpha if draw(st.booleans()) else beta)[k - 1] += 1
+        left -= k
+    return state_key(d, draw(st.integers(0, 70)), alpha, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(severi_keys(), st.integers(0, 10**40), max_size=30))
+def test_load_agrees_with_the_reference_loader(entries):
+    store = CacheStore()
+    for key, value in entries.items():
+        store.put(key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "c"
+        cache_save(store, path)
+        written = path.read_bytes()
+        loaded, reference = cache_load(path), reference_cache_load(path)
+        assert list(loaded.items()) == list(reference.items()) == list(store.roots())
+        assert list(loaded.roots()) == list(reference.roots())
+        again = pathlib.Path(tmp) / "again"
+        cache_save(loaded, again)
+        assert again.read_bytes() == written

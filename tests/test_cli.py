@@ -436,6 +436,38 @@ def test_corrupted_cache_is_internal_error(capsys, isolated_cwd):
     )
 
 
+@pytest.mark.parametrize("argv", [["count", "--d", "3", "--delta", "1"], ["cache", "stats"]])
+def test_cache_file_removed_mid_call_counts_as_empty(capsys, isolated_cwd, monkeypatch, argv):
+    run_json(capsys, "count", "--d", "2", "--delta", "1")
+    load = engine.cache_load
+
+    def removed_first(path):
+        if os.path.exists(path):
+            os.remove(path)  # as by `severi cache clear` in another process
+        return load(path)
+
+    monkeypatch.setattr(engine, "cache_load", removed_first)
+    doc, _ = run_json(capsys, *argv)
+    if argv[0] == "cache":
+        assert (doc["entries"], doc["bytes"]) == (0, 0)
+    else:
+        assert doc["value"] == "12"
+        assert (isolated_cwd / "severi.cache").read_text() == "SEVERI-CACHE v1\n3 1 - 3 12\n"
+
+
+def test_bseries_takes_one_exp_per_series(capsys, monkeypatch):
+    exps = []
+    exp = severi.RatSeries.exp
+
+    def counting(series):
+        exps.append(series)
+        return exp(series)
+
+    monkeypatch.setattr(severi.RatSeries, "exp", counting)
+    run_json(capsys, "bseries", "--order", "6", "--dlist", "7,8,9", "--no-cache")
+    assert len(exps) == 2  # exp(log B1) and exp(log B2), read twice each
+
+
 # ------------------------------------------------------- one parser per process
 
 
