@@ -74,9 +74,9 @@ only pack checks a sequence from outside.  threshold_report(9) stores
 41,923 states over 1,880 sequences, with 5,385, 4,077, 7,641 and 3,008
 table entries and 21,600 template children.
 
-Cache file text.  _TEXT_IDS and _TEXTS map the text cache_save writes
-for a sequence in _SEQS ("2,0,1", "-" for ()) to its id and back.  Only
-the cache I/O fills them; a warm load reads a line's ids in two lookups.
+Cache file text.  cache_load maps each sequence text of the file it
+reads, as cache_save writes it ("2,0,1", "-" for ()), to its id, so a
+line whose texts came up on an earlier line is read with two lookups.
 """
 
 from __future__ import annotations
@@ -117,12 +117,11 @@ class ParseError(ValueError):
 _ID_MASK = (1 << 32) - 1
 
 # sequence id -> sequence, I(sequence), N^{d,0}(alpha, sequence); and
-# sequence -> id, cache file text -> id (see "Cache file text")
+# sequence -> id
 _SEQS: list[TangencySeq] = []
 _WEIGHTS: list[int] = []
 _SMOOTH: list[int] = []
 _IDS: dict[TangencySeq, int] = {}
-_TEXT_IDS: dict[str, int] = {}
 
 
 def _orderings(parts: Iterable[int]) -> int:
@@ -348,8 +347,6 @@ _ALPHAS = _Table(_alpha_candidates)
 _FRONTIER = _Table(_frontier)
 _SUMS = _Table(_seq_sum)
 _TEMPLATES = _Table(_template)
-# (sid,) -> cache file text of the sequence, filled by cache_save
-_TEXTS = _Table(lambda sid: seq_to_text(_SEQS[sid]) or "-")
 
 
 def _transitions(state: int) -> tuple[list[int], list[int]]:
@@ -472,8 +469,8 @@ def severi_table(
 def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:
     """Write the store's roots, merged with the file's, as sorted lines.
 
-    Each line reads "d delta alpha beta N" under a version header, each
-    sequence written as its text in the module's text table.  Saves to
+    Each line reads "d delta alpha beta N" under a version header, d
+    written as I(alpha) + I(beta) and "-" for an empty sequence.  Saves to
     one path take an exclusive lock on "<path>.lock", re-read the file
     under it and keep its entries (a conflicting value raises
     CacheCorruption; a file removed meanwhile counts as empty), then
@@ -503,7 +500,8 @@ def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:
         for state in sorted(merged, key=unpack):
             ia, ib = state >> 32 & _ID_MASK, state & _ID_MASK
             d, delta, value = _WEIGHTS[ia] + _WEIGHTS[ib], state >> 64, merged[state]
-            lines.append(f"{d} {delta} {_TEXTS[ia,]} {_TEXTS[ib,]} {value}")
+            alpha, beta = seq_to_text(_SEQS[ia]) or "-", seq_to_text(_SEQS[ib]) or "-"
+            lines.append(f"{d} {delta} {alpha} {beta} {value}")
         directory, name = os.path.split(path)
         fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory or ".")
         try:
@@ -522,8 +520,9 @@ def cache_load(path: str | os.PathLike[str]) -> CacheStore:
     """Parse a cache file; every entry read is a root of the returned store.
 
     A line must read exactly as cache_save writes it, so the round trip is
-    bit-exact.  Its sequences' ids are read from _TEXT_IDS; a text not in
-    it is checked, and entered once its whole line is valid.
+    bit-exact.  Its sequences' ids are read from a table of the texts seen
+    on earlier lines of this file; a text not in it is checked, and
+    entered (and its sequence interned) once its whole line is valid.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -539,7 +538,7 @@ def cache_load(path: str | os.PathLike[str]) -> CacheStore:
         raise VersionMismatch(
             f"cache file {path} is version {header[1]}, expected {CACHE_VERSION}"
         )
-    store = CacheStore()
+    store, ids = CacheStore(), {}  # ids: sequence text -> id, this file only
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split()
         if not fields:
@@ -547,7 +546,7 @@ def cache_load(path: str | os.PathLike[str]) -> CacheStore:
         if len(fields) != 5:
             raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
         d_text, delta_text, alpha_text, beta_text, count_text = fields
-        ia, ib = _TEXT_IDS.get(alpha_text), _TEXT_IDS.get(beta_text)
+        ia, ib = ids.get(alpha_text), ids.get(beta_text)
         try:
             if ia is None or ib is None:
                 alpha, beta = _seq_of_text(alpha_text), _seq_of_text(beta_text)
@@ -563,7 +562,7 @@ def cache_load(path: str | os.PathLike[str]) -> CacheStore:
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
         if ia is None or ib is None:  # the line is valid: enter its texts
-            ia = _TEXT_IDS[alpha_text] = _seq_id(alpha)
-            ib = _TEXT_IDS[beta_text] = _seq_id(beta)
+            ia = ids[alpha_text] = _seq_id(alpha)
+            ib = ids[beta_text] = _seq_id(beta)
         store._put_state(delta << 64 | ia << 32 | ib, value)
     return store

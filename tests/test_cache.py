@@ -164,15 +164,12 @@ def test_malformed_lines_are_parse_errors(tmp_path, line):
     path.write_text(f"SEVERI-CACHE v1\n{line}\n")
     with pytest.raises(ParseError):
         cache_load(path)
-    # again once the texts "-" and "1".."3" are known, so that the line's
-    # sequences are read from the text table
-    known = CacheStore()
-    severi_table(3, 0, cache=known)
-    cache_save(known, tmp_path / "known")
-    cache_load(tmp_path / "known")
-    assert {"-", "1", "2", "3"} <= engine._TEXT_IDS.keys()
-    with pytest.raises(ParseError):
+    # again below lines that bring up the texts "-" and "1".."3", so that
+    # the line's sequences are read from the load's text table
+    path.write_text(f"SEVERI-CACHE v1\n1 0 - 1 1\n2 0 - 2 1\n3 0 - 3 1\n{line}\n")
+    with pytest.raises(ParseError) as err:
         cache_load(path)
+    assert ":5:" in str(err.value)
 
 
 def test_inconsistent_state_line_names_the_broken_invariant(tmp_path):
@@ -184,9 +181,9 @@ def test_inconsistent_state_line_names_the_broken_invariant(tmp_path):
     assert "weight(alpha) + weight(beta)" in str(err.value)
 
 
-def test_rejected_lines_leave_the_text_tables_alone(tmp_path):
+def test_rejected_lines_leave_the_sequence_table_alone(tmp_path):
     far = "0," * 96 + "1"  # one tangency of order 97, which no computation reaches
-    sizes = (len(engine._TEXT_IDS), len(engine._TEXTS), len(engine._SEQS))
+    seqs = len(engine._SEQS)
     for line in (
         f"1 0 - {far} 1",  # d is not I(alpha) + I(beta)
         f"97 1_0 - {far} 5",
@@ -199,8 +196,7 @@ def test_rejected_lines_leave_the_text_tables_alone(tmp_path):
         for _ in range(2):
             with pytest.raises(ParseError):
                 cache_load(path)
-        assert (len(engine._TEXT_IDS), len(engine._TEXTS), len(engine._SEQS)) == sizes
-        assert far not in engine._TEXT_IDS
+        assert len(engine._SEQS) == seqs
 
 
 def test_conflicting_file_entries_are_corruption(tmp_path):
