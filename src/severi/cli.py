@@ -267,10 +267,11 @@ def _run_forms(args) -> dict:
 def _run_cache(args) -> dict:
     path = _cache_path(args)
     if args.action == "clear":
-        existed = os.path.exists(path)
-        if existed:
+        try:
             os.remove(path)
-        return {"path": path, "cleared": existed}
+        except FileNotFoundError:
+            return {"path": path, "cleared": False}
+        return {"path": path, "cleared": True}
     try:
         store, size = engine.cache_load(path), os.path.getsize(path)
     except FileNotFoundError:

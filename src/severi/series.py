@@ -12,6 +12,10 @@ the inverse, exp and log recurrences run on Python ints and reduce once
 per result; the recurrences keep the coefficients already computed over
 one running denominator.  The reduced Fractions of `coeffs` are built on
 first read and kept.
+
+Composition at order M is Horner's scheme truncated by valuation: step i
+multiplies at order M - i - 1, about M^3/6 coefficient products in all.
+Reversion is Lagrange inversion, M full-order products, about M^3/2.
 """
 
 from __future__ import annotations
@@ -293,16 +297,25 @@ class RatSeries:
         return self.pow_rat(e)
 
     def compose(self, inner: "RatSeries") -> "RatSeries":
-        """self(inner(q)) truncated; needs inner[0] = 0."""
-        if inner._nums[0] != 0:
+        """self(inner(q)) truncated; needs inner[0] = 0.
+
+        >>> RatSeries([1, 1, 1]).compose(RatSeries([0, 1, 1])).coeffs
+        (Fraction(1, 1), Fraction(1, 1), Fraction(2, 1))
+        """
+        g, a, da = inner._nums, self._nums, self._den
+        if g[0] != 0:
             raise PositiveValuationRequired("composition needs inner constant term 0")
         M = min(self.order, inner.order)
-        g = inner.truncate(M) if inner.order > M else inner
-        cs = self.coeffs
-        out = RatSeries([cs[M]], order=M)
-        # Horner from the top coefficient down
+        out = _make(a[M : M + 1], da)
+        if M:
+            h = _make(g[1 : M + 1], inner._den)  # inner/q
+        # Horner from the top down, out <- q.(out.h) + a_i: out is later multiplied
+        # by inner^i, so it needs order M - i; __mul__ cuts h to out's M - i - 1
         for i in range(M - 1, -1, -1):
-            out = out * g + cs[i]
+            p = out * h
+            den = lcm(p._den, da)
+            f = den // p._den
+            out = _make([a[i] * (den // da)] + [n * f for n in p._nums], den)
         return out
 
     def revert(self) -> "RatSeries":

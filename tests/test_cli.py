@@ -227,6 +227,20 @@ def test_cache_stats_and_clear(capsys, isolated_cwd):
     assert doc["cleared"] is False
 
 
+def test_clear_racing_another_clear_reports_not_cleared(capsys, isolated_cwd, monkeypatch):
+    run_json(capsys, "count", "--d", "4", "--delta", "2")
+    remove = os.remove
+
+    def racing_remove(path):
+        remove(path)  # a concurrent clear gets there first
+        remove(path)
+
+    monkeypatch.setattr(os, "remove", racing_remove)
+    doc, _ = run_json(capsys, "cache", "clear")
+    assert doc["cleared"] is False
+    assert not (isolated_cwd / "severi.cache").exists()
+
+
 def test_cache_stats_reports_what_is_persisted(capsys, isolated_cwd):
     doc, _ = run_json(capsys, "cache", "stats")
     assert doc == {

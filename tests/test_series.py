@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from severi import RatSeries
+from severi import RatSeries, form_catalog
 from severi.series import (
     ConstantTermNotOne,
     NonzeroConstantTerm,
@@ -399,6 +399,28 @@ def test_compose_matches_reference(f, rest):
     h = RatSeries(f).compose(RatSeries(g))
     assert h.coeffs == _ref_compose(f, g)
     assert _reduced(h)
+
+
+@pytest.mark.parametrize(
+    "outer, inner", [(0, 0), (0, 9), (9, 0), (1, 1), (40, 40), (40, 27), (27, 40), (40, 39)]
+)
+def test_compose_matches_reference_up_to_order_40(outer, inner):
+    # fixed seeds; the outer or the inner series may be of order 0, longer or shorter
+    rng = random.Random(100 * outer + inner)
+    f = [F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(outer + 1)]
+    g = [F(0)] + [F(rng.randint(-9, 9), rng.choice([1, 2, 5])) for _ in range(inner)]
+    h = RatSeries(f).compose(RatSeries(g))
+    assert h.order == min(outer, inner)
+    assert h.coeffs == _ref_compose(f, g)
+    assert _reduced(h)
+
+
+@pytest.mark.parametrize("chi", [F(3), F(-7, 2)])
+def test_compose_round_trip_through_u_at_order_40(chi):
+    # f(u^-1(u)) = f for f = B3^chi.B4^(-1/2), the shape the GYZ pipeline composes
+    cat = form_catalog(40)
+    f = cat.b3.pow_rat(chi) * cat.b4.pow_rat(F(-1, 2))
+    assert f.compose(cat.u.revert()).compose(cat.u) == f
 
 
 @settings(deadline=None)
