@@ -15,7 +15,8 @@ first read and kept.
 
 Composition at order M is Horner's scheme truncated by valuation: step i
 multiplies at order M - i - 1, about M^3/6 coefficient products in all.
-Reversion is Lagrange inversion, M full-order products, about M^3/2.
+Reversion is Lagrange inversion over one rational power and a chain
+truncated by valuation, also about M^3/6; rational powers are one recurrence.
 """
 
 from __future__ import annotations
@@ -273,15 +274,30 @@ class RatSeries:
         return _make([0] + [n * (L // k) for k, n in enumerate(nums[1:], 1)], den * L)
 
     def pow_rat(self, e: Scalar) -> "RatSeries":
-        """a^e for rational e as exp(e.log(a)); needs a[0] = 1."""
-        if self._nums[0] != self._den:
+        """a^e for rational e; needs a[0] = 1.
+
+        From P'.a = e.a'.P: m.P_m = sum_{k=1..m} ((e+1).k - m).a_k.P_{m-k}.
+
+        >>> RatSeries([1, 1], order=3).pow_rat(Fraction(1, 2)).to_strings()
+        ['1', '1/2', '-1/8', '1/16']
+        """
+        a, da = self._nums, self._den
+        if a[0] != da:
             raise ConstantTermNotOne("rational powers need constant term 1")
         e = _as_fraction(e)
-        return (self.log() * e).exp()
+        p, r = e.numerator + e.denominator, e.denominator  # e + 1 = p/r
+        ka, nums, den = [k * x for k, x in enumerate(a)], [1], 1  # P_j = nums[j]/den
+        for m in range(1, len(a)):
+            rest = nums[m - 1 :: -1]
+            s = p * sum(map(mul, ka[1 : m + 1], rest)) - r * m * sum(map(mul, a[1 : m + 1], rest))
+            den = _push(nums, den, s, m * r * da * den)
+        return _make(nums, den)
 
     def __pow__(self, e: Scalar) -> "RatSeries":
-        # nonnegative integer exponents work on any series, negative ones on
-        # any unit; other exponents go through exp/log and need constant term 1
+        # integer exponents, integral Fractions included, work on any series
+        # (negative ones on any unit); others need constant term 1
+        if isinstance(e, Fraction) and e.denominator == 1:
+            e = e.numerator
         if isinstance(e, int) and e < 0:
             return self.inverse() ** -e
         if isinstance(e, int):
@@ -319,22 +335,25 @@ class RatSeries:
         return out
 
     def revert(self) -> "RatSeries":
-        """Compositional inverse by Lagrange inversion.
+        """Compositional inverse by Lagrange inversion; needs g[0] = 0, g[1] != 0.
 
-        Needs g[0] = 0 and g[1] != 0.  With the unit series p = q/g,
-        n.h_n = [q^(n-1)] p^n.  Reverting q + q^2 gives signed Catalan numbers:
+        With the unit u = g/(g_1.q), n.h_n = g_1^(-n).[q^(n-1)] u^(-n), split as
+        u^(-(M+1)).u^(M+1-n): one rational power, then a chain of products by
+        u for n = M down to 1, each cut to order n - 1.  Reverting q + q^2
+        gives signed Catalan numbers:
 
         >>> RatSeries([0, 1, 1], order=4).revert().coeffs
         (Fraction(0, 1), Fraction(1, 1), Fraction(-1, 1), Fraction(2, 1), Fraction(-5, 1))
         """
-        g = self._nums
-        if g[0] != 0 or self.order < 1 or g[1] == 0:
+        g, dg, M = self._nums, self._den, self.order
+        if g[0] != 0 or M < 1 or g[1] == 0:
             raise NotReversible("reversion needs g[0] = 0 and g[1] != 0")
-        M = self.order
-        p = _make(g[1:], self._den).inverse()
-        power = RatSeries.one(M - 1)
-        h = [Fraction(0)]
-        for n in range(1, M + 1):
-            power = power * p
-            h.append(Fraction(power._nums[n - 1], power._den * n))
-        return RatSeries(h)
+        u = _make([x * g[1] for x in g[1:]], g[1] ** 2)  # g/(g_1.q), sign-free
+        t, hs = u.pow_rat(-(M + 1)), []
+        for n in range(M, 0, -1):
+            t = t.truncate(n - 1) * u  # u^(-n) to order n - 1
+            hs.append((t._nums[n - 1] * dg**n, t._den * n * g[1] ** n))
+        nums, den = [0], 1
+        for s, q in reversed(hs):
+            den = _push(nums, den, s, q)
+        return _make(nums, den)

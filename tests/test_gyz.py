@@ -20,6 +20,7 @@ from severi import (
 )
 from severi import forms, gyz
 from severi.gyz import BSeriesSolution, plane_generating_series
+from test_series import _ref_pow_rat
 
 B1_PREFIX = [1, -1, -5, 39, -345, 2961, -24866]
 B2_PREFIX = [1, 5, 2, 35, -140, 986, -6643]
@@ -280,13 +281,13 @@ def test_predictions_match_kleiman_piene(x, y, z, t):
 
 def _four_powers(inv, sol, order):
     """Reference prediction: B1^z B2^y B3^chi B4^(-nu/2) as a product of
-    four rational powers, composed with the reverted u."""
+    four rational powers, each exp(e.log), composed with the reverted u."""
     catalog = form_catalog(max(order, 1))
     product = (
-        sol.b1.truncate(order).pow_rat(inv.z)
-        * sol.b2.truncate(order).pow_rat(inv.y)
-        * catalog.b3.truncate(order).pow_rat(inv.chi)
-        * catalog.b4.truncate(order).pow_rat(Fraction(-inv.nu, 2))
+        _ref_pow_rat(sol.b1.truncate(order), inv.z)
+        * _ref_pow_rat(sol.b2.truncate(order), inv.y)
+        * _ref_pow_rat(catalog.b3.truncate(order), inv.chi)
+        * _ref_pow_rat(catalog.b4.truncate(order), Fraction(-inv.nu, 2))
     )
     return list(product.compose(catalog.u.revert()).coeffs)
 

@@ -109,6 +109,11 @@ def _ref_revert(g):
     return tuple(h)
 
 
+def _ref_pow_rat(a: RatSeries, e) -> RatSeries:
+    """a^e as exp(e.log a), the kernel's exp and log composed."""
+    return (a.log() * F(e)).exp()
+
+
 def _ref_compose(f, g):
     # Horner on Fractions, truncated to the common order
     M = min(len(f), len(g)) - 1
@@ -203,6 +208,15 @@ def test_negative_powers_of_a_unit():
     assert series(3, -1, 4, F(1, 2)) ** -2 == series(3, -1, 4, F(1, 2)).inverse() ** 2
     with pytest.raises(ZeroConstantTerm):
         series(0, 1, 2) ** -2
+
+
+def test_pow_with_an_integral_fraction_exponent():
+    s = RatSeries([2, 1], order=3)
+    assert s ** F(2) == s ** 2 == series(4, 4, 1, 0)
+    assert s ** F(-3) == s ** -3 == s.inverse() ** 3
+    assert s ** F(0) == RatSeries.one(3)
+    unit = series(1, 3, -1)
+    assert unit ** F(4, 2) == unit * unit == unit.pow_rat(2)
 
 
 def test_pow_rat_needs_unit_constant():
@@ -380,6 +394,20 @@ def test_log_kernel_matches_reference(rest):
 
 @settings(deadline=None)
 @given(
+    _coeff_lists(min_size=0, max_size=30),
+    st.one_of(st.just(F(0)), st.integers(-(10**6), -1).map(F), _FRACTIONS),
+)
+def test_pow_rat_matches_reference(rest, e):
+    # orders 0..30; e = 0, a negative integer, or a fraction over up to 10^6
+    a = RatSeries([1] + rest)
+    p = a.pow_rat(e)
+    assert p == _ref_pow_rat(a, e)
+    assert p.order == a.order
+    assert _reduced(p)
+
+
+@settings(deadline=None)
+@given(
     st.one_of(st.sampled_from([1, -1, 2, -2]), _FRACTIONS.filter(bool)),
     _coeff_lists(min_size=0, max_size=29),
 )
@@ -389,6 +417,38 @@ def test_revert_matches_reference(g1, rest):
     h = g.revert()
     assert h.coeffs == _ref_revert(g)
     assert _reduced(h)
+
+
+def _reversible(order, g1, seed):
+    rng = random.Random(seed)
+    rest = [F(rng.randint(-9, 9), rng.choice([1, 2, 5])) for _ in range(order - 1)]
+    return RatSeries([0, g1] + rest)
+
+
+def _q_plus_q_to_the(k):
+    return RatSeries([0, 1] + [0] * (k - 2) + [1], order=40)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: form_catalog(40).u, id="u"),
+        pytest.param(lambda: _reversible(40, F(-2, 3), 40), id="g1=-2/3"),
+        pytest.param(lambda: _reversible(1, F(3, 5), 1), id="order1"),
+        pytest.param(lambda: _reversible(2, F(-7), 2), id="order2"),
+        pytest.param(lambda: _q_plus_q_to_the(2), id="q+q^2"),
+        pytest.param(lambda: _q_plus_q_to_the(7), id="q+q^7"),
+        pytest.param(lambda: _q_plus_q_to_the(40), id="q+q^40"),
+    ],
+)
+def test_revert_matches_reference_up_to_order_40(make):
+    # fixed seeds; the GYZ u, a negative fractional linear term, the
+    # shortest chains, and q + q^k, whose coefficients vanish in runs
+    g = make()
+    h = g.revert()
+    assert h == revert_by_lagrange(g)
+    assert _reduced(h)
+    assert g.compose(h) == RatSeries.identity(g.order)
 
 
 @settings(deadline=None)
