@@ -1,9 +1,10 @@
 """Command-line front end with machine-readable output.
 
 Standard output carries exactly one JSON document (or CSV for table);
-progress notes go to standard error.  Exit codes: 0 success, 1 bad
-input or environment, 2 internal inconsistency (a mathematical check
-failed, which means a defect, not a user error).
+progress notes go to standard error, and so does the error document when
+standard output cannot be written.  Exit codes: 0 success, 1 bad input
+or environment, 2 internal inconsistency (a mathematical check failed,
+which means a defect, not a user error).
 """
 
 from __future__ import annotations
@@ -307,20 +308,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(list(argv) if argv is not None else None)
         doc = _RUNNERS[args.command](args)
         # table --format csv returns its lines; every other document is JSON
-        text = "\n".join(doc) if isinstance(doc, list) else json.dumps(doc)
-        sys.stdout.write(text + "\n")
-        return 0
+        text, code = "\n".join(doc) if isinstance(doc, list) else json.dumps(doc), 0
     except _INCONSISTENCY_ERRORS as exc:
-        _emit_error(exc)
-        return 2
+        text, code = _error_text(exc), 2
     except _INPUT_ERRORS as exc:
-        _emit_error(exc)
-        return 1
+        text, code = _error_text(exc), 1
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:  # a full device or a closed pipe
+        print(_error_text(exc), file=sys.stderr)
+        return code or 1
+    return code
 
 
-def _emit_error(exc: Exception) -> None:
-    doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    sys.stdout.write(json.dumps(doc) + "\n")
+def _error_text(exc: Exception) -> str:
+    return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
 
 
 if __name__ == "__main__":

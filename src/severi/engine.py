@@ -64,15 +64,16 @@ top field; an id that does not fit in 32 bits raises.  CacheStore keys
 its table by these ints and converts at its boundary, so callers and the
 cache file only ever see (d, delta, alpha, beta) tuples.
 
-Children are read from four tables keyed by sequence ids (_ALPHAS,
-_FRONTIER, _SUMS, _TEMPLATES; see their definitions).  They hold facts
-about sequences, not about any store, so like _PARTITIONS they are
-process-global and every store shares them; a store keeps only its
-values.  The builders assert an entry's invariants once, when they
-build it, and hand their own part lists to _seq_id, which trims them;
-only pack checks a sequence from outside.  threshold_report(9) stores
-41,923 states over 1,880 sequences, with 5,385, 4,077, 7,641 and 3,008
-table entries and 21,600 template children.
+Children are read from four builders called with sequence ids:
+_alpha_candidates, _frontier, _seq_sum and _template, the last reading
+_partitions.  They are functools.cache functions whose entries are facts
+about sequences, not about any store, so they are process-global and
+every store shares them; a store keeps only its values.  The builders
+assert an entry's invariants once, when they build it, and hand their
+own part lists to _seq_id, which trims them; only pack checks a sequence
+from outside.  threshold_report(9) stores 41,923 states over 1,880
+sequences, with 5,385, 4,077, 7,641 and 3,008 cached entries and 21,600
+template children.
 
 Cache file text.  cache_load maps each sequence text of the file it
 reads, as cache_save writes it ("2,0,1", "-" for ()), to its id, so a
@@ -81,6 +82,7 @@ line whose texts came up on an earlier line is read with two lookups.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -165,9 +167,9 @@ def _seq_of_text(text: str) -> TangencySeq:
 def pack(key: SeveriKey) -> int:
     """The packed state of a key built by state_key.
 
-    Refuses what the layout cannot hold: a sequence that is not canonical,
-    a negative delta, or a d other than I(alpha) + I(beta), which unpack
-    would not give back.
+    Refuses what state_key and cache_load would not build or the layout
+    cannot hold: a sequence that is not canonical, a negative delta, d < 1,
+    or a d other than I(alpha) + I(beta), which unpack would not give back.
     """
     d, delta, alpha, beta = key
     ia, ib = _IDS.get(alpha), _IDS.get(beta)
@@ -175,7 +177,7 @@ def pack(key: SeveriKey) -> int:
         if canonical(alpha) != alpha or canonical(beta) != beta:
             raise InvalidState(f"{key} has a tangency sequence that is not canonical")
         ia, ib = _seq_id(alpha), _seq_id(beta)
-    if delta < 0 or _WEIGHTS[ia] + _WEIGHTS[ib] != d:
+    if delta < 0 or d < 1 or _WEIGHTS[ia] + _WEIGHTS[ib] != d:
         raise InvalidState(f"{key} is not a valid state")
     return delta << 64 | ia << 32 | ib
 
@@ -251,27 +253,17 @@ def default_cache() -> CacheStore:
     return _DEFAULT_CACHE
 
 
-class _Table(dict):
-    """A memo whose missing entries are built on first lookup."""
-
-    def __init__(self, build) -> None:
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, key):
-        value = self[key] = self._build(*key)
-        return value
-
-
+@functools.cache
 def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n into parts >= 1, each descending: a first part
     p before each partition of n - p whose parts are at most p."""
     if n == 0:
         return ((),)
     return tuple((p, *rest) for p in range(1, n + 1)
-                 for rest in _PARTITIONS[n - p,] if not rest or rest[0] <= p)
+                 for rest in _partitions(n - p) if not rest or rest[0] <= p)
 
 
+@functools.cache
 def _alpha_candidates(ia: int, whi: int) -> tuple[tuple[int, int, int], ...]:
     """Sub-sequences alpha' <= alpha with weight at most whi.
 
@@ -291,11 +283,12 @@ def _alpha_candidates(ia: int, whi: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+@functools.cache
 def _frontier(ib: int, delta: int) -> tuple[tuple[int, int, int], ...]:
     """(c_delta(beta, beta'), id(gamma), id(beta')), gamma = beta - beta',
     for the beta' of the module docstring's frontier with c_delta != 0."""
     out: list[tuple[int, int, int]] = []
-    for ib_p, w_p, _ in _ALPHAS[ib, delta]:
+    for ib_p, w_p, _ in _alpha_candidates(ib, delta):
         gamma = [b - c for b, c in zip_longest(_SEQS[ib], _SEQS[ib_p], fillvalue=0)]
         ends = sum(g for i, g in enumerate(gamma) if w_p + i + 1 > delta)
         if ends:
@@ -305,11 +298,13 @@ def _frontier(ib: int, delta: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+@functools.cache
 def _seq_sum(ia: int, ig: int) -> int:
     """id(alpha + gamma)."""
     return _seq_id(map(sum, zip_longest(_SEQS[ia], _SEQS[ig], fillvalue=0)))
 
 
+@functools.cache
 def _template(ib: int, w: int, budget: int, e_lo: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Coefficients C(beta', beta) . I^gamma and children delta' << 64 |
     id(beta'), delta' = budget - excess, of beta' = beta + gamma, where
@@ -321,7 +316,7 @@ def _template(ib: int, w: int, budget: int, e_lo: int) -> tuple[tuple[int, ...],
     lows: list[int] = []
     for excess in range(e_lo, min(w, budget) + 1):
         high = budget - excess << 64
-        for mu in _PARTITIONS[excess,]:
+        for mu in _partitions(excess):
             m1 = w - excess - len(mu)
             if m1 < 0:
                 continue
@@ -339,16 +334,6 @@ def _template(ib: int, w: int, budget: int, e_lo: int) -> tuple[tuple[int, ...],
     return tuple(coefs), tuple(lows)
 
 
-# (n,) -> partitions of n; (sid, whi) -> sub-sequences of weight <= whi;
-# (ib, delta) -> move-path frontier of beta; (ia, id(gamma)) -> id(alpha +
-# gamma); (ib, I(gamma), budget, e_lo) -> degree-(d-1) children of beta
-_PARTITIONS = _Table(_partitions)
-_ALPHAS = _Table(_alpha_candidates)
-_FRONTIER = _Table(_frontier)
-_SUMS = _Table(_seq_sum)
-_TEMPLATES = _Table(_template)
-
-
 def _transitions(state: int) -> tuple[list[int], list[int]]:
     """Weighted children of a packed state, as parallel lists of
     coefficients and children; the state's value is their dot product."""
@@ -362,9 +347,9 @@ def _transitions(state: int) -> tuple[list[int], list[int]]:
 
     # moves (see "Move-path frontier"): the whole paths when delta < I(beta),
     # else the single moves, which are the frontier at I(beta) - 1
-    for c, ig, b in _FRONTIER[ib, delta if top < 0 else ib_w - 1]:
+    for c, ig, b in _frontier(ib, delta if top < 0 else ib_w - 1):
         coefs.append(c)
-        kids.append(same | _SUMS[ia, ig] << 32 | b)
+        kids.append(same | _seq_sum(ia, ig) << 32 | b)
 
     # degenerate to degree d-1 (see "Degeneration templates"): alpha' <= alpha
     # with I(gamma) = I(alpha) - I(alpha') - 1 >= 1 and budget >= 0
@@ -373,9 +358,9 @@ def _transitions(state: int) -> tuple[list[int], list[int]]:
         return coefs, kids
     # delta' <= (d-1)(d-2)/2: the lower excess bound is max(0, over - I(alpha'))
     over = top - (ia_w + ib_w - 1) * (ia_w + ib_w - 2) // 2
-    for ia_p, wprime, c_alpha in _ALPHAS[ia, whi]:
+    for ia_p, wprime, c_alpha in _alpha_candidates(ia, whi):
         e_lo = over - wprime if over > wprime else 0
-        gcoefs, lows = _TEMPLATES[ib, ia_w - wprime - 1, top - wprime, e_lo]
+        gcoefs, lows = _template(ib, ia_w - wprime - 1, top - wprime, e_lo)
         high = ia_p << 32
         kids.extend([high | low for low in lows])
         coefs.extend([c_alpha * c for c in gcoefs] if c_alpha != 1 else gcoefs)

@@ -51,7 +51,7 @@ def delta_series(order: int) -> RatSeries:
         n = k * (3 * k - 1) // 2
         if n < order:
             euler[n] = -1 if k % 2 else 1
-    return RatSeries([0, *(RatSeries(euler) ** 24).coeffs])
+    return RatSeries([0, *RatSeries(euler).pow_rat(24).coeffs])
 
 
 @dataclass(frozen=True)

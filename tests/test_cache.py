@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from severi import (
     CacheCorruption,
     CacheStore,
+    InvalidState,
     ParseError,
     VersionMismatch,
     relative_severi,
@@ -73,6 +74,17 @@ def test_put_same_value_is_idempotent():
     store.put(key, 3)
     store.put(key, 3)
     assert len(store) == 1
+
+
+def test_put_refuses_degree_zero_and_the_store_still_saves(tmp_path):
+    # a d = 0 line is one cache_load refuses, so the store must not hold it
+    store = CacheStore()
+    store.put((2, 1, (), (2,)), 3)
+    with pytest.raises(InvalidState):
+        store.put((0, 0, (), ()), 5)
+    path = tmp_path / "severi.cache"
+    cache_save(store, path)
+    assert list(cache_load(path).items()) == [((2, 1, (), (2,)), 3)]
 
 
 def test_conflicting_put_is_a_hard_error():

@@ -1,5 +1,6 @@
 """The command-line front end: output schemas, exit codes, cache wiring."""
 
+import io
 import json
 import os
 import pathlib
@@ -564,6 +565,34 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"d": 5, "delta": 2, "value": "882"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_reports_on_stderr():
+    # every write to /dev/full fails with ENOSPC: the error goes to stderr
+    # as the one JSON document there, with no traceback and nothing printed
+    # at shutdown
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "severi", "count", "--d", "3", "--delta", "1", "--no-cache"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+        )
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"]["type"] == "OSError", proc.stderr
+
+
+def test_failed_flush_of_the_document_is_input_error(capsys, monkeypatch):
+    class Full(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["count", "--d", "3", "--delta", "1", "--no-cache"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "OSError", "message": "[Errno 28] No space left on device"}
 
 
 def test_concurrent_processes_keep_both_roots(isolated_cwd):

@@ -447,12 +447,17 @@ def test_transitions_match_the_reference_on_every_small_state():
 
 
 def test_alpha_candidates_match_the_unpruned_walk():
-    # every (alpha, whi) the tables hold after a table run, rebuilt and
-    # compared with the walk over every combination of parts
+    # every sequence interned by a table run, at every weight bound up to
+    # its weight, cached and rebuilt without the cache, against the walk
+    # over every combination of parts
     severi_table(12, 7, cache=CacheStore())
-    for ia, whi in list(engine._ALPHAS):
-        got = Counter((engine._SEQS[s], w, c) for s, w, c in engine._alpha_candidates(ia, whi))
-        assert got == Counter(_ref_alpha_candidates(engine._SEQS[ia], 0, whi)), (ia, whi)
+    for ia in range(len(engine._SEQS)):
+        alpha = engine._SEQS[ia]
+        for whi in range(weight(alpha) + 1):
+            want = Counter(_ref_alpha_candidates(alpha, 0, whi))
+            for build in (engine._alpha_candidates, engine._alpha_candidates.__wrapped__):
+                got = Counter((engine._SEQS[s], w, c) for s, w, c in build(ia, whi))
+                assert got == want, (alpha, whi)
 
 
 def test_smooth_leaf_is_the_delta_zero_frontier():
@@ -462,7 +467,7 @@ def test_smooth_leaf_is_the_delta_zero_frontier():
     empty = engine._seq_id(())
     for ib in range(len(engine._SEQS)):
         if engine._SEQS[ib]:
-            assert engine._FRONTIER[ib, 0] == ((engine._SMOOTH[ib], ib, empty),)
+            assert engine._frontier(ib, 0) == ((engine._SMOOTH[ib], ib, empty),)
 
 
 def test_single_moves_are_the_frontier_below_beta():
@@ -480,7 +485,7 @@ def test_single_moves_are_the_frontier_below_beta():
                 e_k = canonical([0] * i + [1])
                 rest = canonical(list(beta[:i]) + [b - 1] + list(beta[i + 1:]))
                 moves[i + 1, engine._seq_id(e_k), engine._seq_id(rest)] += 1
-        assert Counter(engine._FRONTIER[ib, weight(beta) - 1]) == moves, beta
+        assert Counter(engine._frontier(ib, weight(beta) - 1)) == moves, beta
 
 
 def test_optimized_mode_computes_the_same_table():
@@ -502,6 +507,25 @@ def test_optimized_mode_computes_the_same_table():
     assert proc.stdout == f"False {list(store.items())}\n"
 
 
+def test_builders_do_the_pinned_work_in_a_fresh_process():
+    # the builders' caches are process-global, so only a fresh interpreter
+    # shows how much a cold threshold_report(9) makes them build
+    script = (
+        "from severi import CacheStore, engine, threshold_report\n"
+        "store = CacheStore()\n"
+        "threshold_report(9, cache=store)\n"
+        "builders = (engine._partitions, engine._alpha_candidates, engine._frontier,\n"
+        "            engine._seq_sum, engine._template)\n"
+        "print(len(store), len(engine._SEQS), [b.cache_info().currsize for b in builders])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "41923 1880 [10, 5385, 4077, 7641, 3008]\n"
+
+
 @given(_states())
 def test_pack_round_trips(key):
     state = engine.pack(key)
@@ -518,6 +542,8 @@ def test_pack_refuses_keys_state_key_would_not_build():
         engine.pack((2, -1, (), (2,)))
     with pytest.raises(InvalidState):
         engine.pack((3, 0, (), (2,)))
+    with pytest.raises(InvalidState):
+        engine.pack((0, 0, (), ()))
     with pytest.raises(ValueError):
         engine.pack((1, 0, (), (3, -1)))
 
@@ -530,7 +556,7 @@ def test_seq_id_trims_trailing_zeros():
 
 def test_partition_table_matches_the_recursive_generator():
     for n in range(13):
-        assert Counter(engine._PARTITIONS[n,]) == Counter(_partitions_of(n)), n
+        assert Counter(engine._partitions(n)) == Counter(_partitions_of(n)), n
 
 
 def test_huge_node_counts_keep_distinct_keys():

@@ -4,9 +4,12 @@ import ast
 import doctest
 import importlib
 import importlib.util
+import inspect
+import io
 import pathlib
 import pkgutil
 import re
+import tokenize
 
 import severi
 from severi.series import RatSeries
@@ -104,6 +107,34 @@ def test_modules_use_every_name_they_import():
         checked += len(bound)
     assert checked >= 20  # the walk found the imports
     assert unused == []
+
+
+def test_private_names_in_docs_resolve():
+    # a `_name` in a docstring or comment of a module under src/ names an
+    # attribute of that module or of a class in it, so a rename that leaves
+    # the prose behind fails here
+    stale, checked = [], 0
+    for path in sorted((ROOT / "src" / "severi").glob("*.py")):
+        source = path.read_text()
+        texts = [
+            ast.get_docstring(node) or ""
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        texts += [
+            token.string
+            for token in tokenize.generate_tokens(io.StringIO(source).readline)
+            if token.type == tokenize.COMMENT
+        ]
+        module = importlib.import_module(f"severi.{path.stem}")
+        owners = [module, *(c for _, c in inspect.getmembers(module, inspect.isclass)
+                            if c.__module__ == module.__name__)]
+        for name in set(re.findall(r"(?<!\w)_[A-Za-z]\w*", "\n".join(texts))):
+            checked += 1
+            if not any(hasattr(owner, name) for owner in owners):
+                stale.append(f"{path.name}: {name}")
+    assert checked >= 5  # the walk found the engine's names
+    assert sorted(stale) == []
 
 
 def test_benchmark_patch_targets_resolve():
