@@ -56,51 +56,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="severi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, run, store: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--cache", default=None, metavar="PATH")
-        p.add_argument("--no-cache", action="store_true")
+        p.set_defaults(run=_with_store(run) if store else run)
+        if store:
+            p.add_argument("--cache", default=None, metavar="PATH")
+            p.add_argument("--no-cache", action="store_true")
         return p
 
-    p = add("count", "one Severi degree, optionally with tangency conditions")
+    p = add("count", "one Severi degree, optionally with tangency conditions", _run_count)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--alpha", default=None, metavar="SEQ")
     p.add_argument("--beta", default=None, metavar="SEQ")
 
-    p = add("table", "all Severi degrees up to a degree and node bound")
+    p = add("table", "all Severi degrees up to a degree and node bound", _run_table)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--deltamax", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p = add("nodepoly", "fit one node polynomial")
+    p = add("nodepoly", "fit one node polynomial", _run_nodepoly)
     p.add_argument("--delta", type=int, required=True)
 
-    p = add("threshold", "least degree from which the node polynomial counts")
+    p = add("threshold", "least degree from which the node polynomial counts", _run_threshold)
     p.add_argument("--delta", type=int, required=True)
 
-    p = add("logforms", "quadratic forms in the log of the generating function")
+    p = add("logforms", "quadratic forms in the log of the generating function", _run_logforms)
     p.add_argument("--deltamax", type=int, required=True)
 
     # bell and forms compute no count, so they take neither store flag
-    p = sub.add_parser("bell", help="complete Bell polynomial of given rational arguments")
+    p = add("bell", "complete Bell polynomial of given rational arguments", _run_bell, store=False)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--values", required=True, metavar="RAT[,RAT...]")
 
-    p = add("bseries", "extract B1 and B2 from plane data")
+    p = add("bseries", "extract B1 and B2 from plane data", _run_bseries)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--dlist", required=True, metavar="D[,D...]")
 
-    p = add("predict", "predict counts for a plane degree from extracted B-series")
+    p = add("predict", "predict counts for a plane degree from extracted B-series", _run_predict)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--dlist", required=True, metavar="D[,D...]")
 
-    p = sub.add_parser("forms", help="dump the quasimodular form catalog")
+    p = add("forms", "dump the quasimodular form catalog", _run_forms, store=False)
     p.add_argument("--order", type=int, required=True)
 
     # the cache command acts on the file itself, so it takes no --no-cache
-    p = sub.add_parser("cache", help="inspect or drop the persistent cache")
+    p = add("cache", "inspect or drop the persistent cache", _run_cache, store=False)
     p.add_argument("--cache", default=None, metavar="PATH")
     p.add_argument("action", choices=["stats", "clear"])
 
@@ -120,7 +122,6 @@ def _with_store(run):
     read-only calls never rewrite the file.
     """
 
-    @functools.wraps(run)
     def wrapper(args: argparse.Namespace):
         if args.no_cache:
             return run(args, engine.CacheStore())
@@ -145,7 +146,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
 
 
-@_with_store
 def _run_count(args, store) -> dict:
     doc: dict = {"d": args.d, "delta": args.delta}
     alpha = seq_from_text(args.alpha) if args.alpha is not None else ()
@@ -159,7 +159,6 @@ def _run_count(args, store) -> dict:
     return doc
 
 
-@_with_store
 def _run_table(args, store) -> dict | list[str]:
     rows = engine.severi_table(args.dmax, args.deltamax, cache=store)
     if args.format == "csv":
@@ -175,7 +174,6 @@ def _run_table(args, store) -> dict | list[str]:
     }
 
 
-@_with_store
 def _run_nodepoly(args, store) -> dict:
     poly = nodepoly.fit_node_polynomial(args.delta, cache=store)
     return {
@@ -186,7 +184,6 @@ def _run_nodepoly(args, store) -> dict:
     }
 
 
-@_with_store
 def _run_threshold(args, store) -> dict:
     report = nodepoly.threshold_report(args.delta, cache=store)
     if report.witness is not None:
@@ -197,7 +194,6 @@ def _run_threshold(args, store) -> dict:
     return {"delta": report.delta, "threshold": report.threshold}
 
 
-@_with_store
 def _run_logforms(args, store) -> dict:
     out = nodepoly.log_forms(args.deltamax, cache=store)
     return {
@@ -224,7 +220,6 @@ def _run_bell(args) -> dict:
     }
 
 
-@_with_store
 def _run_bseries(args, store) -> dict:
     degrees = _parse_int_list(args.dlist, "--dlist")
     sol = gyz.extract_b_series(args.order, degrees, cache=store)
@@ -239,7 +234,6 @@ def _run_bseries(args, store) -> dict:
     }
 
 
-@_with_store
 def _run_predict(args, store) -> dict:
     degrees = _parse_int_list(args.dlist, "--dlist")
     invariants = gyz.plane_invariants(args.d)  # a bad --d fails before the extraction
@@ -288,25 +282,11 @@ def _run_cache(args) -> dict:
     }
 
 
-_RUNNERS = {
-    "count": _run_count,
-    "table": _run_table,
-    "nodepoly": _run_nodepoly,
-    "threshold": _run_threshold,
-    "logforms": _run_logforms,
-    "bell": _run_bell,
-    "bseries": _run_bseries,
-    "predict": _run_predict,
-    "forms": _run_forms,
-    "cache": _run_cache,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
-        doc = _RUNNERS[args.command](args)
+        doc = args.run(args)
         # table --format csv returns its lines; every other document is JSON
         text, code = "\n".join(doc) if isinstance(doc, list) else json.dumps(doc), 0
     except _INCONSISTENCY_ERRORS as exc:
@@ -324,7 +304,3 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _error_text(exc: Exception) -> str:
     return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -444,9 +444,8 @@ def severi_table(
     """All N^{d,delta} for d <= dmax, delta <= deltamax, as rows per degree."""
     if dmax < 1 or deltamax < 0:
         raise InvalidState("table needs dmax >= 1 and deltamax >= 0")
-    store = cache if cache is not None else _DEFAULT_CACHE
     queries = [(d, delta) for d in range(1, dmax + 1) for delta in range(deltamax + 1)]
-    values = [severi_degree(d, delta, cache=store) for d, delta in queries]
+    values = [severi_degree(d, delta, cache=cache) for d, delta in queries]
     width = deltamax + 1
     return [values[i : i + width] for i in range(0, len(values), width)]
 

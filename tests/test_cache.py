@@ -1,5 +1,6 @@
 """Cache store semantics and the persistent file format."""
 
+import errno
 import os
 import pathlib
 import tempfile
@@ -310,6 +311,25 @@ def test_save_counts_a_file_removed_under_the_lock_as_empty(tmp_path, monkeypatc
     severi_degree(3, 1, cache=store)
     cache_save(store, path)
     assert path.read_text() == "SEVERI-CACHE v1\n3 1 - 3 12\n"
+
+
+def test_failed_save_leaves_the_file_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "c"
+    first, second = CacheStore(), CacheStore()
+    severi_degree(3, 1, cache=first)
+    cache_save(first, path)
+    before = path.read_bytes()
+
+    def disk_full(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    severi_degree(4, 1, cache=second)
+    with pytest.raises(OSError) as exc:
+        cache_save(second, path)
+    assert exc.value.errno == errno.ENOSPC
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "c.lock"]
 
 
 # ------------------------------------------------ the loader against its reference

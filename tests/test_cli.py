@@ -1,5 +1,6 @@
 """The command-line front end: output schemas, exit codes, cache wiring."""
 
+import argparse
 import io
 import json
 import os
@@ -347,6 +348,17 @@ def test_bad_dlist_is_usage_error(capsys):
     )
 
 
+@pytest.mark.parametrize("values", ["1,x", "1/0"])
+def test_bad_bell_values_are_usage_error(capsys, values):
+    expect_error(capsys, 1, "UsageError", "bell", "--delta", "2", "--values", values)
+
+
+def test_empty_table_is_input_error(capsys):
+    expect_error(
+        capsys, 1, "InvalidState", "table", "--dmax", "0", "--deltamax", "1", "--no-cache"
+    )
+
+
 def test_degree_too_small_is_input_error(capsys):
     expect_error(
         capsys, 1, "DegreeTooSmall",
@@ -532,13 +544,22 @@ def test_help_exits_zero_and_the_next_call_works(capsys):
     assert doc["value"] == "225"
 
 
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
 def test_every_subcommand_has_a_runner(capsys):
-    # a subcommand missing from _RUNNERS would end main in a KeyError traceback
+    # main calls the `run` default its subcommand's parser sets
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    choices = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1)
-    assert set(choices.split(",")) == set(cli._RUNNERS)
+    choices = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
+    parsers = subcommand_parsers()
+    for name in choices:
+        assert callable(parsers[name].get_default("run")), name
 
 
 # ------------------------------------------------------------------ entry point

@@ -446,13 +446,20 @@ def test_transitions_match_the_reference_on_every_small_state():
         _assert_transitions_match_the_reference(key)
 
 
+def _table_sequences() -> list[TangencySeq]:
+    """The alpha and beta of every state severi_table(12, 7) stores: a fixed
+    set, however many sequences earlier tests interned in this process."""
+    store = CacheStore()
+    severi_table(12, 7, cache=store)
+    return sorted({seq for (_, _, alpha, beta), _ in store.items() for seq in (alpha, beta)})
+
+
 def test_alpha_candidates_match_the_unpruned_walk():
-    # every sequence interned by a table run, at every weight bound up to
-    # its weight, cached and rebuilt without the cache, against the walk
-    # over every combination of parts
-    severi_table(12, 7, cache=CacheStore())
-    for ia in range(len(engine._SEQS)):
-        alpha = engine._SEQS[ia]
+    # every sequence of a table run, at every weight bound up to its
+    # weight, cached and rebuilt without the cache, against the walk over
+    # every combination of parts
+    for alpha in _table_sequences():
+        ia = engine._seq_id(alpha)
         for whi in range(weight(alpha) + 1):
             want = Counter(_ref_alpha_candidates(alpha, 0, whi))
             for build in (engine._alpha_candidates, engine._alpha_candidates.__wrapped__):
@@ -463,10 +470,10 @@ def test_alpha_candidates_match_the_unpruned_walk():
 def test_smooth_leaf_is_the_delta_zero_frontier():
     # at delta = 0 every move path runs to beta' = (): gamma = beta, and
     # c_0 is the coincident-root count of the closed-form leaf
-    severi_table(12, 7, cache=CacheStore())
     empty = engine._seq_id(())
-    for ib in range(len(engine._SEQS)):
-        if engine._SEQS[ib]:
+    for beta in _table_sequences():
+        if beta:
+            ib = engine._seq_id(beta)
             assert engine._frontier(ib, 0) == ((engine._SMOOTH[ib], ib, empty),)
 
 
@@ -474,11 +481,10 @@ def test_single_moves_are_the_frontier_below_beta():
     # at delta = I(beta) - 1 every move path stops after one move, so the
     # frontier is k . (alpha + e_k, beta - e_k) over beta_k >= 1: the move
     # terms of a state with delta >= I(beta)
-    severi_table(12, 7, cache=CacheStore())
-    for ib in range(len(engine._SEQS)):
-        beta = engine._SEQS[ib]
+    for beta in _table_sequences():
         if not beta:
             continue
+        ib = engine._seq_id(beta)
         moves = Counter()
         for i, b in enumerate(beta):
             if b:

@@ -14,10 +14,12 @@ import io
 import json
 import os
 import pathlib
+import re
 import sys
 import tempfile
 
 FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "golden_cli.json"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # the README's command list; `cache stats` and `cache clear` describe the
 # file rather than the counts and are covered in test_cli.py
@@ -70,6 +72,17 @@ def test_transcript_matches_fixture(tmp_path, monkeypatch):
     ]
     for g, e in zip(got, expected):
         assert (g["exit"], g["stdout"]) == (e["exit"], e["stdout"]), (g["mode"], g["command"])
+
+
+def test_commands_are_the_readme_list_and_the_parser_choices():
+    from test_cli import subcommand_parsers
+
+    readme = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, flags=re.DOTALL).group(1)
+    lines = [line.removeprefix("severi ") for line in block.splitlines()]
+    assert [line for line in lines if not line.startswith("cache ")] == COMMANDS
+    subcommands = list(dict.fromkeys(line.split()[0] for line in lines))
+    assert subcommands == list(subcommand_parsers())
 
 
 if __name__ == "__main__":

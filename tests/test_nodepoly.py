@@ -9,6 +9,7 @@ import pytest
 
 from severi import (
     CacheStore,
+    DegreeCheckFailed,
     InconsistentSystem,
     InvalidInvariants,
     Invariants,
@@ -17,6 +18,7 @@ from severi import (
     fit_node_polynomial,
     gyz,
     log_forms,
+    nodepoly,
     plane_invariants,
     reconstruct_from_log_forms,
     severi_degree,
@@ -151,6 +153,37 @@ def test_leading_coefficient_is_power_of_three_over_factorial(shared_cache):
 def test_fit_rejects_negative_delta():
     with pytest.raises(ValueError):
         fit_node_polynomial(-1)
+
+
+def guard_one_too_high(monkeypatch):
+    """nodepoly sees the count at the guard point 3.delta + 3 one too high."""
+    true_degree = nodepoly.severi_degree
+
+    def poisoned(d, delta, cache=None):
+        value = true_degree(d, delta, cache=cache)
+        return value + 1 if d == 3 * delta + 3 else value
+
+    monkeypatch.setattr(nodepoly, "severi_degree", poisoned)
+
+
+def test_fit_checks_the_guard_point(monkeypatch):
+    guard_one_too_high(monkeypatch)
+    with pytest.raises(DegreeCheckFailed, match=r"T_2\(9\)"):
+        fit_node_polynomial(2, cache=CacheStore())
+
+
+def test_fit_refuses_a_degenerate_polynomial(monkeypatch):
+    # all-zero counts pass the guard, but T_delta must have degree 2.delta
+    monkeypatch.setattr(nodepoly, "severi_degree", lambda d, delta, cache=None: 0)
+    with pytest.raises(DegreeCheckFailed, match="degenerated below degree 4"):
+        fit_node_polynomial(2, cache=CacheStore())
+
+
+def test_nodepoly_cli_exits_2_on_a_failed_guard(monkeypatch, capsys):
+    guard_one_too_high(monkeypatch)
+    code = main(["nodepoly", "--delta", "2", "--no-cache"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (code, error["type"]) == (2, "DegreeCheckFailed")
 
 
 # ------------------------------------------------------------------ thresholds

@@ -191,6 +191,7 @@ def test_pow_rat_examples():
     root = RatSeries([1, 1], order=3).pow_rat(F(1, 2))
     assert root.coeffs == (F(1), F(1, 2), F(-1, 8), F(1, 16))
     assert (root * root).coeffs == (F(1), F(1), F(0), F(0))
+    assert RatSeries([1, 1], order=3) ** F(1, 2) == root
     assert series(1, 7, 3).pow_rat(0) == RatSeries.one(2)
 
 
@@ -509,6 +510,7 @@ def test_truncate_matches_reference_at_every_order(a):
         t = s.truncate(order)
         assert t.coeffs == tuple(a[: order + 1])
         assert _reduced(t)
+        assert RatSeries(a, order=order) == t
     for order in (len(a), -1, -2):
         with pytest.raises(ValueError):
             s.truncate(order)
