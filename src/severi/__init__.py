@@ -7,69 +7,48 @@ product formula.  Everything is exact: integers are unbounded and
 coefficients are rationals; no floating point anywhere.
 
 The top level holds the pipeline's entry points and the exceptions
-they raise; everything else is importable from its submodule.
+they raise; everything else is importable from its submodule.  Importing
+the package loads no submodule: a name loads its submodule on first use
+(PEP 562), so a CLI call imports only what its subcommand runs.
 """
 
-from .engine import (
-    CacheCorruption,
-    CacheStore,
-    ParseError,
-    VersionMismatch,
-    relative_severi,
-    severi_degree,
-    severi_table,
-)
-from .forms import form_catalog, sigma1
-from .gyz import (
-    DegreeTooSmall,
-    InconsistentSystem,
-    InvalidInvariants,
-    Invariants,
-    NonIntegralPrediction,
-    extract_b_series,
-    gyz_predict,
-    plane_invariants,
-)
-from .nodepoly import (
-    DegreeCheckFailed,
-    bell_polynomial,
-    fit_node_polynomial,
-    log_forms,
-    reconstruct_from_log_forms,
-    threshold,
-    threshold_report,
-)
-from .series import RatSeries, SeriesError
-from .tangency import InvalidState
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CacheCorruption",
-    "CacheStore",
-    "DegreeCheckFailed",
-    "DegreeTooSmall",
-    "InconsistentSystem",
-    "InvalidInvariants",
-    "InvalidState",
-    "Invariants",
-    "NonIntegralPrediction",
-    "ParseError",
-    "RatSeries",
-    "SeriesError",
-    "VersionMismatch",
-    "bell_polynomial",
-    "extract_b_series",
-    "fit_node_polynomial",
-    "form_catalog",
-    "gyz_predict",
-    "log_forms",
-    "plane_invariants",
-    "reconstruct_from_log_forms",
-    "relative_severi",
-    "severi_degree",
-    "severi_table",
-    "sigma1",
-    "threshold",
-    "threshold_report",
-]
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "engine": (
+        "CacheCorruption", "CacheStore", "ParseError", "VersionMismatch",
+        "relative_severi", "severi_degree", "severi_table",
+    ),
+    "forms": ("form_catalog", "sigma1"),
+    "gyz": (
+        "DegreeTooSmall", "InconsistentSystem", "InvalidInvariants", "Invariants",
+        "NonIntegralPrediction", "extract_b_series", "gyz_predict", "plane_invariants",
+    ),
+    "nodepoly": (
+        "DegreeCheckFailed", "bell_polynomial", "fit_node_polynomial", "log_forms",
+        "reconstruct_from_log_forms", "threshold", "threshold_report",
+    ),
+    "series": ("RatSeries", "SeriesError"),
+    "tangency": ("InvalidState",),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        value = getattr(importlib.import_module(f"{__package__}.{_OWNER[name]}"), name)
+    elif name in _EXPORTS or name == "cli":
+        value = importlib.import_module(f"{__package__}.{name}")
+    else:
+        raise AttributeError(f"module {__package__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

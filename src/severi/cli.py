@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import engine, forms, gyz, nodepoly
+from . import engine
 from .tangency import seq_from_text, seq_to_text
 
 DEFAULT_CACHE_PATH = "./severi.cache"
@@ -26,14 +26,6 @@ CACHE_ENV_VAR = "SEVERI_CACHE"
 class UsageError(ValueError):
     """Bad command line: unknown flag, missing argument, unparsable value."""
 
-
-# failures of internal cross-checks: the math is wrong, not the input
-_INCONSISTENCY_ERRORS = (
-    engine.CacheCorruption,
-    gyz.InconsistentSystem,
-    gyz.NonIntegralPrediction,
-    nodepoly.DegreeCheckFailed,
-)
 
 # every bad-input class (UsageError, InvalidState, ParseError, ...) is a ValueError
 _INPUT_ERRORS = (ValueError, OSError)
@@ -175,6 +167,8 @@ def _run_table(args, store) -> dict | list[str]:
 
 
 def _run_nodepoly(args, store) -> dict:
+    from . import nodepoly
+
     poly = nodepoly.fit_node_polynomial(args.delta, cache=store)
     return {
         "delta": poly.delta,
@@ -185,6 +179,8 @@ def _run_nodepoly(args, store) -> dict:
 
 
 def _run_threshold(args, store) -> dict:
+    from . import nodepoly
+
     report = nodepoly.threshold_report(args.delta, cache=store)
     if report.witness is not None:
         w = report.witness
@@ -195,6 +191,8 @@ def _run_threshold(args, store) -> dict:
 
 
 def _run_logforms(args, store) -> dict:
+    from . import nodepoly
+
     out = nodepoly.log_forms(args.deltamax, cache=store)
     return {
         "deltamax": args.deltamax,
@@ -207,6 +205,8 @@ def _run_logforms(args, store) -> dict:
 
 def _run_bell(args) -> dict:
     from fractions import Fraction
+
+    from . import nodepoly
 
     try:
         values = [Fraction(part) for part in args.values.split(",")]
@@ -221,6 +221,8 @@ def _run_bell(args) -> dict:
 
 
 def _run_bseries(args, store) -> dict:
+    from . import gyz
+
     degrees = _parse_int_list(args.dlist, "--dlist")
     sol = gyz.extract_b_series(args.order, degrees, cache=store)
     _progress(f"extracting B-series to order {args.order} from degrees {degrees}")
@@ -235,6 +237,8 @@ def _run_bseries(args, store) -> dict:
 
 
 def _run_predict(args, store) -> dict:
+    from . import gyz
+
     degrees = _parse_int_list(args.dlist, "--dlist")
     invariants = gyz.plane_invariants(args.d)  # a bad --d fails before the extraction
     sol = gyz.extract_b_series(args.order, degrees, cache=store)
@@ -249,6 +253,8 @@ def _run_predict(args, store) -> dict:
 
 
 def _run_forms(args) -> dict:
+    from . import forms
+
     catalog = forms.form_catalog(args.order)
     return {
         "order": catalog.order,
@@ -289,7 +295,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         doc = args.run(args)
         # table --format csv returns its lines; every other document is JSON
         text, code = "\n".join(doc) if isinstance(doc, list) else json.dumps(doc), 0
-    except _INCONSISTENCY_ERRORS as exc:
+    except engine.InternalInconsistency as exc:  # the math is wrong, not the input
         text, code = _error_text(exc), 2
     except _INPUT_ERRORS as exc:
         text, code = _error_text(exc), 1

@@ -104,7 +104,11 @@ CACHE_MAGIC = "SEVERI-CACHE"
 CACHE_VERSION = "v1"
 
 
-class CacheCorruption(RuntimeError):
+class InternalInconsistency(RuntimeError):
+    """A mathematical cross-check failed: a defect, not bad input (exit 2)."""
+
+
+class CacheCorruption(InternalInconsistency):
     """A stored value was contradicted; mathematical truth is immutable."""
 
 
@@ -229,9 +233,6 @@ class CacheStore:
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def __contains__(self, key: SeveriKey) -> bool:
-        return pack(key) in self._data
 
     def items(self) -> Iterator[tuple[SeveriKey, int]]:
         return iter(sorted((unpack(s), v) for s, v in self._data.items()))

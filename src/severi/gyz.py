@@ -15,20 +15,24 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .engine import CacheStore, severi_degree
+from .engine import CacheStore, InternalInconsistency, severi_degree
 from .forms import FormCatalog, form_catalog
 from .series import RatSeries
 
 
 class DegreeTooSmall(ValueError):
-    """A degree is below the safe regime d >= order + 1."""
+    """A degree is below the safe regime d >= order + 1.
+
+    There N^{d,delta} = T_delta(d) for every delta <= order: Block
+    (arXiv:1006.0218) proves it for all d >= delta.
+    """
 
 
-class InconsistentSystem(RuntimeError):
+class InconsistentSystem(InternalInconsistency):
     """Two extraction degrees disagree; the forms or the engine are wrong."""
 
 
-class NonIntegralPrediction(RuntimeError):
+class NonIntegralPrediction(InternalInconsistency):
     """A predicted count came out non-integral."""
 
 

@@ -1,12 +1,13 @@
 """Node polynomials T_delta(d), thresholds, and the exp/log structure.
 
 T_delta is the degree-2delta polynomial that equals N^{d,delta} for all
-large d.  It is fitted by exact interpolation inside the proven
-polynomial regime and never assumed below it; the threshold scan finds
-where agreement actually starts.  The log of the generating function
-sum_delta T_delta(d) u^delta is quadratic in d by the product formula,
-so its three coefficient series are read off one B-series solution;
-the Bell-polynomial reconstruction inverts that structure.
+large d.  It is fitted by exact interpolation inside the polynomial
+regime d >= delta that Block proves (arXiv:1006.0218) and never assumed
+below it; the threshold scan finds where agreement actually starts.
+The log of the generating function sum_delta T_delta(d) u^delta is
+quadratic in d by the product formula, so its three coefficient series
+are read off one B-series solution; the Bell-polynomial reconstruction
+inverts that structure.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import gyz
-from .engine import CacheStore, severi_degree
+from .engine import CacheStore, InternalInconsistency, severi_degree
 from .series import RatSeries, Scalar
 
 
-class DegreeCheckFailed(RuntimeError):
+class DegreeCheckFailed(InternalInconsistency):
     """The fitted polynomial missed the held-out guard point."""
 
 
@@ -70,15 +71,12 @@ class NodePolynomial:
     def __call__(self, d: int) -> Fraction:
         return _poly_eval(self.coeffs, d)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def fit_node_polynomial(delta: int, cache: CacheStore | None = None) -> NodePolynomial:
     """Interpolate N^{d,delta} at d = delta+2 .. 3delta+2, guard at 3delta+3.
 
-    The window sits inside the proven polynomial regime, so the fit does
+    The window sits inside the regime d >= delta where Block
+    (arXiv:1006.0218) proves N^{d,delta} = T_delta(d), so the fit does
     not presuppose the conjectured threshold.
     """
     if delta < 0:
@@ -114,16 +112,16 @@ class ThresholdResult:
 def threshold_report(delta: int, cache: CacheStore | None = None) -> ThresholdResult:
     """Least d* with T_delta(d) = N^{d,delta} on all of [d*, 3delta+3].
 
-    Scans downward from the fit window so that accidental agreement
-    below a gap does not shrink the answer.
+    The fit already checked every d in [delta+2, 3delta+3], its nodes and
+    guard, so the scan starts at delta+1 and stops at the first mismatch
+    going down: accidental agreement below a gap does not shrink the answer.
     """
     if delta < 1:
         raise ValueError("threshold needs delta >= 1")
     poly = fit_node_polynomial(delta, cache=cache)
-    top = 3 * delta + 3
-    least = top + 1
+    least = delta + 2
     witness = None
-    for d in range(top, 0, -1):
+    for d in range(delta + 1, 0, -1):
         predicted = poly(d)
         actual = severi_degree(d, delta, cache=cache)
         if predicted == actual:

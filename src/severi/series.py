@@ -123,10 +123,6 @@ class RatSeries:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "RatSeries":
-        return cls([0], order=order)
-
-    @classmethod
     def one(cls, order: int) -> "RatSeries":
         return cls([1], order=order)
 

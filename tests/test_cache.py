@@ -66,7 +66,7 @@ def test_put_get_and_counters():
     assert store.get(key) == 3
     assert store.hits == 1
     assert len(store) == 1
-    assert key in store
+    assert key in dict(store.items())
 
 
 def test_put_same_value_is_idempotent():
@@ -108,6 +108,10 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert dict(loaded.items()) == dict(store.roots())
     cache_save(loaded, path)
     assert path.read_bytes() == first
+    # a blank line between two entries is skipped
+    lines = first.decode().splitlines(keepends=True)
+    path.write_text("".join([*lines[:2], "\n", *lines[2:]]))
+    assert dict(cache_load(path).items()) == dict(store.roots())
 
 
 def test_loaded_cache_serves_queries(tmp_path):

@@ -463,6 +463,20 @@ def test_corrupted_cache_is_internal_error(capsys, isolated_cwd):
     )
 
 
+def test_non_integral_prediction_is_internal_error(capsys, monkeypatch):
+    # the other cross-checks exit 2 in test_corrupted_cache_is_internal_error
+    # and in test_nodepoly's CLI tests
+    def fail(*args, **kwargs):
+        raise gyz.NonIntegralPrediction("n_1 = 1/2 is not an integer")
+
+    monkeypatch.setattr(gyz, "gyz_predict", fail)
+    message = expect_error(
+        capsys, 2, "NonIntegralPrediction",
+        "predict", "--d", "5", "--order", "1", "--dlist", "2,3", "--no-cache",
+    )
+    assert message == "n_1 = 1/2 is not an integer"
+
+
 @pytest.mark.parametrize("argv", [["count", "--d", "3", "--delta", "1"], ["cache", "stats"]])
 def test_cache_file_removed_mid_call_counts_as_empty(capsys, isolated_cwd, monkeypatch, argv):
     run_json(capsys, "count", "--d", "2", "--delta", "1")

@@ -145,6 +145,11 @@ def test_relative_degrees(shared_cache):
     )
 
 
+def test_calls_without_a_store_fill_the_default_one():
+    assert severi_degree(3, 2) == 21
+    assert engine.default_cache().get((3, 2, (), (3,))) == 21
+
+
 def _partitions_of(n):
     if n == 0:
         yield ()

@@ -50,7 +50,7 @@ def test_plane_series_collects_u_powers(shared_cache):
 def test_plane_series_is_the_counts_composed_with_u(shared_cache):
     # the explicit sum of N^{6,delta} u^delta, built with * and +
     u = form_catalog(5).u
-    total = RatSeries.zero(5)
+    total = RatSeries([0], order=5)
     u_power = RatSeries.one(5)
     for delta in range(6):
         total = total + severi_degree(6, delta, cache=shared_cache) * u_power
@@ -61,6 +61,8 @@ def test_plane_series_is_the_counts_composed_with_u(shared_cache):
 def test_plane_series_degree_guard(shared_cache):
     with pytest.raises(DegreeTooSmall):
         plane_generating_series(3, 3, cache=shared_cache)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        plane_generating_series(5, -1, cache=shared_cache)
 
 
 def test_extraction_by_hand_at_order_one(shared_cache):

@@ -103,7 +103,7 @@ def test_t0_is_one(shared_cache):
 def test_t1_coefficients(shared_cache):
     p = fit_node_polynomial(1, cache=shared_cache)
     assert p.coeffs == (Fraction(3), Fraction(-6), Fraction(3))
-    assert p.degree == 2
+    assert len(p.coeffs) - 1 == 2
     assert p.fit_range == (3, 4, 5)
     assert p(6) == severi_degree(6, 1, cache=shared_cache)  # the guard point
 
@@ -215,6 +215,18 @@ def test_no_witness_when_polynomial_holds_everywhere(shared_cache):
     rep = threshold_report(1, cache=shared_cache)
     assert rep.threshold == 1
     assert rep.witness is None
+
+
+def test_a_mismatch_just_below_the_fit_window_is_the_witness(monkeypatch):
+    # the fit checks d = delta+2 .. 3.delta+3, so the scan starts at delta+1
+    true_degree = nodepoly.severi_degree
+
+    def poisoned(d, delta, cache=None):
+        return true_degree(d, delta, cache=cache) + (d == delta + 1)
+
+    monkeypatch.setattr(nodepoly, "severi_degree", poisoned)
+    rep = threshold_report(2, cache=CacheStore())
+    assert (rep.threshold, rep.witness.d) == (4, 3)
 
 
 def test_threshold_rejects_delta_zero():

@@ -6,13 +6,20 @@ import importlib
 import importlib.util
 import inspect
 import io
+import json
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 import tokenize
 
+import pytest
+
 import severi
+from severi import engine
 from severi.series import RatSeries
+from test_cli import child_env
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -40,6 +47,53 @@ def test_exports_are_unique():
 
 def test_exports_are_exactly_the_surface():
     assert sorted(severi.__all__) == sorted(SURFACE)
+
+
+def test_unknown_names_are_attribute_errors():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        severi.no_such_name
+    assert set(severi.__all__) <= set(dir(severi))
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_count_loads_only_the_engine_and_tangency():
+    # a name or a subcommand loads its submodule on first use, not before
+    proc = run_fresh(
+        "import json, sys\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('severi'))\n"
+        "import severi\n"
+        "before = loaded()\n"
+        "severi.cli.main(['count', '--d', '5', '--delta', '2', '--no-cache'])\n"
+        "print(json.dumps([before, loaded()]), file=sys.stderr)\n"
+    )
+    assert json.loads(proc.stdout) == {"d": 5, "delta": 2, "value": "882"}
+    assert json.loads(proc.stderr) == [
+        ["severi"], ["severi", "severi.cli", "severi.engine", "severi.tangency"],
+    ]
+
+
+def test_submodules_resolve_as_package_attributes():
+    modules = ["cli", "engine", "forms", "gyz", "nodepoly", "series", "tangency"]
+    run_fresh(
+        "import importlib, severi\n"
+        f"for name in {modules!r}:\n"
+        "    assert getattr(severi, name) is importlib.import_module('severi.' + name), name\n"
+        "assert severi.engine.cache_load and severi.threshold is severi.nodepoly.threshold\n"
+    )
+
+
+def test_exit_2_errors_share_one_base_class():
+    errors = [severi.CacheCorruption, severi.InconsistentSystem,
+              severi.NonIntegralPrediction, severi.DegreeCheckFailed]
+    assert all(issubclass(e, engine.InternalInconsistency) for e in errors)
+    assert issubclass(engine.InternalInconsistency, RuntimeError)
 
 
 def names_imported_from_severi(source: str) -> set[str]:

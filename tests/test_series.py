@@ -129,7 +129,7 @@ def _ref_compose(f, g):
 def test_add_examples():
     assert (series(1, 1) + series(1, -1)).coeffs == (F(2), F(0))
     s = series(0, 1, 1)
-    assert (RatSeries.zero(2) + s) == s
+    assert (RatSeries([0], order=2) + s) == s
     assert (series(0, 1, 1) + series(0, 0, 1)).coeffs == (F(0), F(1), F(2))
 
 
@@ -164,7 +164,7 @@ def test_inverse_needs_nonzero_constant():
 def test_exp_examples():
     e = RatSeries([0, 1], order=4).exp()
     assert e.coeffs == (F(1), F(1), F(1, 2), F(1, 6), F(1, 24))
-    assert RatSeries.zero(3).exp() == RatSeries.one(3)
+    assert RatSeries([0], order=3).exp() == RatSeries.one(3)
     grown = series(0, 1, 1, 0).exp()
     assert grown.coeffs == (F(1), F(1), F(3, 2), F(7, 6))
     assert grown == exp_by_partial_sums(series(0, 1, 1, 0))
@@ -178,7 +178,7 @@ def test_exp_needs_zero_constant():
 def test_log_examples():
     harmonic = series(1, -1, 0, 0).inverse().log()
     assert harmonic.coeffs == (F(0), F(1), F(1, 2), F(1, 3))
-    assert RatSeries.one(4).log() == RatSeries.zero(4)
+    assert RatSeries.one(4).log() == RatSeries([0], order=4)
     assert series(0, 1, 5, 0, 0).exp().log().coeffs == (F(0), F(1), F(5), F(0), F(0))
 
 
@@ -270,6 +270,29 @@ def test_coefficients_stay_reduced():
 def test_index_outside_order_raises():
     with pytest.raises(IndexError):
         series(1, 2)[2]
+
+
+def test_repr_shows_the_first_seven_coefficients():
+    assert repr(series(1, F(1, 2))) == "RatSeries([1, 1/2]; order=1)"
+    assert repr(RatSeries(range(9))) == "RatSeries([0, 1, 2, 3, 4, 5, 6, ...]; order=8)"
+
+
+def test_constructor_truncates_and_refuses_bad_input():
+    assert RatSeries([1, 2, 3], order=1) == series(1, 2)
+    with pytest.raises(TypeError, match="got str"):
+        RatSeries(["1"])
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        RatSeries([1], order=-1)
+    with pytest.raises(ValueError, match="constant term"):
+        RatSeries([])
+
+
+def test_foreign_operands_are_not_implemented():
+    s = series(1, 2)
+    for op in (lambda: s + "x", lambda: s * "x", lambda: s - "x"):
+        with pytest.raises(TypeError):
+            op()
+    assert (s == "x") is False
 
 
 # -- randomized properties ------------------------------------------------
@@ -541,5 +564,5 @@ def test_equal_coefficients_mean_equal_series():
     assert total == RatSeries([1, 0]) and hash(total) == hash(RatSeries([1, 0]))
     assert RatSeries([F(1, 2), F(1, 3)]) == RatSeries([3, 2]) * F(1, 6)
     assert RatSeries([F(2, 3)]) * F(3, 2) == RatSeries.one(0)
-    assert RatSeries([0, 0]) * F(1, 7) == RatSeries.zero(1)
+    assert RatSeries([0, 0]) * F(1, 7) == RatSeries([0], order=1)
     assert RatSeries([1, 2]) != RatSeries([1, 2, 0])
