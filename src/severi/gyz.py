@@ -6,7 +6,7 @@ series once u, B3, B4 are fixed.  Both directions work on its log.
 Plane data (z = 9, y = -3d) makes each degree one linear equation in
 log(B1) and log(B2); the first two degrees solve it in exact
 arithmetic and every other degree must agree, so any disagreement is a
-hard error, not noise.  Prediction sums the four logs and takes one exp.
+hard error, not noise.  Prediction reads the solution's linear `forms`.
 """
 
 from __future__ import annotations
@@ -90,6 +90,21 @@ class BSeriesSolution:
     def b2(self) -> RatSeries:
         return self.logs[1].exp()
 
+    @cached_property
+    def forms(self) -> tuple[RatSeries, RatSeries, RatSeries, RatSeries]:
+        """(X, Y, Z, T) with log F = x.X + y.Y + z.Z + t.T, F = B1^z B2^y B3^chi B4^(-nu/2).
+
+        With L_i = log B_i, nu = (z + t)/12 and chi = (x - y)/2 + nu,
+        log F = z.L1 + y.L2 + chi.L3 - nu/2.L4
+              = x.L3/2 + y.(L2 - L3/2) + z.(L1 + c) + t.c,  c = L3/12 - L4/24.
+        Gottsche's linear form a_kappa(x, y, z, t) is then kappa! times
+        [u^kappa] of (x.X + y.Y + z.Z + t.T) o q, and n_delta is
+        [u^delta] exp(sum a_kappa u^kappa/kappa!).
+        """
+        l1, l2, l3, l4 = self.logs
+        c = l3 * Fraction(1, 12) - l4 * Fraction(1, 24)
+        return l3 * Fraction(1, 2), l2 - l3 * Fraction(1, 2), l1 + c, c
+
     @property
     def integral(self) -> bool:
         return all(c.denominator == 1 for c in (*self.b1.coeffs, *self.b2.coeffs))
@@ -164,24 +179,16 @@ def gyz_predict(
     sol: BSeriesSolution,
     order: int | None = None,
 ) -> list[int]:
-    """Counts n_delta for delta <= order from the four invariants.
-
-    Builds F = B1^z B2^y B3^chi B4^(-nu/2) as one exp of its log and
-    reads off the u-coefficients through reversion of u(q).
-    """
+    """Counts n_delta for delta <= order from the four invariants."""
     if order is None:
         order = sol.order
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > sol.order:
         raise ValueError(f"order {order} exceeds the solution's {sol.order}")
-    l1, l2, l3, l4 = (log.truncate(order) for log in sol.logs)
-    log_f = inv.z * l1 + inv.y * l2 + inv.chi * l3 - Fraction(inv.nu, 2) * l4
-    in_u = log_f.exp().compose(sol.q)
-    values = []
-    for delta in range(order + 1):
-        c = in_u[delta]
+    x, y, z, t = (form.truncate(order) for form in sol.forms)
+    in_u = (inv.x * x + inv.y * y + inv.z * z + inv.t * t).compose(sol.q).exp()
+    for delta, c in enumerate(in_u.coeffs):
         if c.denominator != 1:
             raise NonIntegralPrediction(f"n_{delta} = {c} is not an integer")
-        values.append(int(c))
-    return values
+    return [int(c) for c in in_u.coeffs]

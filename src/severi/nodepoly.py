@@ -5,9 +5,8 @@ large d.  It is fitted by exact interpolation inside the polynomial
 regime d >= delta that Block proves (arXiv:1006.0218) and never assumed
 below it; the threshold scan finds where agreement actually starts.
 The log of the generating function sum_delta T_delta(d) u^delta is
-quadratic in d by the product formula, so its three coefficient series
-are read off one B-series solution; the Bell-polynomial reconstruction
-inverts that structure.
+quadratic in d: the plane shadow of the B-series solution's linear
+`forms`.  The Bell-polynomial reconstruction inverts that structure.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import gyz
 from .engine import CacheStore, InternalInconsistency, severi_degree
 from .series import RatSeries, Scalar
 
@@ -152,28 +150,23 @@ class LogForm:
 def log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:
     """The forms q_kappa(d) = kappa! [u^kappa] log sum_delta T_delta(d) u^delta.
 
-    Read off one B-series solution.  With q = q(u) the reversion of u(q)
-    and L_i = log(B_i) o q, the plane case of the product formula
-    (z = 9, y = -3d, nu = 1, chi = (d^2 + 3d)/2 + 1) gives
-
-        log sum_delta T_delta(d) u^delta = 9.L1 - 3d.L2 + chi(d).L3 - L4/2
-            = d^2.(L3/2) + d.(3/2.L3 - 3.L2) + (9.L1 + L3 - L4/2),
-
-    so a2, a1, a0 are kappa! times the u^kappa coefficients of those three
-    series.  B1, B2 come from the counts at d = 2.delta_max and
-    2.delta_max + 1, where N^{d,delta} = T_delta(d) is proven (Fomin and
-    Mikhalkin); d = 2.delta_max + 2 is held out and must agree, else
-    InconsistentSystem.
+    The plane shadow (x, y, z, t) = (d^2, -3d, 9, 3) of the B-series
+    solution's `forms` (X, Y, Z, T): a2, a1, a0 = X, -3Y, 9Z + 3T, each
+    composed with q.  B1, B2 come from the counts at d = delta_max + 1 and
+    delta_max + 2, where N^{d,delta} = T_delta(d) for every delta <=
+    delta_max (Block, arXiv:1006.0218); d = delta_max + 3 is held out and
+    must agree, else InconsistentSystem.
     """
+    from . import gyz
+
     if delta_max < 1:
         raise ValueError("log forms need delta_max >= 1")
-    top = 2 * delta_max
-    sol = gyz.extract_b_series(delta_max, (top, top + 1, top + 2), cache=cache)
-    l1, l2, l3, l4 = (log.compose(sol.q) for log in sol.logs)
-    half = Fraction(1, 2)
-    a2, a1, a0 = l3 * half, l3 * (3 * half) - 3 * l2, 9 * l1 + l3 - l4 * half
+    low = delta_max + 1
+    sol = gyz.extract_b_series(delta_max, (low, low + 1, low + 2), cache=cache)
+    x, y, z, t = sol.forms
+    plane = [s.compose(sol.q) for s in (x, -3 * y, 9 * z + 3 * t)]
     return [
-        LogForm(kappa, *(math.factorial(kappa) * s[kappa] for s in (a2, a1, a0)))
+        LogForm(kappa, *(math.factorial(kappa) * s[kappa] for s in plane))
         for kappa in range(1, delta_max + 1)
     ]
 
@@ -202,7 +195,7 @@ def reconstruct_from_log_forms(
     Equals [u^delta] exp(sum q_kappa(d) u^kappa/kappa!), which must
     reproduce the node-polynomial values T_delta(d).
     """
-    if len(forms) < delta_max:
-        raise ValueError("forms must cover every kappa <= delta_max")
     by_kappa = {f.kappa: f for f in forms}
+    if not by_kappa.keys() >= set(range(1, delta_max + 1)):
+        raise ValueError("forms must cover every kappa <= delta_max")
     return list(_egf_exp([by_kappa[k](d) for k in range(1, delta_max + 1)]).coeffs)

@@ -1,5 +1,6 @@
 """Plane generating series, B1/B2 extraction, and count prediction."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from severi import (
     plane_invariants,
     severi_degree,
 )
-from severi import forms, gyz
+from severi import forms, gyz, nodepoly
 from severi.gyz import BSeriesSolution, plane_generating_series
 from test_series import _ref_pow_rat
 
@@ -119,7 +120,7 @@ def test_series_work_per_call(shared_cache, monkeypatch):
     gyz_predict(plane_invariants(20), sol)
     assert calls == {"exp": 1}
     calls.clear()
-    # the same extraction; the logs are composed with q as they are
+    # the same extraction; the plane forms are composed with q, no exp
     log_forms(6, cache=shared_cache)
     assert calls == {"form_catalog": 1, "log": 5, "revert": 1}
 
@@ -271,14 +272,41 @@ KLEIMAN_PIENE_INVARIANTS = [
 ]
 
 
-@pytest.mark.parametrize("x, y, z, t", KLEIMAN_PIENE_INVARIANTS)
+def _linear_forms(sol):
+    """a_1 .. a_order as (x, y, z, t) coefficient tuples: kappa! [u^kappa]
+    of each of the solution's forms composed with q."""
+    in_u = [form.compose(sol.q) for form in sol.forms]
+    return [
+        tuple(math.factorial(kappa) * s[kappa] for s in in_u)
+        for kappa in range(1, sol.order + 1)
+    ]
+
+
+def test_forms_are_the_kleiman_piene_linear_forms(shared_cache):
+    # Kleiman-Piene, "Enumerating singular curves on surfaces" (1999):
+    # a_1 = 3x + 2y + t, a_2 = -42x - 39y - 6z - 7t,
+    # a_3 = 1380x + 1576y + 376z + 138t, read off plane data alone
+    sol = extract_b_series(3, (4, 5, 6), cache=shared_cache)
+    assert _linear_forms(sol) == [
+        (3, 2, 0, 1), (-42, -39, -6, -7), (1380, 1576, 376, 138),
+    ]
+
+
+@pytest.mark.parametrize(
+    "x, y, z, t", [(49, -21, 9, 3), (10, 0, 0, 24), *KLEIMAN_PIENE_INVARIANTS]
+)
 def test_predictions_match_kleiman_piene(x, y, z, t):
     # n_1 = 3x + 2y + t and 2 n_2 - n_1^2 = -42x - 39y - 6z - 7t, from the
     # published B1, B2 prefixes
+    inv = Invariants(x=x, y=y, z=z, t=t)
     sol = _given_b_series(B1_PREFIX[:3], B2_PREFIX[:3])
-    _, n1, n2 = gyz_predict(Invariants(x=x, y=y, z=z, t=t), sol)
+    _, n1, n2 = gyz_predict(inv, sol)
     assert n1 == 3 * x + 2 * y + t
     assert 2 * n2 - n1 * n1 == -42 * x - 39 * y - 6 * z - 7 * t
+    # to order 6, the counts are the exp of the linear forms at (x, y, z, t)
+    sol = _given_b_series(B1_PREFIX, B2_PREFIX)
+    a = [x * ax + y * ay + z * az + t * at for ax, ay, az, at in _linear_forms(sol)]
+    assert gyz_predict(inv, sol) == list(nodepoly._egf_exp(a).coeffs)
 
 
 def _four_powers(inv, sol, order):

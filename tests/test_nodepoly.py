@@ -281,12 +281,12 @@ def test_log_forms_agree_with_the_interpolated_reference(delta_max):
 
 
 def poison_degree(monkeypatch, delta_max):
-    """gyz sees one count off by one at the held-out degree 2.delta_max + 2."""
+    """gyz sees one count off by one at the held-out degree delta_max + 3."""
     true_degree = gyz.severi_degree
 
     def poisoned(d, delta, cache=None):
         value = true_degree(d, delta, cache=cache)
-        return value + 1 if (d, delta) == (2 * delta_max + 2, delta_max) else value
+        return value + 1 if (d, delta) == (delta_max + 3, delta_max) else value
 
     monkeypatch.setattr(gyz, "severi_degree", poisoned)
 
@@ -294,7 +294,7 @@ def poison_degree(monkeypatch, delta_max):
 @pytest.mark.parametrize("delta_max", [1, 3])
 def test_log_forms_check_the_held_out_degree(monkeypatch, delta_max):
     poison_degree(monkeypatch, delta_max)
-    with pytest.raises(InconsistentSystem, match=f"degree {2 * delta_max + 2} "):
+    with pytest.raises(InconsistentSystem, match=f"degree {delta_max + 3} "):
         log_forms(delta_max, cache=CacheStore())
 
 
@@ -342,10 +342,14 @@ def test_log_forms_input_validation():
         log_forms(0)
 
 
-def test_reconstruct_requires_enough_forms():
+def test_reconstruct_requires_enough_forms(shared_cache):
     forms = [LogForm(kappa=1, a2=Fraction(3), a1=Fraction(-6), a0=Fraction(3))]
     with pytest.raises(ValueError):
         reconstruct_from_log_forms(2, 5, forms)
+    # three forms, but kappa = 2 is missing
+    f1, _, f3 = log_forms(3, cache=shared_cache)
+    with pytest.raises(ValueError, match="every kappa <= delta_max"):
+        reconstruct_from_log_forms(3, 5, [f1, f1, f3])
 
 
 # ------------------------------------------------------------------------ Bell

@@ -63,20 +63,33 @@ def run_fresh(script: str) -> subprocess.CompletedProcess:
     return proc
 
 
-def test_count_loads_only_the_engine_and_tangency():
+NODEPOLY_MODULES = [
+    "severi", "severi.cli", "severi.engine", "severi.nodepoly", "severi.series",
+    "severi.tangency",
+]
+
+
+@pytest.mark.parametrize("argv, out, modules", [
+    (["count", "--d", "5", "--delta", "2", "--no-cache"],
+     {"d": 5, "delta": 2, "value": "882"},
+     ["severi", "severi.cli", "severi.engine", "severi.tangency"]),
+    (["threshold", "--delta", "2", "--no-cache"],
+     {"delta": 2, "threshold": 1}, NODEPOLY_MODULES),
+    (["bell", "--delta", "2", "--values", "1,2"],
+     {"delta": 2, "values": ["1", "2"], "value": "3"}, NODEPOLY_MODULES),
+], ids=["count", "threshold", "bell"])
+def test_subcommand_loads_only_what_it_uses(argv, out, modules):
     # a name or a subcommand loads its submodule on first use, not before
     proc = run_fresh(
         "import json, sys\n"
         "def loaded(): return sorted(m for m in sys.modules if m.startswith('severi'))\n"
         "import severi\n"
         "before = loaded()\n"
-        "severi.cli.main(['count', '--d', '5', '--delta', '2', '--no-cache'])\n"
+        f"severi.cli.main({argv!r})\n"
         "print(json.dumps([before, loaded()]), file=sys.stderr)\n"
     )
-    assert json.loads(proc.stdout) == {"d": 5, "delta": 2, "value": "882"}
-    assert json.loads(proc.stderr) == [
-        ["severi"], ["severi", "severi.cli", "severi.engine", "severi.tangency"],
-    ]
+    assert json.loads(proc.stdout) == out
+    assert json.loads(proc.stderr) == [["severi"], modules]
 
 
 def test_submodules_resolve_as_package_attributes():
