@@ -1,12 +1,14 @@
 """Node polynomials T_delta(d), thresholds, and the exp/log structure.
 
 T_delta is the degree-2delta polynomial that equals N^{d,delta} for all
-large d.  It is fitted by exact interpolation inside the polynomial
-regime d >= delta that Block proves (arXiv:1006.0218) and never assumed
-below it; the threshold scan finds where agreement actually starts.
-The log of the generating function sum_delta T_delta(d) u^delta is
-quadratic in d: the plane shadow of the B-series solution's linear
-`forms`.  The Bell-polynomial reconstruction inverts that structure.
+d >= delta, the regime Block proves (arXiv:1006.0218).  The log of the
+generating function sum_delta T_delta(d) u^delta is quadratic in d
+(Tzeng, arXiv:1009.5371), so the counts at the four shallow degrees
+delta..delta+3 fix T_1..T_delta: three give each log coefficient and the
+fourth checks it.  Thresholds read T_delta(d) off those log forms through
+the Bell-polynomial reconstruction, and the scan below delta finds where
+agreement actually starts.  `fit_node_polynomial` interpolates one
+T_delta from its counts at d = delta+2 .. 3delta+3 instead.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .series import RatSeries, Scalar
 
 
 class DegreeCheckFailed(InternalInconsistency):
-    """The fitted polynomial missed the held-out guard point."""
+    """A fit to counts missed the count at its held-out degree: a node
+    polynomial at 3delta+3, or a log form at delta_max+3."""
 
 
 def interpolate(xs: Sequence[int], ys: Sequence[Scalar]) -> tuple[Fraction, ...]:
@@ -108,19 +111,22 @@ class ThresholdResult:
 
 
 def threshold_report(delta: int, cache: CacheStore | None = None) -> ThresholdResult:
-    """Least d* with T_delta(d) = N^{d,delta} on all of [d*, 3delta+3].
+    """Least d* with T_delta(d) = N^{d,delta} for every d >= d*.
 
-    The fit already checked every d in [delta+2, 3delta+3], its nodes and
-    guard, so the scan starts at delta+1 and stops at the first mismatch
-    going down: accidental agreement below a gap does not shrink the answer.
+    T_delta(d) is read off `log_forms(delta)`, which fits the counts at
+    d = delta, delta+1, delta+2 and checks them at delta+3, so agreement
+    holds from delta on: for d > delta+3 by Block (arXiv:1006.0218).  The
+    scan over real counts starts at delta-1 and stops at the first
+    mismatch going down: accidental agreement below a gap does not shrink
+    the answer.
     """
     if delta < 1:
         raise ValueError("threshold needs delta >= 1")
-    poly = fit_node_polynomial(delta, cache=cache)
-    least = delta + 2
+    forms = log_forms(delta, cache=cache)
+    least = delta
     witness = None
-    for d in range(delta + 1, 0, -1):
-        predicted = poly(d)
+    for d in range(delta - 1, 0, -1):
+        predicted = reconstruct_from_log_forms(delta, d, forms)[delta]
         actual = severi_degree(d, delta, cache=cache)
         if predicted == actual:
             least = d
@@ -150,25 +156,34 @@ class LogForm:
 def log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:
     """The forms q_kappa(d) = kappa! [u^kappa] log sum_delta T_delta(d) u^delta.
 
-    The plane shadow (x, y, z, t) = (d^2, -3d, 9, 3) of the B-series
-    solution's `forms` (X, Y, Z, T): a2, a1, a0 = X, -3Y, 9Z + 3T, each
-    composed with q.  B1, B2 come from the counts at d = delta_max + 1 and
-    delta_max + 2, where N^{d,delta} = T_delta(d) for every delta <=
-    delta_max (Block, arXiv:1006.0218); d = delta_max + 3 is held out and
-    must agree, else InconsistentSystem.
+    For every delta <= delta_max, N^{d,delta} = T_delta(d) at each degree
+    d >= delta_max (Block, arXiv:1006.0218), so the log of the plane counts
+    at d = delta_max, delta_max + 1, delta_max + 2 gives three values of
+    each quadratic q_kappa, which interpolation joins.  d = delta_max + 3
+    is held out: its log must agree, else DegreeCheckFailed.
     """
-    from . import gyz
-
     if delta_max < 1:
         raise ValueError("log forms need delta_max >= 1")
-    low = delta_max + 1
-    sol = gyz.extract_b_series(delta_max, (low, low + 1, low + 2), cache=cache)
-    x, y, z, t = sol.forms
-    plane = [s.compose(sol.q) for s in (x, -3 * y, 9 * z + 3 * t)]
-    return [
-        LogForm(kappa, *(math.factorial(kappa) * s[kappa] for s in plane))
-        for kappa in range(1, delta_max + 1)
+    degrees = tuple(range(delta_max, delta_max + 4))
+    logs = [
+        RatSeries([severi_degree(d, delta, cache=cache) for delta in range(delta_max + 1)]).log()
+        for d in degrees
     ]
+    held_out = degrees[-1]
+    forms = []
+    for kappa in range(1, delta_max + 1):
+        factor = math.factorial(kappa)
+        values = [factor * log[kappa] for log in logs]
+        coeffs = interpolate(degrees[:3], values[:3])
+        predicted = _poly_eval(coeffs, held_out)
+        if predicted != values[-1]:
+            raise DegreeCheckFailed(
+                f"q_{kappa}({held_out}) = {predicted} but degree {held_out} "
+                f"gives {values[-1]}"
+            )
+        a0, a1, a2 = coeffs
+        forms.append(LogForm(kappa, a2, a1, a0))
+    return forms
 
 
 def _egf_exp(a: Sequence[Scalar]) -> RatSeries:

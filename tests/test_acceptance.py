@@ -89,7 +89,7 @@ def test_criterion_3_thresholds_extended(shared_cache):
 
 def test_criterion_4_log_structure(shared_cache):
     with Budget(4, "quadratic log forms, pattern, round trip, Bell oracle", 300):
-        # log_forms reads the quadratics off the B-series; the reference
+        # log_forms fits each quadratic through three degrees; the reference
         # interpolates each coefficient over 13 degrees and raises
         # NotQuadratic unless it collapses, so agreement proves quadraticity
         forms = log_forms(6, cache=shared_cache)

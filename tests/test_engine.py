@@ -520,11 +520,11 @@ def test_optimized_mode_computes_the_same_table():
 
 def test_builders_do_the_pinned_work_in_a_fresh_process():
     # the builders' caches are process-global, so only a fresh interpreter
-    # shows how much a cold threshold_report(9) makes them build
+    # shows how much the cold deep root N^{30,9} makes them build
     script = (
-        "from severi import CacheStore, engine, threshold_report\n"
+        "from severi import CacheStore, engine, severi_degree\n"
         "store = CacheStore()\n"
-        "threshold_report(9, cache=store)\n"
+        "severi_degree(30, 9, cache=store)\n"
         "builders = (engine._partitions, engine._alpha_candidates, engine._frontier,\n"
         "            engine._seq_sum, engine._template)\n"
         "print(len(store), len(engine._SEQS), [b.cache_info().currsize for b in builders])\n"
@@ -604,8 +604,12 @@ def test_states_evaluated_per_table():
     severi_table(18, 9, cache=store)
     assert len(store) == 18542
     store = CacheStore()
-    threshold_report(9, cache=store)
+    severi_degree(30, 9, cache=store)
     assert len(store) == 41923
+    # the threshold reads its log forms off degrees 9..12 alone
+    store = CacheStore()
+    threshold_report(9, cache=store)
+    assert len(store) == 7056
     store = CacheStore()
     assert severi_degree(10**4, 0, cache=store) == 1
     assert len(store) == 1
@@ -675,7 +679,7 @@ def test_states_above_smooth_leaves_match_the_reference_recursion():
 @pytest.mark.slow
 def test_threshold_store_matches_the_reference_recursion():
     store = CacheStore()
-    threshold_report(7, cache=store)
+    severi_degree(24, 7, cache=store)
     memo = {}
     for key, value in store.items():
         assert value == _ref_severi(key, memo), key

@@ -120,9 +120,9 @@ def test_series_work_per_call(shared_cache, monkeypatch):
     gyz_predict(plane_invariants(20), sol)
     assert calls == {"exp": 1}
     calls.clear()
-    # the same extraction; the plane forms are composed with q, no exp
+    # one log per degree's plane counts, no catalog and no reversion
     log_forms(6, cache=shared_cache)
-    assert calls == {"form_catalog": 1, "log": 5, "revert": 1}
+    assert calls == {"log": 4}
 
 
 def test_extraction_needs_two_degrees(shared_cache):
@@ -290,6 +290,19 @@ def test_forms_are_the_kleiman_piene_linear_forms(shared_cache):
     assert _linear_forms(sol) == [
         (3, 2, 0, 1), (-42, -39, -6, -7), (1380, 1576, 376, 138),
     ]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_log_forms_are_the_plane_shadow_of_the_forms(shared_cache, m):
+    # two algorithms for one object: log_forms interpolates the logs of the
+    # plane counts in d; here the extraction's X, Y, Z, T composed with q
+    # are read at (x, y, z, t) = (d^2, -3d, 9, 3)
+    sol = extract_b_series(m, (m + 1, m + 2, m + 3), cache=shared_cache)
+    shadow = [
+        nodepoly.LogForm(kappa, a2=ax, a1=-3 * ay, a0=9 * az + 3 * at)
+        for kappa, (ax, ay, az, at) in enumerate(_linear_forms(sol), 1)
+    ]
+    assert log_forms(m, cache=shared_cache) == shadow
 
 
 @pytest.mark.parametrize(

@@ -10,13 +10,11 @@ import pytest
 from severi import (
     CacheStore,
     DegreeCheckFailed,
-    InconsistentSystem,
     InvalidInvariants,
     Invariants,
     RatSeries,
     bell_polynomial,
     fit_node_polynomial,
-    gyz,
     log_forms,
     nodepoly,
     plane_invariants,
@@ -218,15 +216,26 @@ def test_no_witness_when_polynomial_holds_everywhere(shared_cache):
 
 
 def test_a_mismatch_just_below_the_fit_window_is_the_witness(monkeypatch):
-    # the fit checks d = delta+2 .. 3.delta+3, so the scan starts at delta+1
+    # the log forms check d = delta .. delta+3, so the scan starts at delta-1
     true_degree = nodepoly.severi_degree
 
     def poisoned(d, delta, cache=None):
-        return true_degree(d, delta, cache=cache) + (d == delta + 1)
+        return true_degree(d, delta, cache=cache) + (d == delta - 1)
 
     monkeypatch.setattr(nodepoly, "severi_degree", poisoned)
     rep = threshold_report(2, cache=CacheStore())
-    assert (rep.threshold, rep.witness.d) == (4, 3)
+    assert (rep.threshold, rep.witness.d) == (2, 1)
+
+
+@pytest.mark.parametrize("delta", range(3, 13))
+def test_thresholds_meet_gottsches_bound(shared_cache, delta):
+    # Gottsche conjectured T_delta(d) = N^{d,delta} for d >= delta/2 + 1;
+    # the bound is sharp here: the count one degree below it differs
+    rep = threshold_report(delta, cache=shared_cache)
+    assert rep.threshold == math.ceil(delta / 2) + 1
+    assert rep.witness.d == rep.threshold - 1
+    assert rep.witness.actual == severi_degree(rep.witness.d, delta, cache=shared_cache)
+    assert rep.witness.predicted != rep.witness.actual
 
 
 def test_threshold_rejects_delta_zero():
@@ -274,27 +283,27 @@ def reference_log_forms(delta_max: int, cache: CacheStore | None = None) -> list
 
 @pytest.mark.parametrize("delta_max", range(1, 7))
 def test_log_forms_agree_with_the_interpolated_reference(delta_max):
-    # the B-series readout against the interpolation of the node polynomials
-    # at 2.delta_max + 1 degrees, each on its own fresh store
+    # quadratics through three degrees against the interpolation of the node
+    # polynomials at 2.delta_max + 1 degrees, each on its own fresh store
     forms = log_forms(delta_max, cache=CacheStore())
     assert forms == reference_log_forms(delta_max, cache=CacheStore())
 
 
 def poison_degree(monkeypatch, delta_max):
-    """gyz sees one count off by one at the held-out degree delta_max + 3."""
-    true_degree = gyz.severi_degree
+    """nodepoly sees one count off by one at the held-out degree delta_max + 3."""
+    true_degree = nodepoly.severi_degree
 
     def poisoned(d, delta, cache=None):
         value = true_degree(d, delta, cache=cache)
         return value + 1 if (d, delta) == (delta_max + 3, delta_max) else value
 
-    monkeypatch.setattr(gyz, "severi_degree", poisoned)
+    monkeypatch.setattr(nodepoly, "severi_degree", poisoned)
 
 
 @pytest.mark.parametrize("delta_max", [1, 3])
 def test_log_forms_check_the_held_out_degree(monkeypatch, delta_max):
     poison_degree(monkeypatch, delta_max)
-    with pytest.raises(InconsistentSystem, match=f"degree {delta_max + 3} "):
+    with pytest.raises(DegreeCheckFailed, match=f"degree {delta_max + 3} "):
         log_forms(delta_max, cache=CacheStore())
 
 
@@ -302,7 +311,7 @@ def test_logforms_cli_exits_2_on_a_held_out_mismatch(monkeypatch, capsys):
     poison_degree(monkeypatch, 3)
     code = main(["logforms", "--deltamax", "3", "--no-cache"])
     error = json.loads(capsys.readouterr().out)["error"]
-    assert (code, error["type"]) == (2, "InconsistentSystem")
+    assert (code, error["type"]) == (2, "DegreeCheckFailed")
 
 
 def test_first_log_form_equals_t1(shared_cache):

@@ -77,7 +77,11 @@ NODEPOLY_MODULES = [
      {"delta": 2, "threshold": 1}, NODEPOLY_MODULES),
     (["bell", "--delta", "2", "--values", "1,2"],
      {"delta": 2, "values": ["1", "2"], "value": "3"}, NODEPOLY_MODULES),
-], ids=["count", "threshold", "bell"])
+    (["logforms", "--deltamax", "2", "--no-cache"],
+     {"deltamax": 2, "forms": [{"kappa": 1, "a2": "3", "a1": "-6", "a0": "3"},
+                               {"kappa": 2, "a2": "-42", "a1": "117", "a0": "-75"}]},
+     NODEPOLY_MODULES),
+], ids=["count", "threshold", "bell", "logforms"])
 def test_subcommand_loads_only_what_it_uses(argv, out, modules):
     # a name or a subcommand loads its submodule on first use, not before
     proc = run_fresh(
