@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it
 _EXPORTS = {
     "engine": (
-        "CacheCorruption", "CacheStore", "ParseError", "VersionMismatch",
-        "relative_severi", "severi_degree", "severi_table",
+        "CacheCorruption", "CacheStore", "DegreeCheckFailed", "ParseError",
+        "VersionMismatch", "relative_severi", "severi_degree", "severi_table",
     ),
     "forms": ("form_catalog", "sigma1"),
     "gyz": (
@@ -28,7 +28,7 @@ _EXPORTS = {
         "NonIntegralPrediction", "extract_b_series", "gyz_predict", "plane_invariants",
     ),
     "nodepoly": (
-        "DegreeCheckFailed", "bell_polynomial", "fit_node_polynomial", "log_forms",
+        "bell_polynomial", "fit_node_polynomial", "log_forms",
         "reconstruct_from_log_forms", "threshold", "threshold_report",
     ),
     "series": ("RatSeries", "SeriesError"),

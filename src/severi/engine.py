@@ -71,9 +71,26 @@ about sequences, not about any store, so they are process-global and
 every store shares them; a store keeps only its values.  The builders
 assert an entry's invariants once, when they build it, and hand their
 own part lists to _seq_id, which trims them; only pack checks a sequence
-from outside.  threshold_report(9) stores 41,923 states over 1,880
-sequences, with 5,385, 4,077, 7,641 and 3,008 cached entries and 21,600
-template children.
+from outside.  The deep root severi_degree(30, 9) stores 41,923 states
+over 1,880 sequences, with 5,385, 4,077, 7,641 and 3,008 cached entries
+and 21,600 template children; threshold_report(9) stores 7,056.
+
+Counts past degree delta + 3.  Let F_e = sum_{k <= delta} N^{e,k} u^k.
+For e >= delta each coefficient is T_k(e) (Block, arXiv:1006.0218), and
+log sum_k T_k(d) u^k is quadratic in d (Tzeng, arXiv:1009.5371), so
+mod u^{delta+1} log F_d is the quadratic through the logs at e = delta,
+delta+1, delta+2.  Its Lagrange weights at t = d - delta are the
+integers (t-1)(t-2)/2, -t(t-2) and t(t-1)/2, so no log is taken:
+
+  F_d = F_delta^{(t-1)(t-2)/2} . F_{delta+1}^{-t(t-2)} . F_{delta+2}^{t(t-1)/2}
+
+mod u^{delta+1}.  Each F_e starts with N^{e,0} = 1, and a power P = A^n
+of such a series satisfies A.P' = n.A'.P, that is Miller's recurrence
+m.P_m = sum_{k=1..m} ((n+1)k - m) a_k P_{m-k}, whose division by m is
+exact as P has integer coefficients.  At t = 3 the weights are 1, -3, 3,
+so the held-out degree delta+3 is the identity F_delta . F_{delta+2}^3 =
+F_{delta+1}^3 . F_{delta+3}.  For d < delta the product gives T_k(d),
+which need not be a count.
 
 Cache file text.  cache_load maps each sequence text of the file it
 reads, as cache_save writes it ("2,0,1", "-" for ()), to its id, so a
@@ -110,6 +127,11 @@ class InternalInconsistency(RuntimeError):
 
 class CacheCorruption(InternalInconsistency):
     """A stored value was contradicted; mathematical truth is immutable."""
+
+
+class DegreeCheckFailed(InternalInconsistency):
+    """Counts missed their value at a held-out degree: a node polynomial
+    at 3delta+3, a log form at delta_max+3, or the counts at delta+3."""
 
 
 class VersionMismatch(ValueError):
@@ -437,6 +459,44 @@ def severi_degree(d: int, delta: int, cache: CacheStore | None = None) -> int:
     return relative_severi(d, delta, (), (d,), cache=cache)
 
 
+def node_values(d: int, delta: int, cache: CacheStore | None = None) -> list[int]:
+    """T_0(d), ..., T_delta(d) from the counts at degrees delta..delta+3, as
+    in "Counts past degree delta + 3"; DegreeCheckFailed when delta+3 breaks
+    the identity there."""
+    size = delta + 1
+    f = [[severi_degree(e, k, cache=cache) for k in range(size)] for e in range(delta, delta + 4)]
+
+    def power(a: list[int], n: int) -> list[int]:
+        p = [1]
+        for m in range(1, size):
+            p.append(sum(((n + 1) * k - m) * a[k] * p[m - k] for k in range(1, m + 1)) // m)
+        return p
+
+    def times(a: list[int], b: list[int]) -> list[int]:
+        return [sum(a[k] * b[m - k] for k in range(m + 1)) for m in range(size)]
+
+    if times(f[0], power(f[2], 3)) != times(power(f[1], 3), f[3]):
+        raise DegreeCheckFailed(f"the counts at degree {delta + 3} break the quadratic log "
+                                f"through degrees {delta}..{delta + 2}")
+    t = d - delta
+    return times(times(power(f[0], (t - 1) * (t - 2) // 2), power(f[1], -t * (t - 2))),
+                 power(f[2], t * (t - 1) // 2))
+
+
+def absolute_count(d: int, delta: int, cache: CacheStore | None = None) -> int:
+    """N^{d,delta}, stored or computed: past degree delta + 3 from node_values,
+    else by the recursion."""
+    if not 1 <= delta < d - 3:
+        return relative_severi(d, delta, cache=cache)
+    cache = cache if cache is not None else _DEFAULT_CACHE
+    key = (d, delta, (), (d,))
+    value = cache.get(key)
+    if value is None:
+        value = node_values(d, delta, cache)[delta]
+        cache.put(key, value)
+    return value
+
+
 def severi_table(
     dmax: int,
     deltamax: int,
@@ -446,7 +506,7 @@ def severi_table(
     if dmax < 1 or deltamax < 0:
         raise InvalidState("table needs dmax >= 1 and deltamax >= 0")
     queries = [(d, delta) for d in range(1, dmax + 1) for delta in range(deltamax + 1)]
-    values = [severi_degree(d, delta, cache=cache) for d, delta in queries]
+    values = [absolute_count(d, delta, cache=cache) for d, delta in queries]
     width = deltamax + 1
     return [values[i : i + width] for i in range(0, len(values), width)]
 

@@ -5,26 +5,21 @@ d >= delta, the regime Block proves (arXiv:1006.0218).  The log of the
 generating function sum_delta T_delta(d) u^delta is quadratic in d
 (Tzeng, arXiv:1009.5371), so the counts at the four shallow degrees
 delta..delta+3 fix T_1..T_delta: three give each log coefficient and the
-fourth checks it.  Thresholds read T_delta(d) off those log forms through
-the Bell-polynomial reconstruction, and the scan below delta finds where
-agreement actually starts.  `fit_node_polynomial` interpolates one
-T_delta from its counts at d = delta+2 .. 3delta+3 instead.
+fourth checks it.  Thresholds read T_delta(d) off the same four degrees
+as a product of integer powers (`engine.node_values`), and the scan below
+delta finds where agreement actually starts.  `fit_node_polynomial`
+interpolates one T_delta from its counts at d = delta+2 .. 3delta+3
+instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .engine import CacheStore, InternalInconsistency, severi_degree
+from .engine import CacheStore, DegreeCheckFailed, node_values, severi_degree
 from .series import RatSeries, Scalar
-
-
-class DegreeCheckFailed(InternalInconsistency):
-    """A fit to counts missed the count at its held-out degree: a node
-    polynomial at 3delta+3, or a log form at delta_max+3."""
 
 
 def interpolate(xs: Sequence[int], ys: Sequence[Scalar]) -> tuple[Fraction, ...]:
@@ -61,8 +56,7 @@ def _poly_eval(coeffs: Sequence[Fraction], d: int) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True)
-class NodePolynomial:
+class NodePolynomial(NamedTuple):
     """T_delta with the window it was fitted on; the guard point held."""
 
     delta: int
@@ -99,12 +93,11 @@ def fit_node_polynomial(delta: int, cache: CacheStore | None = None) -> NodePoly
 
 class ThresholdWitness(NamedTuple):
     d: int
-    predicted: Fraction
+    predicted: int
     actual: int
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     delta: int
     threshold: int
     witness: ThresholdWitness | None  # the mismatch at threshold - 1
@@ -113,7 +106,7 @@ class ThresholdResult:
 def threshold_report(delta: int, cache: CacheStore | None = None) -> ThresholdResult:
     """Least d* with T_delta(d) = N^{d,delta} for every d >= d*.
 
-    T_delta(d) is read off `log_forms(delta)`, which fits the counts at
+    T_delta(d) is read off `engine.node_values`, which joins the counts at
     d = delta, delta+1, delta+2 and checks them at delta+3, so agreement
     holds from delta on: for d > delta+3 by Block (arXiv:1006.0218).  The
     scan over real counts starts at delta-1 and stops at the first
@@ -122,11 +115,10 @@ def threshold_report(delta: int, cache: CacheStore | None = None) -> ThresholdRe
     """
     if delta < 1:
         raise ValueError("threshold needs delta >= 1")
-    forms = log_forms(delta, cache=cache)
     least = delta
     witness = None
     for d in range(delta - 1, 0, -1):
-        predicted = reconstruct_from_log_forms(delta, d, forms)[delta]
+        predicted = node_values(d, delta, cache)[delta]
         actual = severi_degree(d, delta, cache=cache)
         if predicted == actual:
             least = d
@@ -140,8 +132,7 @@ def threshold(delta: int, cache: CacheStore | None = None) -> int:
     return threshold_report(delta, cache=cache).threshold
 
 
-@dataclass(frozen=True)
-class LogForm:
+class LogForm(NamedTuple):
     """q_kappa(d) = a2.d^2 + a1.d + a0, the plane shadow of a linear form."""
 
     kappa: int

@@ -632,28 +632,33 @@ def test_failed_flush_of_the_document_is_input_error(capsys, monkeypatch):
 
 def test_concurrent_processes_keep_both_roots(isolated_cwd):
     # the quick run saves while the slow one still computes; the slow one's
-    # save must merge the file under the lock instead of replacing it
+    # save must merge the file under the lock instead of replacing it.  The
+    # slow run is a relative count, which keeps the recursion; the quick one
+    # is past degree delta + 3 and also persists the counts it read there
     path = isolated_cwd / "shared.cache"
-    queries = [("25", "7"), ("50", "1")]
+    queries = [["--d", "25", "--delta", "7", "--alpha", "1", "--beta", "24"],
+               ["--d", "50", "--delta", "1"]]
     procs = [
         subprocess.Popen(
-            [sys.executable, "-m", "severi", "count", "--d", d, "--delta", delta,
-             "--cache", str(path)],
+            [sys.executable, "-m", "severi", "count", *query, "--cache", str(path)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
             env=child_env(),
         )
-        for d, delta in queries
+        for query in queries
     ]
     values = []
     for proc in procs:
         out, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err
         values.append(int(json.loads(out)["value"]))
+    read = {(e, k, (), (e,)): engine.severi_degree(e, k, cache=engine.CacheStore())
+            for e in range(1, 5) for k in range(2)}
     assert dict(engine.cache_load(path).items()) == {
-        (25, 7, (), (25,)): values[0],
+        (25, 7, (1,), (24,)): values[0],
         (50, 1, (), (50,)): values[1],
+        **read,
     }
     assert values[1] == 3 * 49**2
 

@@ -451,11 +451,21 @@ def test_transitions_match_the_reference_on_every_small_state():
         _assert_transitions_match_the_reference(key)
 
 
+def recursion_grid(dmax, deltamax, store):
+    """Every N^{d,delta} with d <= dmax and delta <= deltamax by the
+    recursion: the states severi_table stored before it read the rows past
+    deltamax + 3 off engine.node_values."""
+    for d in range(1, dmax + 1):
+        for delta in range(deltamax + 1):
+            severi_degree(d, delta, cache=store)
+
+
 def _table_sequences() -> list[TangencySeq]:
-    """The alpha and beta of every state severi_table(12, 7) stores: a fixed
-    set, however many sequences earlier tests interned in this process."""
+    """The alpha and beta of every state recursion_grid(12, 7) stores: a
+    fixed set, however many sequences earlier tests interned in this
+    process."""
     store = CacheStore()
-    severi_table(12, 7, cache=store)
+    recursion_grid(12, 7, store)
     return sorted({seq for (_, _, alpha, beta), _ in store.items() for seq in (alpha, beta)})
 
 
@@ -503,9 +513,11 @@ def test_optimized_mode_computes_the_same_table():
     # the asserts live in the table builders; python -O drops them, and
     # must not change a single stored value
     script = (
-        "from severi import CacheStore, severi_table\n"
+        "from severi import CacheStore, severi_degree\n"
         "store = CacheStore()\n"
-        "severi_table(12, 7, cache=store)\n"
+        "for d in range(1, 13):\n"
+        "    for delta in range(8):\n"
+        "        severi_degree(d, delta, cache=store)\n"
         "print(__debug__, list(store.items()))\n"
     )
     proc = subprocess.run(
@@ -514,7 +526,7 @@ def test_optimized_mode_computes_the_same_table():
     )
     assert proc.returncode == 0, proc.stderr
     store = CacheStore()
-    severi_table(12, 7, cache=store)
+    recursion_grid(12, 7, store)
     assert proc.stdout == f"False {list(store.items())}\n"
 
 
@@ -594,15 +606,23 @@ def test_sequence_ids_past_32_bits_raise(monkeypatch):
 
 
 def test_states_evaluated_per_table():
-    # pinned work counters: the memo sizes of a cold table; delta = 0
+    # pinned work counters: the memo sizes of a cold grid; delta = 0
     # states are closed-form leaves, and a state with delta < I(beta)
     # jumps over its move paths, so neither stores the states in between
     store = CacheStore()
-    severi_table(10, 6, cache=store)
+    recursion_grid(10, 6, store)
     assert len(store) == 1618
     store = CacheStore()
-    severi_table(18, 9, cache=store)
+    recursion_grid(18, 9, store)
     assert len(store) == 18542
+    # severi_table reads each N^{d,delta} with d > delta + 3 off the counts
+    # at degrees delta..delta+3, so it stores the states below that band only
+    store = CacheStore()
+    severi_table(10, 6, cache=store)
+    assert len(store) == 1236
+    store = CacheStore()
+    severi_table(18, 9, cache=store)
+    assert len(store) == 7001
     store = CacheStore()
     severi_degree(30, 9, cache=store)
     assert len(store) == 41923
@@ -671,7 +691,7 @@ def test_smooth_states_match_the_reference_recursion(key):
 def test_states_above_smooth_leaves_match_the_reference_recursion():
     # the delta >= 1 states whose delta = 0 children are now leaves
     store, memo = CacheStore(), {}
-    severi_table(12, 7, cache=store)
+    recursion_grid(12, 7, store)
     for key, value in store.items():
         assert value == _ref_severi(key, memo), key
 
@@ -813,3 +833,42 @@ def test_quintics_match_known_values(shared_cache):
     assert severi_degree(5, 1, cache=shared_cache) == 48
     assert severi_degree(5, 2, cache=shared_cache) == 882
     assert severi_degree(5, 10, cache=shared_cache) == matchings_into_pairs(10)
+
+
+# -- counts past degree delta + 3 --------------------------------------------
+
+@pytest.mark.parametrize("delta", range(1, 7))
+def test_node_values_match_the_recursion(shared_cache, delta):
+    # every k <= delta, at every degree from delta + 1 to 3.delta + 12
+    for d in range(delta + 1, 3 * delta + 13):
+        want = [severi_degree(d, k, cache=shared_cache) for k in range(delta + 1)]
+        assert engine.node_values(d, delta, cache=shared_cache) == want, d
+
+
+def test_absolute_count_persists_the_root_and_the_counts_it_read():
+    store = CacheStore()
+    assert engine.absolute_count(17, 3, cache=store) == severi_degree(17, 3, cache=CacheStore())
+    read = {(e, k, (), (e,)) for e in range(3, 7) for k in range(4)}
+    assert {key for key, _ in store.roots()} == read | {(17, 3, (), (17,))}
+
+
+def test_absolute_count_reads_the_store_first():
+    store = CacheStore()
+    store.put((40, 5, (), (40,)), 7)  # not the count, but what the store says
+    assert engine.absolute_count(40, 5, cache=store) == 7
+    assert (len(store), store.hits) == (1, 1)
+
+
+def test_absolute_count_keeps_the_recursion_up_to_degree_delta_plus_3():
+    store = CacheStore()
+    assert engine.absolute_count(6, 3, cache=store) == 41310
+    assert engine.absolute_count(4, 0, cache=store) == 1
+    assert len(store) > store.root_count == 2  # the recursion's states, two roots
+
+
+def test_absolute_count_of_an_astronomical_degree():
+    # N^{d,3} = T_3(d) for d >= 3 (Block); T_3 from the fit over d = 5..12
+    from severi import fit_node_polynomial
+
+    d = 10**20
+    assert engine.absolute_count(d, 3, cache=CacheStore()) == fit_node_polynomial(3)(d)

@@ -26,6 +26,7 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 COMMANDS = [
     "count --d 4 --delta 2",
     "count --d 4 --delta 1 --alpha 1 --beta 3",
+    "count --d 100000000000000000000 --delta 3",
     "table --dmax 6 --deltamax 4 --format csv",
     "nodepoly --delta 3",
     "threshold --delta 4",

@@ -14,6 +14,7 @@ from severi import (
     Invariants,
     RatSeries,
     bell_polynomial,
+    engine,
     fit_node_polynomial,
     log_forms,
     nodepoly,
@@ -24,6 +25,7 @@ from severi import (
     threshold_report,
 )
 from severi.cli import main
+from severi.engine import cache_save
 from severi.nodepoly import LogForm, interpolate
 
 
@@ -216,7 +218,7 @@ def test_no_witness_when_polynomial_holds_everywhere(shared_cache):
 
 
 def test_a_mismatch_just_below_the_fit_window_is_the_witness(monkeypatch):
-    # the log forms check d = delta .. delta+3, so the scan starts at delta-1
+    # node_values checks d = delta .. delta+3, so the scan starts at delta-1
     true_degree = nodepoly.severi_degree
 
     def poisoned(d, delta, cache=None):
@@ -289,29 +291,56 @@ def test_log_forms_agree_with_the_interpolated_reference(delta_max):
     assert forms == reference_log_forms(delta_max, cache=CacheStore())
 
 
-def poison_degree(monkeypatch, delta_max):
-    """nodepoly sees one count off by one at the held-out degree delta_max + 3."""
-    true_degree = nodepoly.severi_degree
-
-    def poisoned(d, delta, cache=None):
-        value = true_degree(d, delta, cache=cache)
-        return value + 1 if (d, delta) == (delta_max + 3, delta_max) else value
-
-    monkeypatch.setattr(nodepoly, "severi_degree", poisoned)
+def poisoned_store(delta_max):
+    """A store whose count at the held-out degree delta_max + 3 is off by one."""
+    store = CacheStore()
+    d = delta_max + 3
+    store.put((d, delta_max, (), (d,)), severi_degree(d, delta_max, cache=CacheStore()) + 1)
+    return store
 
 
 @pytest.mark.parametrize("delta_max", [1, 3])
-def test_log_forms_check_the_held_out_degree(monkeypatch, delta_max):
-    poison_degree(monkeypatch, delta_max)
+def test_log_forms_check_the_held_out_degree(delta_max):
     with pytest.raises(DegreeCheckFailed, match=f"degree {delta_max + 3} "):
-        log_forms(delta_max, cache=CacheStore())
+        log_forms(delta_max, cache=poisoned_store(delta_max))
 
 
-def test_logforms_cli_exits_2_on_a_held_out_mismatch(monkeypatch, capsys):
-    poison_degree(monkeypatch, 3)
-    code = main(["logforms", "--deltamax", "3", "--no-cache"])
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert (code, error["type"]) == (2, "DegreeCheckFailed")
+@pytest.mark.parametrize("delta", [1, 3])
+def test_node_values_check_the_held_out_degree(delta):
+    with pytest.raises(DegreeCheckFailed, match=f"degree {delta + 3} "):
+        engine.node_values(delta + 10, delta, cache=poisoned_store(delta))
+
+
+def run_on_a_poisoned_file(tmp_path, capsys, argv):
+    """Exit code and error type of argv against a file off by one at (6, 3)."""
+    path = tmp_path / "poisoned.cache"
+    cache_save(poisoned_store(3), path)
+    code = main(argv + ["--cache", str(path)])
+    return code, json.loads(capsys.readouterr().out)["error"]["type"]
+
+
+def test_logforms_cli_exits_2_on_a_held_out_mismatch(tmp_path, capsys):
+    argv = ["logforms", "--deltamax", "3"]
+    assert run_on_a_poisoned_file(tmp_path, capsys, argv) == (2, "DegreeCheckFailed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--d", "10", "--delta", "3"],
+    ["count", "--d", "10", "--delta", "3", "--alpha", "0", "--beta", "10,0"],
+    ["table", "--dmax", "7", "--deltamax", "3"],
+    ["threshold", "--delta", "3"],
+], ids=["count", "count-spelled-out", "table", "threshold"])
+def test_node_values_cli_exits_2_on_a_held_out_mismatch(tmp_path, capsys, argv):
+    assert run_on_a_poisoned_file(tmp_path, capsys, argv) == (2, "DegreeCheckFailed")
+
+
+@pytest.mark.parametrize("delta", range(1, 9))
+def test_node_values_equal_the_log_form_reconstruction(shared_cache, delta):
+    # below delta these are the values T_k(d) of the node polynomials, not counts
+    forms = log_forms(delta, cache=shared_cache)
+    for d in range(1, 3 * delta + 13):
+        want = reconstruct_from_log_forms(delta, d, forms)
+        assert engine.node_values(d, delta, cache=shared_cache) == want, d
 
 
 def test_first_log_form_equals_t1(shared_cache):

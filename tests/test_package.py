@@ -73,6 +73,10 @@ NODEPOLY_MODULES = [
     (["count", "--d", "5", "--delta", "2", "--no-cache"],
      {"d": 5, "delta": 2, "value": "882"},
      ["severi", "severi.cli", "severi.engine", "severi.tangency"]),
+    # past degree delta + 3 the count is read off engine.node_values
+    (["count", "--d", "12", "--delta", "2", "--no-cache"],
+     {"d": 12, "delta": 2, "value": "63525"},
+     ["severi", "severi.cli", "severi.engine", "severi.tangency"]),
     (["threshold", "--delta", "2", "--no-cache"],
      {"delta": 2, "threshold": 1}, NODEPOLY_MODULES),
     (["bell", "--delta", "2", "--values", "1,2"],
@@ -81,7 +85,7 @@ NODEPOLY_MODULES = [
      {"deltamax": 2, "forms": [{"kappa": 1, "a2": "3", "a1": "-6", "a0": "3"},
                                {"kappa": 2, "a2": "-42", "a1": "117", "a0": "-75"}]},
      NODEPOLY_MODULES),
-], ids=["count", "threshold", "bell", "logforms"])
+], ids=["count", "count-past-delta-plus-3", "threshold", "bell", "logforms"])
 def test_subcommand_loads_only_what_it_uses(argv, out, modules):
     # a name or a subcommand loads its submodule on first use, not before
     proc = run_fresh(
