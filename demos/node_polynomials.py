@@ -28,7 +28,9 @@ def main() -> None:
         p = fit_node_polynomial(delta)
         lo, hi = p.fit_range[0], p.fit_range[-1]
         print(f"  T_{delta}(d) = {poly_text(p.coeffs)}")
-        print(f"      fitted on d = {lo}..{hi}, guard point d = {hi + 1} verified")
+        base = max(delta, 1)  # the counts start at degree 1
+        print(f"      fitted on d = {lo}..{hi} from the counts at d = {base}..{base + 2},"
+              f" checked at d = {base + 3}")
 
     print()
     print("The polynomial value vs the true count at small d, delta = 3:")

@@ -177,7 +177,7 @@ def _run_nodepoly(args, store) -> dict:
         "delta": poly.delta,
         "coeffs": [str(c) for c in poly.coeffs],
         "fit_range": list(poly.fit_range),
-        "verified": True,  # fit_node_polynomial raises when the guard point fails
+        "verified": True,  # the fit raises when the counts at delta+3 fail their check
     }
 
 

@@ -73,7 +73,9 @@ assert an entry's invariants once, when they build it, and hand their
 own part lists to _seq_id, which trims them; only pack checks a sequence
 from outside.  The deep root severi_degree(30, 9) stores 41,923 states
 over 1,880 sequences, with 5,385, 4,077, 7,641 and 3,008 cached entries
-and 21,600 template children; threshold_report(9) stores 7,056.
+and 21,600 template children; threshold_report(9) and
+fit_node_polynomial(9), which read the counts at degrees 9..12 only,
+store 7,056.
 
 Counts past degree delta + 3.  Let F_e = sum_{k <= delta} N^{e,k} u^k.
 For e >= delta each coefficient is T_k(e) (Block, arXiv:1006.0218), and
@@ -130,8 +132,9 @@ class CacheCorruption(InternalInconsistency):
 
 
 class DegreeCheckFailed(InternalInconsistency):
-    """Counts missed their value at a held-out degree: a node polynomial
-    at 3delta+3, a log form at delta_max+3, or the counts at delta+3."""
+    """The counts at degree delta+3 missed the value that those at
+    delta..delta+2 fix (`node_values`), or a node polynomial T_delta
+    came out of degree below 2delta."""
 
 
 class VersionMismatch(ValueError):
@@ -459,12 +462,17 @@ def severi_degree(d: int, delta: int, cache: CacheStore | None = None) -> int:
     return relative_severi(d, delta, (), (d,), cache=cache)
 
 
-def node_values(d: int, delta: int, cache: CacheStore | None = None) -> list[int]:
-    """T_0(d), ..., T_delta(d) from the counts at degrees delta..delta+3, as
-    in "Counts past degree delta + 3"; DegreeCheckFailed when delta+3 breaks
-    the identity there."""
-    size = delta + 1
-    f = [[severi_degree(e, k, cache=cache) for k in range(size)] for e in range(delta, delta + 4)]
+def node_values(
+    degrees: Iterable[int], delta: int, cache: CacheStore | None = None
+) -> list[list[int]]:
+    """[T_0(d), ..., T_delta(d)] for each d in degrees, from one read of the
+    counts at degrees delta..delta+3, as in "Counts past degree delta + 3";
+    DegreeCheckFailed when delta+3 breaks the identity there.  A degree
+    below delta gets the polynomial values, which need not be counts.  At
+    delta = 0 the counts are read from degree 1 on (there is no degree 0),
+    and every d gets [1]."""
+    size, lo = delta + 1, max(delta, 1)
+    f = [[severi_degree(e, k, cache=cache) for k in range(size)] for e in range(lo, lo + 4)]
 
     def power(a: list[int], n: int) -> list[int]:
         p = [1]
@@ -476,11 +484,10 @@ def node_values(d: int, delta: int, cache: CacheStore | None = None) -> list[int
         return [sum(a[k] * b[m - k] for k in range(m + 1)) for m in range(size)]
 
     if times(f[0], power(f[2], 3)) != times(power(f[1], 3), f[3]):
-        raise DegreeCheckFailed(f"the counts at degree {delta + 3} break the quadratic log "
-                                f"through degrees {delta}..{delta + 2}")
-    t = d - delta
-    return times(times(power(f[0], (t - 1) * (t - 2) // 2), power(f[1], -t * (t - 2))),
-                 power(f[2], t * (t - 1) // 2))
+        raise DegreeCheckFailed(f"the counts at degree {lo + 3} break the quadratic log "
+                                f"through degrees {lo}..{lo + 2}")
+    return [times(times(power(f[0], (t - 1) * (t - 2) // 2), power(f[1], -t * (t - 2))),
+                  power(f[2], t * (t - 1) // 2)) for t in (d - lo for d in degrees)]
 
 
 def absolute_count(d: int, delta: int, cache: CacheStore | None = None) -> int:
@@ -492,7 +499,7 @@ def absolute_count(d: int, delta: int, cache: CacheStore | None = None) -> int:
     key = (d, delta, (), (d,))
     value = cache.get(key)
     if value is None:
-        value = node_values(d, delta, cache)[delta]
+        value = node_values((d,), delta, cache)[0][delta]
         cache.put(key, value)
     return value
 

@@ -5,11 +5,10 @@ d >= delta, the regime Block proves (arXiv:1006.0218).  The log of the
 generating function sum_delta T_delta(d) u^delta is quadratic in d
 (Tzeng, arXiv:1009.5371), so the counts at the four shallow degrees
 delta..delta+3 fix T_1..T_delta: three give each log coefficient and the
-fourth checks it.  Thresholds read T_delta(d) off the same four degrees
-as a product of integer powers (`engine.node_values`), and the scan below
-delta finds where agreement actually starts.  `fit_node_polynomial`
-interpolates one T_delta from its counts at d = delta+2 .. 3delta+3
-instead.
+fourth checks it.  Every T_delta here is read off those four degrees, as
+a product of integer powers, by one call of `engine.node_values`: the fit
+interpolates its values, the threshold scan below delta compares them
+with real counts, and the log forms take the logs of the first three.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ def _poly_eval(coeffs: Sequence[Fraction], d: int) -> Fraction:
 
 
 class NodePolynomial(NamedTuple):
-    """T_delta with the window it was fitted on; the guard point held."""
+    """T_delta with the degrees it was interpolated at."""
 
     delta: int
     coeffs: tuple[Fraction, ...]  # lowest degree first, length 2*delta + 1
@@ -68,24 +67,18 @@ class NodePolynomial(NamedTuple):
 
 
 def fit_node_polynomial(delta: int, cache: CacheStore | None = None) -> NodePolynomial:
-    """Interpolate N^{d,delta} at d = delta+2 .. 3delta+2, guard at 3delta+3.
+    """Interpolate T_delta at fit_range, d = delta+2 .. 3delta+2.
 
-    The window sits inside the regime d >= delta where Block
-    (arXiv:1006.0218) proves N^{d,delta} = T_delta(d), so the fit does
-    not presuppose the conjectured threshold.
+    The values come from `engine.node_values`, which reads the counts at
+    degrees delta..delta+3 and checks the last of them; no count above
+    degree delta+3 is evaluated.  All of d >= delta is the regime where
+    Block (arXiv:1006.0218) proves N^{d,delta} = T_delta(d), so the fit
+    does not presuppose the conjectured threshold.
     """
     if delta < 0:
         raise ValueError("node count must be nonnegative")
     xs = tuple(range(delta + 2, 3 * delta + 3))
-    ys = [severi_degree(d, delta, cache=cache) for d in xs]
-    coeffs = interpolate(xs, ys)
-    guard = 3 * delta + 3
-    predicted = _poly_eval(coeffs, guard)
-    actual = severi_degree(guard, delta, cache=cache)
-    if predicted != actual:
-        raise DegreeCheckFailed(
-            f"T_{delta}({guard}) = {predicted} but the count is {actual}"
-        )
+    coeffs = interpolate(xs, [values[delta] for values in node_values(xs, delta, cache)])
     if delta >= 1 and coeffs[-1] == 0:
         raise DegreeCheckFailed(f"T_{delta} degenerated below degree {2 * delta}")
     return NodePolynomial(delta=delta, coeffs=coeffs, fit_range=xs)
@@ -106,19 +99,20 @@ class ThresholdResult(NamedTuple):
 def threshold_report(delta: int, cache: CacheStore | None = None) -> ThresholdResult:
     """Least d* with T_delta(d) = N^{d,delta} for every d >= d*.
 
-    T_delta(d) is read off `engine.node_values`, which joins the counts at
-    d = delta, delta+1, delta+2 and checks them at delta+3, so agreement
-    holds from delta on: for d > delta+3 by Block (arXiv:1006.0218).  The
-    scan over real counts starts at delta-1 and stops at the first
-    mismatch going down: accidental agreement below a gap does not shrink
-    the answer.
+    T_delta(d) is read off one call of `engine.node_values`, which joins
+    the counts at d = delta, delta+1, delta+2 and checks them at delta+3,
+    so agreement holds from delta on: for d > delta+3 by Block
+    (arXiv:1006.0218).  The scan over real counts starts at delta-1 and
+    stops at the first mismatch going down: accidental agreement below a
+    gap does not shrink the answer.
     """
     if delta < 1:
         raise ValueError("threshold needs delta >= 1")
     least = delta
     witness = None
-    for d in range(delta - 1, 0, -1):
-        predicted = node_values(d, delta, cache)[delta]
+    degrees = range(delta - 1, 0, -1)
+    for d, values in zip(degrees, node_values(degrees, delta, cache)):
+        predicted = values[delta]
         actual = severi_degree(d, delta, cache=cache)
         if predicted == actual:
             least = d
@@ -150,29 +144,18 @@ def log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:
     For every delta <= delta_max, N^{d,delta} = T_delta(d) at each degree
     d >= delta_max (Block, arXiv:1006.0218), so the log of the plane counts
     at d = delta_max, delta_max + 1, delta_max + 2 gives three values of
-    each quadratic q_kappa, which interpolation joins.  d = delta_max + 3
-    is held out: its log must agree, else DegreeCheckFailed.
+    each quadratic q_kappa, which interpolation joins.  The counts come
+    from `engine.node_values`, whose series at these three degrees are the
+    counts themselves and whose check at delta_max + 3 is the log's.
     """
     if delta_max < 1:
         raise ValueError("log forms need delta_max >= 1")
-    degrees = tuple(range(delta_max, delta_max + 4))
-    logs = [
-        RatSeries([severi_degree(d, delta, cache=cache) for delta in range(delta_max + 1)]).log()
-        for d in degrees
-    ]
-    held_out = degrees[-1]
+    degrees = (delta_max, delta_max + 1, delta_max + 2)
+    logs = [RatSeries(values).log() for values in node_values(degrees, delta_max, cache)]
     forms = []
     for kappa in range(1, delta_max + 1):
         factor = math.factorial(kappa)
-        values = [factor * log[kappa] for log in logs]
-        coeffs = interpolate(degrees[:3], values[:3])
-        predicted = _poly_eval(coeffs, held_out)
-        if predicted != values[-1]:
-            raise DegreeCheckFailed(
-                f"q_{kappa}({held_out}) = {predicted} but degree {held_out} "
-                f"gives {values[-1]}"
-            )
-        a0, a1, a2 = coeffs
+        a0, a1, a2 = interpolate(degrees, [factor * log[kappa] for log in logs])
         forms.append(LogForm(kappa, a2, a1, a0))
     return forms
 

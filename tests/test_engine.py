@@ -18,7 +18,7 @@ from severi import (
     severi_degree,
     severi_table,
 )
-from severi.nodepoly import threshold_report
+from severi.nodepoly import fit_node_polynomial, threshold_report
 from severi.tangency import TangencySeq, canonical, state_key, weight
 from test_cli import child_env
 
@@ -626,9 +626,12 @@ def test_states_evaluated_per_table():
     store = CacheStore()
     severi_degree(30, 9, cache=store)
     assert len(store) == 41923
-    # the threshold reads its log forms off degrees 9..12 alone
+    # the threshold and the fit read T_9 off the counts at degrees 9..12 alone
     store = CacheStore()
     threshold_report(9, cache=store)
+    assert len(store) == 7056
+    store = CacheStore()
+    fit_node_polynomial(9, cache=store)
     assert len(store) == 7056
     store = CacheStore()
     assert severi_degree(10**4, 0, cache=store) == 1
@@ -840,9 +843,10 @@ def test_quintics_match_known_values(shared_cache):
 @pytest.mark.parametrize("delta", range(1, 7))
 def test_node_values_match_the_recursion(shared_cache, delta):
     # every k <= delta, at every degree from delta + 1 to 3.delta + 12
-    for d in range(delta + 1, 3 * delta + 13):
-        want = [severi_degree(d, k, cache=shared_cache) for k in range(delta + 1)]
-        assert engine.node_values(d, delta, cache=shared_cache) == want, d
+    degrees = range(delta + 1, 3 * delta + 13)
+    got = engine.node_values(degrees, delta, cache=shared_cache)
+    for d, values in zip(degrees, got, strict=True):
+        assert values == [severi_degree(d, k, cache=shared_cache) for k in range(delta + 1)], d
 
 
 def test_absolute_count_persists_the_root_and_the_counts_it_read():

@@ -26,7 +26,7 @@ from severi import (
 )
 from severi.cli import main
 from severi.engine import cache_save
-from severi.nodepoly import LogForm, interpolate
+from severi.nodepoly import LogForm, NodePolynomial, interpolate
 
 
 def set_partitions(items):
@@ -105,7 +105,7 @@ def test_t1_coefficients(shared_cache):
     assert p.coeffs == (Fraction(3), Fraction(-6), Fraction(3))
     assert len(p.coeffs) - 1 == 2
     assert p.fit_range == (3, 4, 5)
-    assert p(6) == severi_degree(6, 1, cache=shared_cache)  # the guard point
+    assert p(6) == severi_degree(6, 1, cache=shared_cache)  # past the fit range
 
 
 def test_t2_matches_counts_in_regime(shared_cache):
@@ -155,35 +155,52 @@ def test_fit_rejects_negative_delta():
         fit_node_polynomial(-1)
 
 
-def guard_one_too_high(monkeypatch):
-    """nodepoly sees the count at the guard point 3.delta + 3 one too high."""
-    true_degree = nodepoly.severi_degree
-
-    def poisoned(d, delta, cache=None):
-        value = true_degree(d, delta, cache=cache)
-        return value + 1 if d == 3 * delta + 3 else value
-
-    monkeypatch.setattr(nodepoly, "severi_degree", poisoned)
+def poisoned_store(delta, d=None):
+    """A store whose count N^{d,delta} is off by one, d = delta + 3 unless given."""
+    d = delta + 3 if d is None else d
+    store = CacheStore()
+    store.put((d, delta, (), (d,)), severi_degree(d, delta, cache=CacheStore()) + 1)
+    return store
 
 
-def test_fit_checks_the_guard_point(monkeypatch):
-    guard_one_too_high(monkeypatch)
-    with pytest.raises(DegreeCheckFailed, match=r"T_2\(9\)"):
-        fit_node_polynomial(2, cache=CacheStore())
+def reference_fit(delta, cache=None):
+    """T_delta interpolated from the counts at d = delta+2 .. 3delta+2, with
+    the count at 3delta+3 held out: a fit that shares nothing with
+    engine.node_values but the recursion."""
+    xs = tuple(range(delta + 2, 3 * delta + 3))
+    ys = [severi_degree(d, delta, cache=cache) for d in xs]
+    poly = NodePolynomial(delta, interpolate(xs, ys), xs)
+    guard = 3 * delta + 3
+    assert poly(guard) == severi_degree(guard, delta, cache=cache), f"T_{delta}({guard})"
+    return poly
+
+
+@pytest.mark.parametrize("delta", range(7))
+def test_fit_equals_the_deep_window_reference(shared_cache, delta):
+    p = fit_node_polynomial(delta, cache=shared_cache)
+    ref = reference_fit(delta, cache=shared_cache)
+    assert (p.coeffs, p.fit_range) == (ref.coeffs, ref.fit_range)
+
+
+@pytest.mark.parametrize("delta", [1, 3])
+def test_fit_fails_on_a_count_off_by_one_at_degree_delta_plus_one(delta):
+    # N^{delta+1,delta} enters F_{delta+1}^3 . F_{delta+3} three times over
+    with pytest.raises(DegreeCheckFailed, match=f"degree {delta + 3} "):
+        fit_node_polynomial(delta, cache=poisoned_store(delta, delta + 1))
+
+
+def test_fit_checks_the_guard_point():
+    # the one held-out degree is delta + 3
+    with pytest.raises(DegreeCheckFailed, match="degree 6 "):
+        fit_node_polynomial(3, cache=poisoned_store(3))
 
 
 def test_fit_refuses_a_degenerate_polynomial(monkeypatch):
-    # all-zero counts pass the guard, but T_delta must have degree 2.delta
-    monkeypatch.setattr(nodepoly, "severi_degree", lambda d, delta, cache=None: 0)
+    # all-zero counts pass the check at delta + 3, but T_delta must have
+    # degree 2.delta
+    monkeypatch.setattr(engine, "severi_degree", lambda d, delta, cache=None: 0)
     with pytest.raises(DegreeCheckFailed, match="degenerated below degree 4"):
         fit_node_polynomial(2, cache=CacheStore())
-
-
-def test_nodepoly_cli_exits_2_on_a_failed_guard(monkeypatch, capsys):
-    guard_one_too_high(monkeypatch)
-    code = main(["nodepoly", "--delta", "2", "--no-cache"])
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert (code, error["type"]) == (2, "DegreeCheckFailed")
 
 
 # ------------------------------------------------------------------ thresholds
@@ -229,6 +246,23 @@ def test_a_mismatch_just_below_the_fit_window_is_the_witness(monkeypatch):
     assert (rep.threshold, rep.witness.d) == (2, 1)
 
 
+def test_threshold_reads_each_count_once(monkeypatch):
+    # the counts at degrees 9..12 once for T_9, then the scan's real counts
+    true_degree = engine.severi_degree
+    reads = []
+
+    def counting(d, delta, cache=None):
+        reads.append((d, delta))
+        return true_degree(d, delta, cache=cache)
+
+    monkeypatch.setattr(engine, "severi_degree", counting)
+    monkeypatch.setattr(nodepoly, "severi_degree", counting)
+    assert threshold(9, cache=CacheStore()) == 6
+    assert sorted(reads) == [(d, 9) for d in (5, 6, 7, 8)] + [
+        (d, k) for d in range(9, 13) for k in range(10)
+    ]
+
+
 @pytest.mark.parametrize("delta", range(3, 13))
 def test_thresholds_meet_gottsches_bound(shared_cache, delta):
     # Gottsche conjectured T_delta(d) = N^{d,delta} for d >= delta/2 + 1;
@@ -261,7 +295,7 @@ def reference_log_forms(delta_max: int, cache: CacheStore | None = None) -> list
     """
     if delta_max < 1:
         raise ValueError("log forms need delta_max >= 1")
-    polys = [fit_node_polynomial(delta, cache=cache) for delta in range(delta_max + 1)]
+    polys = [reference_fit(delta, cache=cache) for delta in range(delta_max + 1)]
     npoints = max(4, 2 * delta_max + 1)
     ds = range(delta_max + 2, delta_max + 2 + npoints)
     logs = {}
@@ -291,14 +325,6 @@ def test_log_forms_agree_with_the_interpolated_reference(delta_max):
     assert forms == reference_log_forms(delta_max, cache=CacheStore())
 
 
-def poisoned_store(delta_max):
-    """A store whose count at the held-out degree delta_max + 3 is off by one."""
-    store = CacheStore()
-    d = delta_max + 3
-    store.put((d, delta_max, (), (d,)), severi_degree(d, delta_max, cache=CacheStore()) + 1)
-    return store
-
-
 @pytest.mark.parametrize("delta_max", [1, 3])
 def test_log_forms_check_the_held_out_degree(delta_max):
     with pytest.raises(DegreeCheckFailed, match=f"degree {delta_max + 3} "):
@@ -308,7 +334,7 @@ def test_log_forms_check_the_held_out_degree(delta_max):
 @pytest.mark.parametrize("delta", [1, 3])
 def test_node_values_check_the_held_out_degree(delta):
     with pytest.raises(DegreeCheckFailed, match=f"degree {delta + 3} "):
-        engine.node_values(delta + 10, delta, cache=poisoned_store(delta))
+        engine.node_values((delta + 10,), delta, cache=poisoned_store(delta))
 
 
 def run_on_a_poisoned_file(tmp_path, capsys, argv):
@@ -329,7 +355,8 @@ def test_logforms_cli_exits_2_on_a_held_out_mismatch(tmp_path, capsys):
     ["count", "--d", "10", "--delta", "3", "--alpha", "0", "--beta", "10,0"],
     ["table", "--dmax", "7", "--deltamax", "3"],
     ["threshold", "--delta", "3"],
-], ids=["count", "count-spelled-out", "table", "threshold"])
+    ["nodepoly", "--delta", "3"],
+], ids=["count", "count-spelled-out", "table", "threshold", "nodepoly"])
 def test_node_values_cli_exits_2_on_a_held_out_mismatch(tmp_path, capsys, argv):
     assert run_on_a_poisoned_file(tmp_path, capsys, argv) == (2, "DegreeCheckFailed")
 
@@ -338,9 +365,10 @@ def test_node_values_cli_exits_2_on_a_held_out_mismatch(tmp_path, capsys, argv):
 def test_node_values_equal_the_log_form_reconstruction(shared_cache, delta):
     # below delta these are the values T_k(d) of the node polynomials, not counts
     forms = log_forms(delta, cache=shared_cache)
-    for d in range(1, 3 * delta + 13):
-        want = reconstruct_from_log_forms(delta, d, forms)
-        assert engine.node_values(d, delta, cache=shared_cache) == want, d
+    degrees = range(1, 3 * delta + 13)
+    got = engine.node_values(degrees, delta, cache=shared_cache)
+    for d, values in zip(degrees, got, strict=True):
+        assert values == reconstruct_from_log_forms(delta, d, forms), d
 
 
 def test_first_log_form_equals_t1(shared_cache):
