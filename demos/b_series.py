@@ -9,7 +9,7 @@ it never saw, and every prediction must be an integer.
 
 from __future__ import annotations
 
-from severi import extract_b_series, gyz_predict, plane_invariants, severi_degree
+from severi import extract_b_series, gyz_predict, plane_invariants, relative_severi
 
 
 def main() -> None:
@@ -27,7 +27,7 @@ def main() -> None:
     print("Predicting degree 12, which the extraction never used:")
     predicted = gyz_predict(plane_invariants(12), sol)
     for delta in range(order + 1):
-        actual = severi_degree(12, delta)
+        actual = relative_severi(12, delta)
         status = "ok" if predicted[delta] == actual else "MISMATCH"
         print(f"  delta = {delta}: predicted {predicted[delta]:>16}, "
               f"recursion {actual:>16}  {status}")
@@ -36,7 +36,7 @@ def main() -> None:
     print("Below the polynomial threshold the formula answers a different")
     print("question: at d = 1 it returns the polynomial value, not a count.")
     predicted = gyz_predict(plane_invariants(1), sol, order=3)
-    actual = [severi_degree(1, delta) for delta in range(4)]
+    actual = [relative_severi(1, delta) for delta in range(4)]
     print(f"  formula at d = 1:  {predicted}")
     print(f"  true counts:       {actual}")
 

@@ -8,7 +8,7 @@ T_3 gives 75 at d = 1, but a line has no three-nodal members.
 
 from __future__ import annotations
 
-from severi import fit_node_polynomial, severi_degree, threshold_report
+from severi import fit_node_polynomial, relative_severi, threshold_report
 
 
 def poly_text(coeffs) -> str:
@@ -36,7 +36,7 @@ def main() -> None:
     print("The polynomial value vs the true count at small d, delta = 3:")
     p3 = fit_node_polynomial(3)
     for d in range(1, 7):
-        actual = severi_degree(d, 3)
+        actual = relative_severi(d, 3)
         mark = "" if p3(d) == actual else "   <-- polynomial overcounts"
         print(f"  d = {d}: T_3({d}) = {str(p3(d)):>6}, N^{{{d},3}} = {actual:>6}{mark}")
 

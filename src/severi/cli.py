@@ -147,7 +147,7 @@ def _run_count(args, store) -> dict:
     if args.beta is not None:
         doc["beta"] = seq_to_text(beta)
     if not alpha and beta in (None, (args.d,)):  # the absolute count N^{d,delta}
-        value = engine.absolute_count(args.d, args.delta, cache=store)
+        value = engine.severi_degree(args.d, args.delta, cache=store)
     else:
         value = engine.relative_severi(args.d, args.delta, alpha, beta, cache=store)
     doc["value"] = str(value)

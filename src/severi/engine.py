@@ -71,11 +71,11 @@ about sequences, not about any store, so they are process-global and
 every store shares them; a store keeps only its values.  The builders
 assert an entry's invariants once, when they build it, and hand their
 own part lists to _seq_id, which trims them; only pack checks a sequence
-from outside.  The deep root severi_degree(30, 9) stores 41,923 states
+from outside.  The deep root relative_severi(30, 9) stores 41,923 states
 over 1,880 sequences, with 5,385, 4,077, 7,641 and 3,008 cached entries
 and 21,600 template children; threshold_report(9) and
 fit_node_polynomial(9), which read the counts at degrees 9..12 only,
-store 7,056.
+store 7,056, and severi_degree(30, 9), which reads the same, 7,057.
 
 Counts past degree delta + 3.  Let F_e = sum_{k <= delta} N^{e,k} u^k.
 For e >= delta each coefficient is T_k(e) (Block, arXiv:1006.0218), and
@@ -457,11 +457,6 @@ def relative_severi(
     return _evaluate(key, cache if cache is not None else _DEFAULT_CACHE)
 
 
-def severi_degree(d: int, delta: int, cache: CacheStore | None = None) -> int:
-    """N^{d,delta}: delta-nodal degree-d curves through general points."""
-    return relative_severi(d, delta, (), (d,), cache=cache)
-
-
 def node_values(
     degrees: Iterable[int], delta: int, cache: CacheStore | None = None
 ) -> list[list[int]]:
@@ -472,7 +467,7 @@ def node_values(
     delta = 0 the counts are read from degree 1 on (there is no degree 0),
     and every d gets [1]."""
     size, lo = delta + 1, max(delta, 1)
-    f = [[severi_degree(e, k, cache=cache) for k in range(size)] for e in range(lo, lo + 4)]
+    f = [[relative_severi(e, k, cache=cache) for k in range(size)] for e in range(lo, lo + 4)]
 
     def power(a: list[int], n: int) -> list[int]:
         p = [1]
@@ -490,11 +485,16 @@ def node_values(
                   power(f[2], t * (t - 1) // 2)) for t in (d - lo for d in degrees)]
 
 
-def absolute_count(d: int, delta: int, cache: CacheStore | None = None) -> int:
-    """N^{d,delta}, stored or computed: past degree delta + 3 from node_values,
-    else by the recursion."""
+def severi_degree(d: int, delta: int, cache: CacheStore | None = None) -> int:
+    """N^{d,delta}: delta-nodal degree-d curves through general points.
+
+    A stored count comes back as is.  Up to degree delta + 3, and at
+    delta = 0, it is the recursion's (relative_severi); past it, node_values'
+    read of degrees delta..delta+3, stored as a root.  The held-out degree
+    delta + 3 checks the read against the recursion; the degrees past it
+    rest on Block (arXiv:1006.0218)."""
     if not 1 <= delta < d - 3:
-        return relative_severi(d, delta, cache=cache)
+        return relative_severi(d, delta, (), (d,), cache=cache)
     cache = cache if cache is not None else _DEFAULT_CACHE
     key = (d, delta, (), (d,))
     value = cache.get(key)
@@ -512,10 +512,8 @@ def severi_table(
     """All N^{d,delta} for d <= dmax, delta <= deltamax, as rows per degree."""
     if dmax < 1 or deltamax < 0:
         raise InvalidState("table needs dmax >= 1 and deltamax >= 0")
-    queries = [(d, delta) for d in range(1, dmax + 1) for delta in range(deltamax + 1)]
-    values = [absolute_count(d, delta, cache=cache) for d, delta in queries]
-    width = deltamax + 1
-    return [values[i : i + width] for i in range(0, len(values), width)]
+    return [[severi_degree(d, delta, cache=cache) for delta in range(deltamax + 1)]
+            for d in range(1, dmax + 1)]
 
 
 def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:

@@ -140,8 +140,9 @@ def extract_b_series(
     For each degree, R_d = log(plane series) - log(B3^chi(d) . B4^(-1/2))
     must equal 9.log(B1) - 3d.log(B2).  The two smallest degrees solve
     for log(B1) and log(B2) as whole series; every other degree must then
-    agree exactly, which is the same as every pair of degrees giving the
-    same solution at every order.
+    agree exactly.  Past degree delta + 3 each N^{d,delta} is severi_degree's
+    power read, so log(plane series) is quadratic in d by construction; the
+    agreement tests that its d^2 part is log(B3)/2, the form X.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

@@ -453,11 +453,10 @@ def test_transitions_match_the_reference_on_every_small_state():
 
 def recursion_grid(dmax, deltamax, store):
     """Every N^{d,delta} with d <= dmax and delta <= deltamax by the
-    recursion: the states severi_table stored before it read the rows past
-    deltamax + 3 off engine.node_values."""
+    recursion alone, which severi_degree leaves past degree delta + 3."""
     for d in range(1, dmax + 1):
         for delta in range(deltamax + 1):
-            severi_degree(d, delta, cache=store)
+            relative_severi(d, delta, cache=store)
 
 
 def _table_sequences() -> list[TangencySeq]:
@@ -513,11 +512,11 @@ def test_optimized_mode_computes_the_same_table():
     # the asserts live in the table builders; python -O drops them, and
     # must not change a single stored value
     script = (
-        "from severi import CacheStore, severi_degree\n"
+        "from severi import CacheStore, relative_severi\n"
         "store = CacheStore()\n"
         "for d in range(1, 13):\n"
         "    for delta in range(8):\n"
-        "        severi_degree(d, delta, cache=store)\n"
+        "        relative_severi(d, delta, cache=store)\n"
         "print(__debug__, list(store.items()))\n"
     )
     proc = subprocess.run(
@@ -534,9 +533,9 @@ def test_builders_do_the_pinned_work_in_a_fresh_process():
     # the builders' caches are process-global, so only a fresh interpreter
     # shows how much the cold deep root N^{30,9} makes them build
     script = (
-        "from severi import CacheStore, engine, severi_degree\n"
+        "from severi import CacheStore, engine, relative_severi\n"
         "store = CacheStore()\n"
-        "severi_degree(30, 9, cache=store)\n"
+        "relative_severi(30, 9, cache=store)\n"
         "builders = (engine._partitions, engine._alpha_candidates, engine._frontier,\n"
         "            engine._seq_sum, engine._template)\n"
         "print(len(store), len(engine._SEQS), [b.cache_info().currsize for b in builders])\n"
@@ -624,8 +623,12 @@ def test_states_evaluated_per_table():
     severi_table(18, 9, cache=store)
     assert len(store) == 7001
     store = CacheStore()
-    severi_degree(30, 9, cache=store)
+    relative_severi(30, 9, cache=store)
     assert len(store) == 41923
+    # severi_degree reads N^{30,9} off the same counts as the threshold
+    store = CacheStore()
+    severi_degree(30, 9, cache=store)
+    assert len(store) == 7057
     # the threshold and the fit read T_9 off the counts at degrees 9..12 alone
     store = CacheStore()
     threshold_report(9, cache=store)
@@ -699,7 +702,6 @@ def test_states_above_smooth_leaves_match_the_reference_recursion():
         assert value == _ref_severi(key, memo), key
 
 
-@pytest.mark.slow
 def test_threshold_store_matches_the_reference_recursion():
     store = CacheStore()
     severi_degree(24, 7, cache=store)
@@ -781,7 +783,6 @@ def test_irreducible_counts_match_kontsevich():
     assert _irreducible(9, -1, CacheStore()) == _kontsevich(9)
 
 
-@pytest.mark.slow
 def test_irreducible_counts_match_kontsevich_to_degree_11():
     assert _irreducible(11, -1, CacheStore()) == _kontsevich(11)
 
@@ -846,33 +847,41 @@ def test_node_values_match_the_recursion(shared_cache, delta):
     degrees = range(delta + 1, 3 * delta + 13)
     got = engine.node_values(degrees, delta, cache=shared_cache)
     for d, values in zip(degrees, got, strict=True):
-        assert values == [severi_degree(d, k, cache=shared_cache) for k in range(delta + 1)], d
+        assert values == [relative_severi(d, k, cache=shared_cache) for k in range(delta + 1)], d
 
 
-def test_absolute_count_persists_the_root_and_the_counts_it_read():
-    store = CacheStore()
-    assert engine.absolute_count(17, 3, cache=store) == severi_degree(17, 3, cache=CacheStore())
-    read = {(e, k, (), (e,)) for e in range(3, 7) for k in range(4)}
-    assert {key for key, _ in store.roots()} == read | {(17, 3, (), (17,))}
+def test_severi_degree_persists_the_root_and_the_counts_it_read():
+    # on a fresh store each, against the recursion: N^{17,3} and every
+    # cell d <= 16, delta <= 6 past degree delta + 3
+    reference = CacheStore()
+    cells = [(17, 3)] + [(d, delta) for delta in range(7) for d in range(delta + 4, 17)]
+    for d, delta in cells:
+        store = CacheStore()
+        value = severi_degree(d, delta, cache=store)
+        assert value == relative_severi(d, delta, cache=reference), (d, delta)
+        roots = {(d, delta, (), (d,))}
+        if delta:  # the counts read at degrees delta..delta+3
+            roots |= {(e, k, (), (e,)) for e in range(delta, delta + 4) for k in range(delta + 1)}
+        assert {key for key, _ in store.roots()} == roots, (d, delta)
 
 
-def test_absolute_count_reads_the_store_first():
+def test_severi_degree_reads_the_store_first():
     store = CacheStore()
     store.put((40, 5, (), (40,)), 7)  # not the count, but what the store says
-    assert engine.absolute_count(40, 5, cache=store) == 7
+    assert severi_degree(40, 5, cache=store) == 7
     assert (len(store), store.hits) == (1, 1)
 
 
-def test_absolute_count_keeps_the_recursion_up_to_degree_delta_plus_3():
+def test_severi_degree_keeps_the_recursion_up_to_degree_delta_plus_3():
     store = CacheStore()
-    assert engine.absolute_count(6, 3, cache=store) == 41310
-    assert engine.absolute_count(4, 0, cache=store) == 1
+    assert severi_degree(6, 3, cache=store) == relative_severi(6, 3, cache=CacheStore()) == 41310
+    assert severi_degree(4, 0, cache=store) == 1
     assert len(store) > store.root_count == 2  # the recursion's states, two roots
 
 
-def test_absolute_count_of_an_astronomical_degree():
+def test_severi_degree_of_an_astronomical_degree():
     # N^{d,3} = T_3(d) for d >= 3 (Block); T_3 from the fit over d = 5..12
     from severi import fit_node_polynomial
 
     d = 10**20
-    assert engine.absolute_count(d, 3, cache=CacheStore()) == fit_node_polynomial(3)(d)
+    assert severi_degree(d, 3, cache=CacheStore()) == fit_node_polynomial(3)(d)

@@ -17,6 +17,7 @@ from severi import (
     gyz_predict,
     log_forms,
     plane_invariants,
+    relative_severi,
     severi_degree,
 )
 from severi import forms, gyz, nodepoly
@@ -173,7 +174,7 @@ def test_extraction_and_prediction_at_order_zero(shared_cache):
 def test_prediction_reproduces_plane_counts(shared_cache):
     sol = extract_b_series(3, [4, 5, 6, 7], cache=shared_cache)
     predicted = gyz_predict(plane_invariants(9), sol)
-    expected = [severi_degree(9, delta, cache=shared_cache) for delta in range(4)]
+    expected = [relative_severi(9, delta, cache=shared_cache) for delta in range(4)]
     assert predicted == expected
 
 
@@ -181,7 +182,7 @@ def test_prediction_holds_out_the_target_degree(shared_cache):
     # degree 8 is not among the extraction degrees
     sol = extract_b_series(3, [4, 5, 6, 7], cache=shared_cache)
     predicted = gyz_predict(plane_invariants(8), sol)
-    assert predicted == [severi_degree(8, delta, cache=shared_cache) for delta in range(4)]
+    assert predicted == [relative_severi(8, delta, cache=shared_cache) for delta in range(4)]
 
 
 def test_prediction_below_threshold_overcounts(shared_cache):
@@ -195,7 +196,7 @@ def test_prediction_below_threshold_overcounts(shared_cache):
 def test_prediction_matches_the_recursion_across_degrees(shared_cache):
     sol = extract_b_series(6, (12, 13, 14), cache=shared_cache)
     for d in range(15, 31):
-        expected = [severi_degree(d, delta, cache=shared_cache) for delta in range(7)]
+        expected = [relative_severi(d, delta, cache=shared_cache) for delta in range(7)]
         assert gyz_predict(plane_invariants(d), sol) == expected, d
 
 

@@ -20,6 +20,7 @@ from severi import (
     nodepoly,
     plane_invariants,
     reconstruct_from_log_forms,
+    relative_severi,
     severi_degree,
     threshold,
     threshold_report,
@@ -105,13 +106,13 @@ def test_t1_coefficients(shared_cache):
     assert p.coeffs == (Fraction(3), Fraction(-6), Fraction(3))
     assert len(p.coeffs) - 1 == 2
     assert p.fit_range == (3, 4, 5)
-    assert p(6) == severi_degree(6, 1, cache=shared_cache)  # past the fit range
+    assert p(6) == relative_severi(6, 1, cache=shared_cache)  # past the fit range
 
 
 def test_t2_matches_counts_in_regime(shared_cache):
     p = fit_node_polynomial(2, cache=shared_cache)
     for d in (4, 5, 6, 7, 8, 9):
-        assert p(d) == severi_degree(d, 2, cache=shared_cache)
+        assert p(d) == relative_severi(d, 2, cache=shared_cache)
 
 
 def _poly_mul(p, q):
@@ -168,10 +169,10 @@ def reference_fit(delta, cache=None):
     the count at 3delta+3 held out: a fit that shares nothing with
     engine.node_values but the recursion."""
     xs = tuple(range(delta + 2, 3 * delta + 3))
-    ys = [severi_degree(d, delta, cache=cache) for d in xs]
+    ys = [relative_severi(d, delta, cache=cache) for d in xs]
     poly = NodePolynomial(delta, interpolate(xs, ys), xs)
     guard = 3 * delta + 3
-    assert poly(guard) == severi_degree(guard, delta, cache=cache), f"T_{delta}({guard})"
+    assert poly(guard) == relative_severi(guard, delta, cache=cache), f"T_{delta}({guard})"
     return poly
 
 
@@ -198,7 +199,7 @@ def test_fit_checks_the_guard_point():
 def test_fit_refuses_a_degenerate_polynomial(monkeypatch):
     # all-zero counts pass the check at delta + 3, but T_delta must have
     # degree 2.delta
-    monkeypatch.setattr(engine, "severi_degree", lambda d, delta, cache=None: 0)
+    monkeypatch.setattr(engine, "relative_severi", lambda d, delta, cache=None: 0)
     with pytest.raises(DegreeCheckFailed, match="degenerated below degree 4"):
         fit_node_polynomial(2, cache=CacheStore())
 
@@ -216,7 +217,7 @@ def test_polynomial_matches_everywhere_for_delta_at_most_two(shared_cache):
     for delta in (1, 2):
         p = fit_node_polynomial(delta, cache=shared_cache)
         for d in range(1, 3 * delta + 4):
-            assert p(d) == severi_degree(d, delta, cache=shared_cache)
+            assert p(d) == relative_severi(d, delta, cache=shared_cache)
 
 
 def test_threshold_witness(shared_cache):
@@ -247,16 +248,16 @@ def test_a_mismatch_just_below_the_fit_window_is_the_witness(monkeypatch):
 
 
 def test_threshold_reads_each_count_once(monkeypatch):
-    # the counts at degrees 9..12 once for T_9, then the scan's real counts
-    true_degree = engine.severi_degree
+    # the counts at degrees 9..12 once for T_9, then the scan's real counts;
+    # every count, the scan's through severi_degree, is the recursion's
+    true_recursion = engine.relative_severi
     reads = []
 
-    def counting(d, delta, cache=None):
+    def counting(d, delta, *tangencies, cache=None):
         reads.append((d, delta))
-        return true_degree(d, delta, cache=cache)
+        return true_recursion(d, delta, *tangencies, cache=cache)
 
-    monkeypatch.setattr(engine, "severi_degree", counting)
-    monkeypatch.setattr(nodepoly, "severi_degree", counting)
+    monkeypatch.setattr(engine, "relative_severi", counting)
     assert threshold(9, cache=CacheStore()) == 6
     assert sorted(reads) == [(d, 9) for d in (5, 6, 7, 8)] + [
         (d, k) for d in range(9, 13) for k in range(10)
