@@ -703,11 +703,13 @@ def test_states_above_smooth_leaves_match_the_reference_recursion():
 
 
 def test_threshold_store_matches_the_reference_recursion():
-    store = CacheStore()
-    severi_degree(24, 7, cache=store)
-    memo = {}
+    # every recursion state up to degree 24, then the power-read root
+    store, memo = CacheStore(), {}
+    relative_severi(24, 7, cache=store)
     for key, value in store.items():
         assert value == _ref_severi(key, memo), key
+    root = (24, 7, (), (24,))
+    assert severi_degree(24, 7, cache=CacheStore()) == _ref_severi(root, memo)
 
 
 # -- genus 0 against Kontsevich ----------------------------------------------
