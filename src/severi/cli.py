@@ -10,6 +10,7 @@ which means a defect, not a user error).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -118,10 +119,7 @@ def _with_store(run):
         if args.no_cache:
             return run(args, engine.CacheStore())
         path = _cache_path(args)
-        try:
-            store = engine.cache_load(path)
-        except FileNotFoundError:  # no file yet, or `severi cache clear` removed it
-            store = engine.CacheStore()
+        store = engine.cache_load(path)
         known = store.root_count
         doc = run(args, store)
         if store.root_count > known:
@@ -276,10 +274,9 @@ def _run_cache(args) -> dict:
         except FileNotFoundError:
             return {"path": path, "cleared": False}
         return {"path": path, "cleared": True}
-    try:
-        store, size = engine.cache_load(path), os.path.getsize(path)
-    except FileNotFoundError:
-        store, size = engine.CacheStore(), 0
+    store, size = engine.cache_load(path), 0
+    with contextlib.suppress(FileNotFoundError):  # no file, or one removed since
+        size = os.path.getsize(path)
     absolute = sum(1 for (d, _, alpha, beta), _ in store.items() if not alpha and beta == (d,))
     return {
         "path": path,

@@ -101,6 +101,7 @@ line whose texts came up on an earlier line is read with two lookups.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -178,9 +179,10 @@ def _seq_id(parts: Iterable[int]) -> int:
         sid = len(_SEQS)
         if sid > _ID_MASK:
             raise OverflowError("more than 2**32 distinct tangency sequences")
+        seq_weight, smooth = weight(seq), _orderings(seq)  # may raise: before any append
         _SEQS.append(seq)
-        _WEIGHTS.append(weight(seq))
-        _SMOOTH.append(_orderings(seq))
+        _WEIGHTS.append(seq_weight)
+        _SMOOTH.append(smooth)
         _IDS[seq] = sid
     return sid
 
@@ -465,7 +467,12 @@ def node_values(
     DegreeCheckFailed when delta+3 breaks the identity there.  A degree
     below delta gets the polynomial values, which need not be counts.  At
     delta = 0 the counts are read from degree 1 on (there is no degree 0),
-    and every d gets [1]."""
+    and every d gets [1].  Non-int input: InvalidState; delta < 0: ValueError."""
+    degrees = list(degrees)
+    if not all(isinstance(v, int) for v in (delta, *degrees)):
+        raise InvalidState(f"node values need int degrees and delta, got {degrees}, {delta!r}")
+    if delta < 0:
+        raise ValueError("node count must be nonnegative")
     size, lo = delta + 1, max(delta, 1)
     f = [[relative_severi(e, k, cache=cache) for k in range(size)] for e in range(lo, lo + 4)]
 
@@ -496,7 +503,7 @@ def severi_degree(d: int, delta: int, cache: CacheStore | None = None) -> int:
     if not 1 <= delta < d - 3:
         return relative_severi(d, delta, (), (d,), cache=cache)
     cache = cache if cache is not None else _DEFAULT_CACHE
-    key = (d, delta, (), (d,))
+    key = state_key(d, delta, (), (d,))
     value = cache.get(key)
     if value is None:
         value = node_values((d,), delta, cache)[0][delta]
@@ -520,38 +527,28 @@ def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:
     """Write the store's roots, merged with the file's, as sorted lines.
 
     Each line reads "d delta alpha beta N" under a version header, d
-    written as I(alpha) + I(beta) and "-" for an empty sequence.  Saves to
-    one path take an exclusive lock on "<path>.lock", re-read the file
-    under it and keep its entries (a conflicting value raises
-    CacheCorruption; a file removed meanwhile counts as empty), then
-    replace it through a synced temporary file in the same directory, so
-    concurrent processes lose no entry.
-    """
+    written as I(alpha) + I(beta) and "-" for an empty sequence.  A save
+    takes an exclusive lock on "<path>.lock", re-reads the file under it
+    with cache_load, puts the store's roots into what it read (the store's
+    check raises CacheCorruption on a contradicted value, before any write)
+    and writes that store's roots() through a synced temporary file in the
+    same directory, so concurrent processes lose no entry."""
     import fcntl
     import tempfile
 
     path = os.fspath(path)
     with open(path + ".lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
-        merged = {state: cache._data[state] for state in cache._roots}
+        merged = cache_load(path)
+        for state in cache._roots:
+            merged._put_state(state, cache._data[state])
         mode = 0o644  # mkstemp creates 0o600; reuse the file's mode, or this
-        try:
+        with contextlib.suppress(FileNotFoundError):  # no file, or one removed since
             mode = os.stat(path).st_mode & 0o777
-            for state, value in cache_load(path)._data.items():
-                held = cache._data.get(state)
-                if held is not None and held != value:
-                    raise CacheCorruption(
-                        f"{path} holds {value} for key {unpack(state)}, the store holds {held}"
-                    )
-                merged[state] = value
-        except FileNotFoundError:  # no file yet, or `severi cache clear` removed it
-            pass
         lines = [f"{CACHE_MAGIC} {CACHE_VERSION}"]
-        for state in sorted(merged, key=unpack):
-            ia, ib = state >> 32 & _ID_MASK, state & _ID_MASK
-            d, delta, value = _WEIGHTS[ia] + _WEIGHTS[ib], state >> 64, merged[state]
-            alpha, beta = seq_to_text(_SEQS[ia]) or "-", seq_to_text(_SEQS[ib]) or "-"
-            lines.append(f"{d} {delta} {alpha} {beta} {value}")
+        for (d, delta, alpha, beta), value in merged.roots():
+            alpha_text, beta_text = seq_to_text(alpha) or "-", seq_to_text(beta) or "-"
+            lines.append(f"{d} {delta} {alpha_text} {beta_text} {value}")
         directory, name = os.path.split(path)
         fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory or ".")
         try:
@@ -569,6 +566,7 @@ def cache_save(cache: CacheStore, path: str | os.PathLike[str]) -> None:
 def cache_load(path: str | os.PathLike[str]) -> CacheStore:
     """Parse a cache file; every entry read is a root of the returned store.
 
+    A missing file is an empty store; the store's check refuses a key given two values.
     A line must read exactly as cache_save writes it, so the round trip is
     bit-exact.  Its sequences' ids are read from a table of the texts seen
     on earlier lines of this file; a text not in it is checked, and
@@ -577,6 +575,8 @@ def cache_load(path: str | os.PathLike[str]) -> CacheStore:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
+    except FileNotFoundError:  # no file yet, or `severi cache clear` removed it
+        return CacheStore()
     except UnicodeDecodeError as exc:
         raise ParseError(f"cache file {path} is not UTF-8 text: {exc.reason}") from None
     if not lines or not lines[0].strip():

@@ -11,6 +11,7 @@ hard error, not noise.  Prediction reads the solution's linear `forms`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -146,7 +147,7 @@ def extract_b_series(
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    degrees = tuple(sorted(set(int(d) for d in d_list)))
+    degrees = tuple(sorted(set(map(operator.index, d_list))))
     if len(degrees) < 2:
         raise ValueError("extraction needs at least two distinct degrees")
     forms = form_catalog(max(order, 1))

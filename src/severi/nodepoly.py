@@ -75,8 +75,6 @@ def fit_node_polynomial(delta: int, cache: CacheStore | None = None) -> NodePoly
     Block (arXiv:1006.0218) proves N^{d,delta} = T_delta(d), so the fit
     does not presuppose the conjectured threshold.
     """
-    if delta < 0:
-        raise ValueError("node count must be nonnegative")
     xs = tuple(range(delta + 2, 3 * delta + 3))
     coeffs = interpolate(xs, [values[delta] for values in node_values(xs, delta, cache)])
     if delta >= 1 and coeffs[-1] == 0:

@@ -53,13 +53,15 @@ def seq_from_text(text: str) -> TangencySeq:
 def state_key(
     d: int, delta: int, alpha: Iterable[int], beta: Iterable[int]
 ) -> SeveriKey:
-    """The key (d, delta, alpha, beta) of a valid state, alpha and beta canonical."""
+    """The key (d, delta, alpha, beta) of a valid state: ints, alpha and beta canonical."""
     a, b = canonical(alpha), canonical(beta)
+    wa, wb = weight(a), weight(b)  # a float or Fraction part makes its weight one too
+    if not (isinstance(d, int) and isinstance(delta, int) and isinstance(wa + wb, int)):
+        raise InvalidState(f"state {(d, delta, a, b)} has a number that is not an int")
     if d < 1:
         raise InvalidState(f"degree must be positive, got {d}")
     if delta < 0:
         raise InvalidState(f"node count must be nonnegative, got {delta}")
-    wa, wb = weight(a), weight(b)
     if wa + wb != d:
         raise InvalidState(f"weight(alpha) + weight(beta) = {wa}+{wb} != d = {d}")
     return (d, delta, a, b)

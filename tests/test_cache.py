@@ -301,6 +301,12 @@ def test_save_refuses_a_file_that_contradicts_the_store(tmp_path):
     assert path.read_text() == "SEVERI-CACHE v1\n2 1 - 2 4\n"
 
 
+def test_load_reads_a_missing_file_as_an_empty_store(tmp_path):
+    store = cache_load(tmp_path / "none")
+    assert (len(store), store.root_count) == (0, 0)
+    assert list(tmp_path.iterdir()) == []  # and creates nothing
+
+
 def test_save_counts_a_file_removed_under_the_lock_as_empty(tmp_path, monkeypatch):
     path = tmp_path / "c"
     path.write_text("SEVERI-CACHE v1\n2 1 - 2 3\n")

@@ -881,6 +881,63 @@ def test_severi_degree_keeps_the_recursion_up_to_degree_delta_plus_3():
     assert len(store) > store.root_count == 2  # the recursion's states, two roots
 
 
+def test_severi_degree_refuses_a_float_degree_in_a_fresh_process():
+    # once (30,) has an id, 30.0 finds it; the float must not reach the power
+    # read, nor leave a float under the int key for the next call to return
+    script = (
+        "from severi import CacheStore, InvalidState, engine, severi_degree\n"
+        "engine._seq_id((30,))\n"
+        "store = CacheStore()\n"
+        "try:\n"
+        "    severi_degree(30.0, 9, cache=store)\n"
+        "except InvalidState:\n"
+        "    print('refused', len(store))\n"
+        "value = severi_degree(30, 9, cache=store)\n"
+        "print(type(value).__name__, value)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused 0\nint 9379199521308524138375940\n"
+
+
+def test_a_failed_registration_leaves_the_sequence_tables_aligned():
+    # _orderings raising for (11,) must not leave (11,) in _SEQS and _WEIGHTS
+    # without its _SMOOTH entry and id, or every later id is off by one
+    script = (
+        "from severi import CacheStore, engine, relative_severi\n"
+        "orderings = engine._orderings\n"
+        "def once(parts):\n"
+        "    engine._orderings = orderings\n"
+        "    raise RuntimeError('once')\n"
+        "engine._orderings = once\n"
+        "try:\n"
+        "    relative_severi(11, 5, cache=CacheStore())\n"
+        "except RuntimeError:\n"
+        "    pass\n"
+        "tables = (engine._SEQS, engine._WEIGHTS, engine._SMOOTH, engine._IDS)\n"
+        "print(len(set(map(len, tables))), relative_severi(11, 5, cache=CacheStore()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 12886585236\n"
+
+
+def test_node_values_refuse_a_negative_or_non_int_input():
+    store = CacheStore()
+    with pytest.raises(ValueError, match="node count must be nonnegative"):
+        engine.node_values((5,), -1, cache=store)
+    for degrees, delta in (((5.0,), 2), ((5, 6.5), 2), ((5,), 2.0)):
+        with pytest.raises(InvalidState):
+            engine.node_values(degrees, delta, cache=store)
+    assert len(store) == 0  # refused before any count is read
+
+
 def test_severi_degree_of_an_astronomical_degree():
     # N^{d,3} = T_3(d) for d >= 3 (Block); T_3 from the fit over d = 5..12
     from severi import fit_node_polynomial

@@ -137,6 +137,12 @@ def test_extraction_degree_guard(shared_cache):
         extract_b_series(4, [4, 6], cache=shared_cache)
 
 
+def test_extraction_refuses_a_degree_that_is_not_an_integer(shared_cache):
+    # int() would truncate 3.9 and 5.2 to the degrees 3 and 5
+    with pytest.raises(TypeError):
+        extract_b_series(2, [3.9, 5.2], cache=shared_cache)
+
+
 def test_extraction_duplicate_degrees_collapse(shared_cache):
     sol = extract_b_series(1, [3, 3, 2], cache=shared_cache)
     assert sol.d_used == (2, 3)

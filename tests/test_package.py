@@ -230,3 +230,31 @@ def test_benchmark_patch_targets_resolve():
     ]
     missing += [name for name in tracing.SERIES_METHODS if name not in RatSeries.__dict__]
     assert missing == []
+
+
+def test_benchmark_workload_names_resolve():
+    # perfbench/workloads.py calls severi as sev.<module>.<name> and through
+    # RatSeries.<name>; tier-1 does not collect perfbench/, so a name removed
+    # from src/ would only show when the benchmark runs
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id == "RatSeries":
+            names.add(("RatSeries", node.attr))
+        elif isinstance(owner, ast.Attribute) and (
+            isinstance(owner.value, ast.Name) and owner.value.id == "sev"
+            or isinstance(owner.value, ast.Attribute) and owner.value.attr == "sev"
+        ):
+            names.add((owner.attr, node.attr))
+    assert {("engine", "CacheStore"), ("engine", "cache_load"), ("series", "RatSeries"),
+            ("RatSeries", "one"), ("RatSeries", "identity")} <= names
+    missing = [
+        f"{owner}.{attr}"
+        for owner, attr in sorted(names)
+        if not hasattr(RatSeries if owner == "RatSeries"
+                       else importlib.import_module(f"severi.{owner}"), attr)
+    ]
+    assert missing == []

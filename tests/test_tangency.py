@@ -50,6 +50,13 @@ def test_state_validates_weight():
         state_key(2, -1, (), (2,))
 
 
+def test_state_refuses_numbers_that_are_not_ints():
+    for d, delta, alpha, beta in ((3.0, 1, (1,), (2,)), (3, 1.0, (1,), (2,)),
+                                  (3, 1, (1.0,), (2,)), (3, 1, (1,), (2.0,))):
+        with pytest.raises(InvalidState):
+            state_key(d, delta, alpha, beta)
+
+
 def test_state_canonicalizes_on_build():
     _, _, alpha, beta = state_key(2, 0, (0, 1, 0), (0,))
     assert alpha == (0, 1)
