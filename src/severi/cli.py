@@ -175,7 +175,7 @@ def _run_nodepoly(args, store) -> dict:
         "delta": poly.delta,
         "coeffs": [str(c) for c in poly.coeffs],
         "fit_range": list(poly.fit_range),
-        "verified": True,  # the fit raises when the counts at delta+3 fail their check
+        "verified": True,  # the fit raises when the held-out degree lo+3 fails its check
     }
 
 

@@ -74,25 +74,30 @@ own part lists to _seq_id, which trims them; only pack checks a sequence
 from outside.  The deep root relative_severi(30, 9) stores 41,923 states
 over 1,880 sequences, with 5,385, 4,077, 7,641 and 3,008 cached entries
 and 21,600 template children; threshold_report(9) and
-fit_node_polynomial(9), which read the counts at degrees 9..12 only,
-store 7,056, and severi_degree(30, 9), which reads the same, 7,057.
+fit_node_polynomial(9), which read the counts at degrees 6..9 only,
+store 2,634, and severi_degree(30, 9), which reads the same, 2,635.
 
-Counts past degree delta + 3.  Let F_e = sum_{k <= delta} N^{e,k} u^k.
-For e >= delta each coefficient is T_k(e) (Block, arXiv:1006.0218), and
-log sum_k T_k(d) u^k is quadratic in d (Tzeng, arXiv:1009.5371), so
-mod u^{delta+1} log F_d is the quadratic through the logs at e = delta,
-delta+1, delta+2.  Its Lagrange weights at t = d - delta are the
-integers (t-1)(t-2)/2, -t(t-2) and t(t-1)/2, so no log is taken:
+Counts past degree lo + 3.  Let F_e = sum_{k <= delta} N^{e,k} u^k and
+lo = _low_degree(delta): ceil(delta/2) + 1 for delta >= 2, 1 for delta <= 1.
+For e >= lo each coefficient is T_k(e): at e >= delta by Block
+(arXiv:1006.0218), and at ceil(delta/2) + 1 <= e < delta, which first
+happens at delta = 4, by Kleiman and Shende's proof of Gottsche's
+threshold d >= k/2 + 1 (arXiv:1204.6254); T_0 = 1 and T_1(e) = 3(e-1)^2
+hold from e = 1 on.  log sum_k T_k(d) u^k is quadratic in d (Tzeng,
+arXiv:1009.5371), so mod u^{delta+1} log F_d is the quadratic through
+the logs at e = lo, lo+1, lo+2.  Its Lagrange weights at t = d - lo are
+the integers (t-1)(t-2)/2, -t(t-2) and t(t-1)/2, so no log is taken:
 
-  F_d = F_delta^{(t-1)(t-2)/2} . F_{delta+1}^{-t(t-2)} . F_{delta+2}^{t(t-1)/2}
+  F_d = F_lo^{(t-1)(t-2)/2} . F_{lo+1}^{-t(t-2)} . F_{lo+2}^{t(t-1)/2}
 
 mod u^{delta+1}.  Each F_e starts with N^{e,0} = 1, and a power P = A^n
 of such a series satisfies A.P' = n.A'.P, that is Miller's recurrence
 m.P_m = sum_{k=1..m} ((n+1)k - m) a_k P_{m-k}, whose division by m is
 exact as P has integer coefficients.  At t = 3 the weights are 1, -3, 3,
-so the held-out degree delta+3 is the identity F_delta . F_{delta+2}^3 =
-F_{delta+1}^3 . F_{delta+3}.  For d < delta the product gives T_k(d),
-which need not be a count.
+so the held-out degree lo+3 is the identity F_lo . F_{lo+2}^3 =
+F_{lo+1}^3 . F_{lo+3}, which tests the three read degrees against the
+recursion.  For d < lo the product gives T_k(d), which need not be a
+count.
 
 Cache file text.  cache_load maps each sequence text of the file it
 reads, as cache_save writes it ("2,0,1", "-" for ()), to its id, so a
@@ -133,9 +138,9 @@ class CacheCorruption(InternalInconsistency):
 
 
 class DegreeCheckFailed(InternalInconsistency):
-    """The counts at degree delta+3 missed the value that those at
-    delta..delta+2 fix (`node_values`), or a node polynomial T_delta
-    came out of degree below 2delta."""
+    """The counts at degree lo+3 missed the value that those at lo..lo+2
+    fix, lo = _low_degree(delta) (`node_values`), or a node polynomial
+    T_delta came out of degree below 2delta."""
 
 
 class VersionMismatch(ValueError):
@@ -459,21 +464,31 @@ def relative_severi(
     return _evaluate(key, cache if cache is not None else _DEFAULT_CACHE)
 
 
+def _low_degree(delta: int) -> int:
+    """lo: the least degree node_values reads, ceil(delta/2) + 1 for
+    delta >= 2 and 1 for delta <= 1 (Gottsche's threshold, proved for
+    the plane by Kleiman and Shende, arXiv:1204.6254).  Up to delta = 3
+    it is max(delta, 1), Block's d >= delta."""
+    return max(1, min(delta, (delta + 1) // 2 + 1))
+
+
 def node_values(
     degrees: Iterable[int], delta: int, cache: CacheStore | None = None
 ) -> list[list[int]]:
     """[T_0(d), ..., T_delta(d)] for each d in degrees, from one read of the
-    counts at degrees delta..delta+3, as in "Counts past degree delta + 3";
-    DegreeCheckFailed when delta+3 breaks the identity there.  A degree
-    below delta gets the polynomial values, which need not be counts.  At
-    delta = 0 the counts are read from degree 1 on (there is no degree 0),
-    and every d gets [1].  Non-int input: InvalidState; delta < 0: ValueError."""
+    counts at degrees lo..lo+3, lo = _low_degree(delta), as in "Counts past
+    degree lo + 3"; DegreeCheckFailed when lo+3 breaks the identity there.
+    Degrees lo..lo+2 are counts by Kleiman-Shende below delta and by Block
+    from delta on.  A degree below lo gets the polynomial values, which
+    need not be counts, and at delta <= 1 the read starts at degree 1
+    (there is no degree 0).  Non-int input: InvalidState; delta < 0:
+    ValueError."""
     degrees = list(degrees)
     if not all(isinstance(v, int) for v in (delta, *degrees)):
         raise InvalidState(f"node values need int degrees and delta, got {degrees}, {delta!r}")
     if delta < 0:
         raise ValueError("node count must be nonnegative")
-    size, lo = delta + 1, max(delta, 1)
+    size, lo = delta + 1, _low_degree(delta)
     f = [[relative_severi(e, k, cache=cache) for k in range(size)] for e in range(lo, lo + 4)]
 
     def power(a: list[int], n: int) -> list[int]:
@@ -495,12 +510,14 @@ def node_values(
 def severi_degree(d: int, delta: int, cache: CacheStore | None = None) -> int:
     """N^{d,delta}: delta-nodal degree-d curves through general points.
 
-    A stored count comes back as is.  Up to degree delta + 3, and at
-    delta = 0, it is the recursion's (relative_severi); past it, node_values'
-    read of degrees delta..delta+3, stored as a root.  The held-out degree
-    delta + 3 checks the read against the recursion; the degrees past it
-    rest on Block (arXiv:1006.0218)."""
-    if not 1 <= delta < d - 3:
+    A stored count comes back as is.  Up to degree lo + 3, lo =
+    _low_degree(delta), and at delta = 0, it is the recursion's
+    (relative_severi); past it, node_values' read of degrees lo..lo+3,
+    stored as a root.  The held-out degree lo + 3 checks the read against
+    the recursion; the degrees past it rest on Kleiman-Shende
+    (arXiv:1204.6254) below delta and on Block (arXiv:1006.0218) from
+    delta on."""
+    if delta < 1 or d <= _low_degree(delta) + 3:
         return relative_severi(d, delta, (), (d,), cache=cache)
     cache = cache if cache is not None else _DEFAULT_CACHE
     key = state_key(d, delta, (), (d,))
@@ -517,8 +534,8 @@ def severi_table(
     cache: CacheStore | None = None,
 ) -> list[list[int]]:
     """All N^{d,delta} for d <= dmax, delta <= deltamax, as rows per degree."""
-    if dmax < 1 or deltamax < 0:
-        raise InvalidState("table needs dmax >= 1 and deltamax >= 0")
+    if not (isinstance(dmax, int) and isinstance(deltamax, int) and dmax >= 1 and deltamax >= 0):
+        raise InvalidState(f"table needs int dmax >= 1 and deltamax >= 0: {dmax!r}, {deltamax!r}")
     return [[severi_degree(d, delta, cache=cache) for delta in range(deltamax + 1)]
             for d in range(1, dmax + 1)]
 

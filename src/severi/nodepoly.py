@@ -1,14 +1,17 @@
 """Node polynomials T_delta(d), thresholds, and the exp/log structure.
 
 T_delta is the degree-2delta polynomial that equals N^{d,delta} for all
-d >= delta, the regime Block proves (arXiv:1006.0218).  The log of the
-generating function sum_delta T_delta(d) u^delta is quadratic in d
-(Tzeng, arXiv:1009.5371), so the counts at the four shallow degrees
-delta..delta+3 fix T_1..T_delta: three give each log coefficient and the
-fourth checks it.  Every T_delta here is read off those four degrees, as
-a product of integer powers, by one call of `engine.node_values`: the fit
-interpolates its values, the threshold scan below delta compares them
-with real counts, and the log forms take the logs of the first three.
+d >= delta/2 + 1: Gottsche's threshold, which Kleiman and Shende prove
+for the plane (arXiv:1204.6254); Block (arXiv:1006.0218) proves the
+weaker d >= delta.  The log of the generating function sum_delta
+T_delta(d) u^delta is quadratic in d (Tzeng, arXiv:1009.5371), so the
+counts at the four degrees lo..lo+3, lo = ceil(delta/2) + 1 (1 for
+delta <= 1), fix T_1..T_delta: three give each log coefficient and the
+fourth checks it against the recursion.  Every T_delta here is read off
+those four degrees, as a product of integer powers, by one call of
+`engine.node_values`: the fit interpolates its values, the threshold
+scan below delta compares them with counts, and the log forms take the
+logs of three of them.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import NamedTuple, Sequence
 
 from .engine import CacheStore, DegreeCheckFailed, node_values, severi_degree
 from .series import RatSeries, Scalar
+from .tangency import InvalidState
 
 
 def interpolate(xs: Sequence[int], ys: Sequence[Scalar]) -> tuple[Fraction, ...]:
@@ -70,11 +74,14 @@ def fit_node_polynomial(delta: int, cache: CacheStore | None = None) -> NodePoly
     """Interpolate T_delta at fit_range, d = delta+2 .. 3delta+2.
 
     The values come from `engine.node_values`, which reads the counts at
-    degrees delta..delta+3 and checks the last of them; no count above
-    degree delta+3 is evaluated.  All of d >= delta is the regime where
-    Block (arXiv:1006.0218) proves N^{d,delta} = T_delta(d), so the fit
-    does not presuppose the conjectured threshold.
+    degrees lo..lo+3 (module docstring) and checks the last of them; no
+    count above degree lo+3 is evaluated.  That the three read degrees
+    are values of T_delta is Kleiman and Shende's theorem
+    (arXiv:1204.6254) where lo < delta, from delta = 4 on, and Block's
+    (arXiv:1006.0218) below.  A float delta: InvalidState.
     """
+    if not isinstance(delta, int):
+        raise InvalidState(f"node polynomial needs an int delta, got {delta!r}")
     xs = tuple(range(delta + 2, 3 * delta + 3))
     coeffs = interpolate(xs, [values[delta] for values in node_values(xs, delta, cache)])
     if delta >= 1 and coeffs[-1] == 0:
@@ -98,12 +105,18 @@ def threshold_report(delta: int, cache: CacheStore | None = None) -> ThresholdRe
     """Least d* with T_delta(d) = N^{d,delta} for every d >= d*.
 
     T_delta(d) is read off one call of `engine.node_values`, which joins
-    the counts at d = delta, delta+1, delta+2 and checks them at delta+3,
-    so agreement holds from delta on: for d > delta+3 by Block
-    (arXiv:1006.0218).  The scan over real counts starts at delta-1 and
-    stops at the first mismatch going down: accidental agreement below a
-    gap does not shrink the answer.
+    the counts at d = lo, lo+1, lo+2 (module docstring) and checks them at
+    lo+3; agreement from delta on is Block's theorem (arXiv:1006.0218).
+    The scan over counts starts at delta-1 and stops at the first
+    mismatch going down: accidental agreement below a gap does not shrink
+    the answer.  Down to lo the scan agrees by construction: lo..lo+2 are
+    the read, lo+3 is its held-out degree, and severi_degree reads every
+    count past lo+3 off the same four degrees.  Agreement there is Kleiman
+    and Shende's theorem (arXiv:1204.6254); the tests measure it with the
+    recursion.  A float delta: InvalidState.
     """
+    if not isinstance(delta, int):
+        raise InvalidState(f"threshold needs an int delta, got {delta!r}")
     if delta < 1:
         raise ValueError("threshold needs delta >= 1")
     least = delta
@@ -142,9 +155,10 @@ def log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:
     For every delta <= delta_max, N^{d,delta} = T_delta(d) at each degree
     d >= delta_max (Block, arXiv:1006.0218), so the log of the plane counts
     at d = delta_max, delta_max + 1, delta_max + 2 gives three values of
-    each quadratic q_kappa, which interpolation joins.  The counts come
-    from `engine.node_values`, whose series at these three degrees are the
-    counts themselves and whose check at delta_max + 3 is the log's.
+    each quadratic q_kappa, which interpolation joins.  The values come
+    from `engine.node_values`, which reads them off the counts at lo..lo+3
+    for delta = delta_max (module docstring; Kleiman and Shende,
+    arXiv:1204.6254) and checks the read at lo+3.
     """
     if delta_max < 1:
         raise ValueError("log forms need delta_max >= 1")

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from severi import (
     CacheStore,
+    DegreeCheckFailed,
     InvalidState,
     engine,
     relative_severi,
@@ -614,28 +615,29 @@ def test_states_evaluated_per_table():
     store = CacheStore()
     recursion_grid(18, 9, store)
     assert len(store) == 18542
-    # severi_table reads each N^{d,delta} with d > delta + 3 off the counts
-    # at degrees delta..delta+3, so it stores the states below that band only
+    # severi_table reads each N^{d,delta} with d > lo + 3 off the counts at
+    # degrees lo..lo+3, lo = ceil(delta/2) + 1, so it stores the states
+    # below that band only
     store = CacheStore()
     severi_table(10, 6, cache=store)
-    assert len(store) == 1236
+    assert len(store) == 613
     store = CacheStore()
     severi_table(18, 9, cache=store)
-    assert len(store) == 7001
+    assert len(store) == 2451
     store = CacheStore()
     relative_severi(30, 9, cache=store)
     assert len(store) == 41923
     # severi_degree reads N^{30,9} off the same counts as the threshold
     store = CacheStore()
     severi_degree(30, 9, cache=store)
-    assert len(store) == 7057
-    # the threshold and the fit read T_9 off the counts at degrees 9..12 alone
+    assert len(store) == 2635
+    # the threshold and the fit read T_9 off the counts at degrees 6..9 alone
     store = CacheStore()
     threshold_report(9, cache=store)
-    assert len(store) == 7056
+    assert len(store) == 2634
     store = CacheStore()
     fit_node_polynomial(9, cache=store)
-    assert len(store) == 7056
+    assert len(store) == 2634
     store = CacheStore()
     assert severi_degree(10**4, 0, cache=store) == 1
     assert len(store) == 1
@@ -841,7 +843,59 @@ def test_quintics_match_known_values(shared_cache):
     assert severi_degree(5, 10, cache=shared_cache) == matchings_into_pairs(10)
 
 
-# -- counts past degree delta + 3 --------------------------------------------
+# -- counts past degree lo + 3 -----------------------------------------------
+
+def block_node_values(degrees, delta, cache=None):
+    """[T_0(d), ..., T_delta(d)] read off the counts at degrees delta..delta+3,
+    where Block (arXiv:1006.0218) proves every N^{e,k}, k <= delta, equals
+    T_k(e): the engine's read before it moved down to Gottsche's threshold,
+    kept as the reference for the one at lo..lo+3."""
+    size, lo = delta + 1, max(delta, 1)
+    f = [[relative_severi(e, k, cache=cache) for k in range(size)] for e in range(lo, lo + 4)]
+
+    def power(a, n):
+        p = [1]
+        for m in range(1, size):
+            p.append(sum(((n + 1) * k - m) * a[k] * p[m - k] for k in range(1, m + 1)) // m)
+        return p
+
+    def times(a, b):
+        return [sum(a[k] * b[m - k] for k in range(m + 1)) for m in range(size)]
+
+    assert times(f[0], power(f[2], 3)) == times(power(f[1], 3), f[3]), f"degree {lo + 3}"
+    return [times(times(power(f[0], (t - 1) * (t - 2) // 2), power(f[1], -t * (t - 2))),
+                  power(f[2], t * (t - 1) // 2)) for t in (d - lo for d in degrees)]
+
+
+def test_the_low_degree_is_gottsches_threshold():
+    # ceil(delta/2) + 1 from delta = 2 on, which is delta itself up to 3
+    lows = [engine._low_degree(delta) for delta in range(14)]
+    assert lows == [1, 1, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8]
+    assert all(lo == math.ceil(delta / 2) + 1 for delta, lo in enumerate(lows) if delta >= 2)
+
+
+@pytest.mark.parametrize("delta", range(13))
+def test_node_values_equal_the_block_read(shared_cache, delta):
+    # T_0(d)..T_delta(d) at every degree d <= 3.delta + 12, below lo too
+    degrees = range(1, 3 * delta + 13)
+    got = engine.node_values(degrees, delta, cache=shared_cache)
+    assert got == block_node_values(degrees, delta, cache=shared_cache)
+
+
+@pytest.mark.parametrize("offset", [1, 3])
+def test_a_count_off_by_one_above_the_low_degree_fails_the_check(monkeypatch, offset):
+    # lo = 6 at delta = 9: N^{7,9} enters F_7^3 . F_9, and N^{9,9} is held out
+    true_recursion = engine.relative_severi
+    bad = (6 + offset, 9)
+
+    def poisoned(d, delta, *tangencies, cache=None):
+        return true_recursion(d, delta, *tangencies, cache=cache) + ((d, delta) == bad)
+
+    monkeypatch.setattr(engine, "relative_severi", poisoned)
+    with pytest.raises(DegreeCheckFailed, match="degree 9 break the quadratic log through "
+                                                "degrees 6..8"):
+        threshold_report(9, cache=CacheStore())
+
 
 @pytest.mark.parametrize("delta", range(1, 7))
 def test_node_values_match_the_recursion(shared_cache, delta):
@@ -854,16 +908,18 @@ def test_node_values_match_the_recursion(shared_cache, delta):
 
 def test_severi_degree_persists_the_root_and_the_counts_it_read():
     # on a fresh store each, against the recursion: N^{17,3} and every
-    # cell d <= 16, delta <= 6 past degree delta + 3
+    # cell d <= 16, delta <= 6 past degree lo + 3
     reference = CacheStore()
-    cells = [(17, 3)] + [(d, delta) for delta in range(7) for d in range(delta + 4, 17)]
+    lows = [engine._low_degree(delta) for delta in range(7)]
+    cells = [(17, 3)] + [(d, delta) for delta in range(7) for d in range(lows[delta] + 4, 17)]
     for d, delta in cells:
         store = CacheStore()
         value = severi_degree(d, delta, cache=store)
         assert value == relative_severi(d, delta, cache=reference), (d, delta)
         roots = {(d, delta, (), (d,))}
-        if delta:  # the counts read at degrees delta..delta+3
-            roots |= {(e, k, (), (e,)) for e in range(delta, delta + 4) for k in range(delta + 1)}
+        if delta:  # the counts read at degrees lo..lo+3
+            lo = lows[delta]
+            roots |= {(e, k, (), (e,)) for e in range(lo, lo + 4) for k in range(delta + 1)}
         assert {key for key, _ in store.roots()} == roots, (d, delta)
 
 
@@ -936,6 +992,14 @@ def test_node_values_refuse_a_negative_or_non_int_input():
         with pytest.raises(InvalidState):
             engine.node_values(degrees, delta, cache=store)
     assert len(store) == 0  # refused before any count is read
+
+
+def test_severi_table_refuses_a_float_size():
+    store = CacheStore()
+    for dmax, deltamax in ((6.0, 4), (6, 4.0)):
+        with pytest.raises(InvalidState, match="table needs int dmax"):
+            severi_table(dmax, deltamax, cache=store)
+    assert len(store) == 0
 
 
 def test_severi_degree_of_an_astronomical_degree():

@@ -3,8 +3,10 @@
 The fixture holds the exit code and standard output of each command run
 three ways: with --no-cache, against a fresh cache file, and again
 against the now warm file.  `bell` and `forms` take no store, so they run
-without those flags in every mode.  A change that alters any answer fails here.
-Regenerate the fixture only when an answer is meant to change:
+without those flags in every mode.  A second fixture holds the deep
+commands, up to delta = 12, run with --no-cache only.  A change that
+alters any answer fails here.  Regenerate the fixtures only when an
+answer is meant to change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -19,6 +21,7 @@ import sys
 import tempfile
 
 FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "golden_cli.json"
+DEEP_FIXTURE = FIXTURE.with_name("golden_cli_deep.json")
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # the README's command list; `cache stats` and `cache clear` describe the
@@ -45,14 +48,22 @@ MODES = {
 
 STORELESS = ("bell", "forms")
 
+# the README stops at delta = 4; these read the counts up to delta = 12
+DEEP_COMMANDS = [
+    "threshold --delta 12",
+    "nodepoly --delta 12",
+    "logforms --deltamax 12",
+    "bseries --order 12 --dlist 13,14",
+]
 
-def transcript() -> list[dict]:
+
+def transcript(commands=COMMANDS, modes=MODES) -> list[dict]:
     """Run every command in every mode from the current directory."""
     from severi.cli import main
 
     records = []
-    for mode, extra in MODES.items():
-        for command in COMMANDS:
+    for mode, extra in modes.items():
+        for command in commands:
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 argv = command.split()
@@ -63,16 +74,29 @@ def transcript() -> list[dict]:
     return records
 
 
-def test_transcript_matches_fixture(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SEVERI_CACHE", raising=False)
-    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
-    got = transcript()
+def deep_transcript() -> list[dict]:
+    return transcript(DEEP_COMMANDS, {"no-cache": MODES["no-cache"]})
+
+
+def assert_matches(got, fixture):
+    expected = json.loads(fixture.read_text(encoding="utf-8"))
     assert [(r["mode"], r["command"]) for r in got] == [
         (r["mode"], r["command"]) for r in expected
     ]
     for g, e in zip(got, expected):
         assert (g["exit"], g["stdout"]) == (e["exit"], e["stdout"]), (g["mode"], g["command"])
+
+
+def test_transcript_matches_fixture(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SEVERI_CACHE", raising=False)
+    assert_matches(transcript(), FIXTURE)
+
+
+def test_deep_commands_match_their_fixture(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SEVERI_CACHE", raising=False)
+    assert_matches(deep_transcript(), DEEP_FIXTURE)
 
 
 def test_commands_are_the_readme_list_and_the_parser_choices():
@@ -90,6 +114,7 @@ if __name__ == "__main__":
     os.environ.pop("SEVERI_CACHE", None)
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
-        records = transcript()
-    FIXTURE.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(records)} records to {FIXTURE}", file=sys.stderr)
+        fixtures = {FIXTURE: transcript(), DEEP_FIXTURE: deep_transcript()}
+    for fixture, records in fixtures.items():
+        fixture.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(records)} records to {fixture}", file=sys.stderr)

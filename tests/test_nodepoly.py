@@ -11,6 +11,7 @@ from severi import (
     CacheStore,
     DegreeCheckFailed,
     InvalidInvariants,
+    InvalidState,
     Invariants,
     RatSeries,
     bell_polynomial,
@@ -28,6 +29,7 @@ from severi import (
 from severi.cli import main
 from severi.engine import cache_save
 from severi.nodepoly import LogForm, NodePolynomial, interpolate
+from test_engine import block_node_values
 
 
 def set_partitions(items):
@@ -156,6 +158,13 @@ def test_fit_rejects_negative_delta():
         fit_node_polynomial(-1)
 
 
+def test_fit_refuses_a_float_delta():
+    store = CacheStore()
+    with pytest.raises(InvalidState, match="node polynomial needs an int delta"):
+        fit_node_polynomial(2.0, cache=store)
+    assert len(store) == 0
+
+
 def poisoned_store(delta, d=None):
     """A store whose count N^{d,delta} is off by one, d = delta + 3 unless given."""
     d = delta + 3 if d is None else d
@@ -248,8 +257,9 @@ def test_a_mismatch_just_below_the_fit_window_is_the_witness(monkeypatch):
 
 
 def test_threshold_reads_each_count_once(monkeypatch):
-    # the counts at degrees 9..12 once for T_9, then the scan's real counts;
-    # every count, the scan's through severi_degree, is the recursion's
+    # the counts at degrees lo..lo+3 = 6..9 once for T_9, then the scan's
+    # counts at 8..5; every count, the scan's through severi_degree, is the
+    # recursion's, and the scan finds those at 6..8 in the store
     true_recursion = engine.relative_severi
     reads = []
 
@@ -258,21 +268,40 @@ def test_threshold_reads_each_count_once(monkeypatch):
         return true_recursion(d, delta, *tangencies, cache=cache)
 
     monkeypatch.setattr(engine, "relative_severi", counting)
-    assert threshold(9, cache=CacheStore()) == 6
-    assert sorted(reads) == [(d, 9) for d in (5, 6, 7, 8)] + [
-        (d, k) for d in range(9, 13) for k in range(10)
-    ]
+    store = CacheStore()
+    assert threshold(9, cache=store) == 6
+    assert sorted(reads) == sorted([(d, 9) for d in (5, 6, 7, 8)] + [
+        (d, k) for d in range(6, 10) for k in range(10)
+    ])
+    assert (store.misses, store.root_count) == (40, 41)  # N^{5,9} is a state of N^{6,9}
 
 
 @pytest.mark.parametrize("delta", range(3, 13))
 def test_thresholds_meet_gottsches_bound(shared_cache, delta):
-    # Gottsche conjectured T_delta(d) = N^{d,delta} for d >= delta/2 + 1;
-    # the bound is sharp here: the count one degree below it differs
+    # Gottsche conjectured T_delta(d) = N^{d,delta} for d >= delta/2 + 1,
+    # which node_values now assumes from lo = ceil(delta/2) + 1 on; so the
+    # bound is measured here with T_delta read at Block's delta..delta+3
+    # against the recursion at every degree below delta.  It is sharp: the
+    # count one degree below it differs
+    degrees = range(delta - 1, 0, -1)
+    least, witness = delta, None
+    for d, values in zip(degrees, block_node_values(degrees, delta, cache=shared_cache)):
+        actual = relative_severi(d, delta, cache=shared_cache)
+        if values[delta] != actual:
+            witness = (d, values[delta], actual)
+            break
+        least = d
+    assert least == math.ceil(delta / 2) + 1
+    assert witness[0] == least - 1
     rep = threshold_report(delta, cache=shared_cache)
-    assert rep.threshold == math.ceil(delta / 2) + 1
-    assert rep.witness.d == rep.threshold - 1
-    assert rep.witness.actual == severi_degree(rep.witness.d, delta, cache=shared_cache)
-    assert rep.witness.predicted != rep.witness.actual
+    assert (rep.threshold, tuple(rep.witness)) == (least, witness)
+
+
+def test_threshold_refuses_a_float_delta():
+    store = CacheStore()
+    with pytest.raises(InvalidState, match="threshold needs an int delta"):
+        threshold_report(3.0, cache=store)
+    assert len(store) == 0
 
 
 def test_threshold_rejects_delta_zero():
