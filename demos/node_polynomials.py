@@ -9,6 +9,7 @@ T_3 gives 75 at d = 1, but a line has no three-nodal members.
 from __future__ import annotations
 
 from severi import fit_node_polynomial, relative_severi, threshold_report
+from severi.engine import low_degree
 
 
 def poly_text(coeffs) -> str:
@@ -28,7 +29,7 @@ def main() -> None:
         p = fit_node_polynomial(delta)
         lo, hi = p.fit_range[0], p.fit_range[-1]
         print(f"  T_{delta}(d) = {poly_text(p.coeffs)}")
-        base = max(delta, 1)  # the counts start at degree 1
+        base = low_degree(delta)
         print(f"      fitted on d = {lo}..{hi} from the counts at d = {base}..{base + 2},"
               f" checked at d = {base + 3}")
 
@@ -46,7 +47,7 @@ def main() -> None:
         rep = threshold_report(delta)
         claim = ""
         if delta >= 3:
-            claim = f" (= ceil(delta/2)+1 = {delta // 2 + delta % 2 + 1})"
+            claim = f" (= ceil(delta/2)+1 = {low_degree(delta)})"
         line = f"  delta = {delta}: threshold = {rep.threshold}{claim}"
         if rep.witness is not None:
             w = rep.witness

@@ -78,15 +78,17 @@ fit_node_polynomial(9), which read the counts at degrees 6..9 only,
 store 2,634, and severi_degree(30, 9), which reads the same, 2,635.
 
 Counts past degree lo + 3.  Let F_e = sum_{k <= delta} N^{e,k} u^k and
-lo = _low_degree(delta): ceil(delta/2) + 1 for delta >= 2, 1 for delta <= 1.
+lo = low_degree(delta): ceil(delta/2) + 1 for delta >= 2, 1 for delta <= 1.
 For e >= lo each coefficient is T_k(e): at e >= delta by Block
 (arXiv:1006.0218), and at ceil(delta/2) + 1 <= e < delta, which first
 happens at delta = 4, by Kleiman and Shende's proof of Gottsche's
 threshold d >= k/2 + 1 (arXiv:1204.6254); T_0 = 1 and T_1(e) = 3(e-1)^2
-hold from e = 1 on.  log sum_k T_k(d) u^k is quadratic in d (Tzeng,
-arXiv:1009.5371), so mod u^{delta+1} log F_d is the quadratic through
-the logs at e = lo, lo+1, lo+2.  Its Lagrange weights at t = d - lo are
-the integers (t-1)(t-2)/2, -t(t-2) and t(t-1)/2, so no log is taken:
+hold from e = 1 on.  This is the one statement of that regime; every
+degree that nodepoly reads or compares is taken from low_degree.
+log sum_k T_k(d) u^k is quadratic in d (Tzeng, arXiv:1009.5371), so
+mod u^{delta+1} log F_d is the quadratic through the logs at e = lo,
+lo+1, lo+2.  Its Lagrange weights at t = d - lo are the integers
+(t-1)(t-2)/2, -t(t-2) and t(t-1)/2, so no log is taken:
 
   F_d = F_lo^{(t-1)(t-2)/2} . F_{lo+1}^{-t(t-2)} . F_{lo+2}^{t(t-1)/2}
 
@@ -139,7 +141,7 @@ class CacheCorruption(InternalInconsistency):
 
 class DegreeCheckFailed(InternalInconsistency):
     """The counts at degree lo+3 missed the value that those at lo..lo+2
-    fix, lo = _low_degree(delta) (`node_values`), or a node polynomial
+    fix, lo = low_degree(delta) (`node_values`), or a node polynomial
     T_delta came out of degree below 2delta."""
 
 
@@ -464,11 +466,12 @@ def relative_severi(
     return _evaluate(key, cache if cache is not None else _DEFAULT_CACHE)
 
 
-def _low_degree(delta: int) -> int:
-    """lo: the least degree node_values reads, ceil(delta/2) + 1 for
-    delta >= 2 and 1 for delta <= 1 (Gottsche's threshold, proved for
-    the plane by Kleiman and Shende, arXiv:1204.6254).  Up to delta = 3
-    it is max(delta, 1), Block's d >= delta."""
+def low_degree(delta: int) -> int:
+    """lo: the least degree from which every N^{e,k}, k <= delta, is T_k(e)
+    ("Counts past degree lo + 3"): ceil(delta/2) + 1 for delta >= 2 and 1
+    for delta <= 1, Gottsche's threshold, proved for the plane by Kleiman
+    and Shende (arXiv:1204.6254).  Up to delta = 3 it is max(delta, 1),
+    Block's d >= delta (arXiv:1006.0218)."""
     return max(1, min(delta, (delta + 1) // 2 + 1))
 
 
@@ -476,19 +479,16 @@ def node_values(
     degrees: Iterable[int], delta: int, cache: CacheStore | None = None
 ) -> list[list[int]]:
     """[T_0(d), ..., T_delta(d)] for each d in degrees, from one read of the
-    counts at degrees lo..lo+3, lo = _low_degree(delta), as in "Counts past
+    counts at degrees lo..lo+3, lo = low_degree(delta), as in "Counts past
     degree lo + 3"; DegreeCheckFailed when lo+3 breaks the identity there.
-    Degrees lo..lo+2 are counts by Kleiman-Shende below delta and by Block
-    from delta on.  A degree below lo gets the polynomial values, which
-    need not be counts, and at delta <= 1 the read starts at degree 1
-    (there is no degree 0).  Non-int input: InvalidState; delta < 0:
-    ValueError."""
+    A degree below lo gets the polynomial values, which need not be
+    counts.  Non-int input: InvalidState; delta < 0: ValueError."""
     degrees = list(degrees)
     if not all(isinstance(v, int) for v in (delta, *degrees)):
         raise InvalidState(f"node values need int degrees and delta, got {degrees}, {delta!r}")
     if delta < 0:
         raise ValueError("node count must be nonnegative")
-    size, lo = delta + 1, _low_degree(delta)
+    size, lo = delta + 1, low_degree(delta)
     f = [[relative_severi(e, k, cache=cache) for k in range(size)] for e in range(lo, lo + 4)]
 
     def power(a: list[int], n: int) -> list[int]:
@@ -511,13 +511,10 @@ def severi_degree(d: int, delta: int, cache: CacheStore | None = None) -> int:
     """N^{d,delta}: delta-nodal degree-d curves through general points.
 
     A stored count comes back as is.  Up to degree lo + 3, lo =
-    _low_degree(delta), and at delta = 0, it is the recursion's
+    low_degree(delta), and at delta = 0, it is the recursion's
     (relative_severi); past it, node_values' read of degrees lo..lo+3,
-    stored as a root.  The held-out degree lo + 3 checks the read against
-    the recursion; the degrees past it rest on Kleiman-Shende
-    (arXiv:1204.6254) below delta and on Block (arXiv:1006.0218) from
-    delta on."""
-    if delta < 1 or d <= _low_degree(delta) + 3:
+    stored as a root ("Counts past degree lo + 3")."""
+    if delta < 1 or d <= low_degree(delta) + 3:
         return relative_severi(d, delta, (), (d,), cache=cache)
     cache = cache if cache is not None else _DEFAULT_CACHE
     key = state_key(d, delta, (), (d,))

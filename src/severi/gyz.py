@@ -141,10 +141,11 @@ def extract_b_series(
     For each degree, R_d = log(plane series) - log(B3^chi(d) . B4^(-1/2))
     must equal 9.log(B1) - 3d.log(B2).  The two smallest degrees solve
     for log(B1) and log(B2) as whole series; every other degree must then
-    agree exactly.  Past degree lo + 3 (lo = ceil(delta/2) + 1, 1 for
-    delta <= 1) each N^{d,delta} is severi_degree's power read of degrees
-    lo..lo+3, so log(plane series) is quadratic in d by construction; the
-    agreement tests that its d^2 part is log(B3)/2, the form X.
+    agree exactly.  Past degree lo + 3, lo = engine.low_degree(delta),
+    each N^{d,delta} is severi_degree's power read of degrees lo..lo+3
+    (the engine's "Counts past degree lo + 3"), so log(plane series) is
+    quadratic in d by construction; the agreement tests that its d^2 part
+    is log(B3)/2, the form X.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

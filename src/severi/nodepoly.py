@@ -1,17 +1,12 @@
 """Node polynomials T_delta(d), thresholds, and the exp/log structure.
 
 T_delta is the degree-2delta polynomial that equals N^{d,delta} for all
-d >= delta/2 + 1: Gottsche's threshold, which Kleiman and Shende prove
-for the plane (arXiv:1204.6254); Block (arXiv:1006.0218) proves the
-weaker d >= delta.  The log of the generating function sum_delta
-T_delta(d) u^delta is quadratic in d (Tzeng, arXiv:1009.5371), so the
-counts at the four degrees lo..lo+3, lo = ceil(delta/2) + 1 (1 for
-delta <= 1), fix T_1..T_delta: three give each log coefficient and the
-fourth checks it against the recursion.  Every T_delta here is read off
-those four degrees, as a product of integer powers, by one call of
-`engine.node_values`: the fit interpolates its values, the threshold
-scan below delta compares them with counts, and the log forms take the
-logs of three of them.
+d >= lo = engine.low_degree(delta); the engine's docstring states that
+regime and the theorems behind it.  Every T_delta here is read off the
+counts at lo..lo+3 by one call of `engine.node_values`, and every other
+degree used here is taken from low_degree: the fit interpolates the
+read's values, the threshold scan compares them with the counts below
+lo, and the log forms take the logs of the three read degrees.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .engine import CacheStore, DegreeCheckFailed, node_values, severi_degree
+from .engine import CacheStore, DegreeCheckFailed, low_degree, node_values, severi_degree
 from .series import RatSeries, Scalar
 from .tangency import InvalidState
 
@@ -75,10 +70,7 @@ def fit_node_polynomial(delta: int, cache: CacheStore | None = None) -> NodePoly
 
     The values come from `engine.node_values`, which reads the counts at
     degrees lo..lo+3 (module docstring) and checks the last of them; no
-    count above degree lo+3 is evaluated.  That the three read degrees
-    are values of T_delta is Kleiman and Shende's theorem
-    (arXiv:1204.6254) where lo < delta, from delta = 4 on, and Block's
-    (arXiv:1006.0218) below.  A float delta: InvalidState.
+    count above degree lo+3 is evaluated.  A float delta: InvalidState.
     """
     if not isinstance(delta, int):
         raise InvalidState(f"node polynomial needs an int delta, got {delta!r}")
@@ -104,24 +96,20 @@ class ThresholdResult(NamedTuple):
 def threshold_report(delta: int, cache: CacheStore | None = None) -> ThresholdResult:
     """Least d* with T_delta(d) = N^{d,delta} for every d >= d*.
 
-    T_delta(d) is read off one call of `engine.node_values`, which joins
-    the counts at d = lo, lo+1, lo+2 (module docstring) and checks them at
-    lo+3; agreement from delta on is Block's theorem (arXiv:1006.0218).
-    The scan over counts starts at delta-1 and stops at the first
-    mismatch going down: accidental agreement below a gap does not shrink
-    the answer.  Down to lo the scan agrees by construction: lo..lo+2 are
-    the read, lo+3 is its held-out degree, and severi_degree reads every
-    count past lo+3 off the same four degrees.  Agreement there is Kleiman
-    and Shende's theorem (arXiv:1204.6254); the tests measure it with the
-    recursion.  A float delta: InvalidState.
+    T_delta(d) is read off one call of `engine.node_values`, whose values
+    are the counts from lo on (module docstring).  The scan compares them
+    with the counts at lo-1 down to 1 and stops at the first mismatch:
+    accidental agreement below a gap does not shrink the answer.  The
+    tests measure with the recursion that lo is sharp.  A float delta:
+    InvalidState.
     """
     if not isinstance(delta, int):
         raise InvalidState(f"threshold needs an int delta, got {delta!r}")
     if delta < 1:
         raise ValueError("threshold needs delta >= 1")
-    least = delta
+    least = low_degree(delta)
     witness = None
-    degrees = range(delta - 1, 0, -1)
+    degrees = range(least - 1, 0, -1)
     for d, values in zip(degrees, node_values(degrees, delta, cache)):
         predicted = values[delta]
         actual = severi_degree(d, delta, cache=cache)
@@ -152,17 +140,15 @@ class LogForm(NamedTuple):
 def log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:
     """The forms q_kappa(d) = kappa! [u^kappa] log sum_delta T_delta(d) u^delta.
 
-    For every delta <= delta_max, N^{d,delta} = T_delta(d) at each degree
-    d >= delta_max (Block, arXiv:1006.0218), so the log of the plane counts
-    at d = delta_max, delta_max + 1, delta_max + 2 gives three values of
-    each quadratic q_kappa, which interpolation joins.  The values come
-    from `engine.node_values`, which reads them off the counts at lo..lo+3
-    for delta = delta_max (module docstring; Kleiman and Shende,
-    arXiv:1204.6254) and checks the read at lo+3.
+    The logs of the plane counts at lo, lo+1 and lo+2 for delta =
+    delta_max, which `engine.node_values` reads and checks at lo+3 (module
+    docstring), give three values of each quadratic q_kappa, which
+    interpolation joins.
     """
     if delta_max < 1:
         raise ValueError("log forms need delta_max >= 1")
-    degrees = (delta_max, delta_max + 1, delta_max + 2)
+    lo = low_degree(delta_max)
+    degrees = (lo, lo + 1, lo + 2)
     logs = [RatSeries(values).log() for values in node_values(degrees, delta_max, cache)]
     forms = []
     for kappa in range(1, delta_max + 1):

@@ -634,7 +634,7 @@ def test_concurrent_processes_keep_both_roots(isolated_cwd):
     # the quick run saves while the slow one still computes; the slow one's
     # save must merge the file under the lock instead of replacing it.  The
     # slow run is a relative count, which keeps the recursion; the quick one
-    # is past degree delta + 3 and also persists the counts it read there
+    # is past degree lo + 3 and also persists the counts it read there
     path = isolated_cwd / "shared.cache"
     queries = [["--d", "25", "--delta", "7", "--alpha", "1", "--beta", "24"],
                ["--d", "50", "--delta", "1"]]

@@ -15,14 +15,28 @@ def test_every_demo_is_collected():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo, tmp_path):
+def run_demo(demo, cwd) -> str:
     proc = subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True,
         text=True,
         env=child_env(),
-        cwd=tmp_path,
+        cwd=cwd,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    assert run_demo(demo, tmp_path).strip()
+
+
+def test_node_polynomial_demo_names_the_degrees_the_engine_reads(tmp_path):
+    # T_4 is read at lo = ceil(4/2) + 1 = 3, not at Block's delta = 4
+    demo = DEMOS[0].with_name("node_polynomials.py")
+    lines = run_demo(demo, tmp_path).splitlines()
+    t4 = lines.index(next(line for line in lines if line.startswith("  T_4(d) = ")))
+    assert lines[t4 + 1] == (
+        "      fitted on d = 6..14 from the counts at d = 3..5, checked at d = 6"
+    )

@@ -454,7 +454,7 @@ def test_transitions_match_the_reference_on_every_small_state():
 
 def recursion_grid(dmax, deltamax, store):
     """Every N^{d,delta} with d <= dmax and delta <= deltamax by the
-    recursion alone, which severi_degree leaves past degree delta + 3."""
+    recursion alone, which severi_degree leaves past degree lo + 3."""
     for d in range(1, dmax + 1):
         for delta in range(deltamax + 1):
             relative_severi(d, delta, cache=store)
@@ -869,7 +869,7 @@ def block_node_values(degrees, delta, cache=None):
 
 def test_the_low_degree_is_gottsches_threshold():
     # ceil(delta/2) + 1 from delta = 2 on, which is delta itself up to 3
-    lows = [engine._low_degree(delta) for delta in range(14)]
+    lows = [engine.low_degree(delta) for delta in range(14)]
     assert lows == [1, 1, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8]
     assert all(lo == math.ceil(delta / 2) + 1 for delta, lo in enumerate(lows) if delta >= 2)
 
@@ -910,7 +910,7 @@ def test_severi_degree_persists_the_root_and_the_counts_it_read():
     # on a fresh store each, against the recursion: N^{17,3} and every
     # cell d <= 16, delta <= 6 past degree lo + 3
     reference = CacheStore()
-    lows = [engine._low_degree(delta) for delta in range(7)]
+    lows = [engine.low_degree(delta) for delta in range(7)]
     cells = [(17, 3)] + [(d, delta) for delta in range(7) for d in range(lows[delta] + 4, 17)]
     for d, delta in cells:
         store = CacheStore()

@@ -245,7 +245,8 @@ def test_no_witness_when_polynomial_holds_everywhere(shared_cache):
 
 
 def test_a_mismatch_just_below_the_fit_window_is_the_witness(monkeypatch):
-    # node_values checks d = delta .. delta+3, so the scan starts at delta-1
+    # node_values checks d = lo .. lo+3, lo = 2 at delta = 2, so the scan
+    # starts at lo-1
     true_degree = nodepoly.severi_degree
 
     def poisoned(d, delta, cache=None):
@@ -258,8 +259,7 @@ def test_a_mismatch_just_below_the_fit_window_is_the_witness(monkeypatch):
 
 def test_threshold_reads_each_count_once(monkeypatch):
     # the counts at degrees lo..lo+3 = 6..9 once for T_9, then the scan's
-    # counts at 8..5; every count, the scan's through severi_degree, is the
-    # recursion's, and the scan finds those at 6..8 in the store
+    # count at lo-1 = 5, which is the recursion's through severi_degree
     true_recursion = engine.relative_severi
     reads = []
 
@@ -270,10 +270,25 @@ def test_threshold_reads_each_count_once(monkeypatch):
     monkeypatch.setattr(engine, "relative_severi", counting)
     store = CacheStore()
     assert threshold(9, cache=store) == 6
-    assert sorted(reads) == sorted([(d, 9) for d in (5, 6, 7, 8)] + [
+    assert sorted(reads) == sorted([(5, 9)] + [
         (d, k) for d in range(6, 10) for k in range(10)
     ])
     assert (store.misses, store.root_count) == (40, 41)  # N^{5,9} is a state of N^{6,9}
+
+
+def test_threshold_compares_counts_below_the_low_degree_only(monkeypatch):
+    # lo = 7 at delta = 12: from lo on the counts are the read itself, so
+    # the scan's first count is at lo-1 = 6, where it already mismatches
+    true_degree = nodepoly.severi_degree
+    degrees = []
+
+    def recording(d, delta, cache=None):
+        degrees.append(d)
+        return true_degree(d, delta, cache=cache)
+
+    monkeypatch.setattr(nodepoly, "severi_degree", recording)
+    rep = threshold_report(12, cache=CacheStore())
+    assert (rep.threshold, rep.witness.d, degrees) == (7, 6, [6])
 
 
 @pytest.mark.parametrize("delta", range(3, 13))

@@ -73,7 +73,7 @@ NODEPOLY_MODULES = [
     (["count", "--d", "5", "--delta", "2", "--no-cache"],
      {"d": 5, "delta": 2, "value": "882"},
      ["severi", "severi.cli", "severi.engine", "severi.tangency"]),
-    # past degree delta + 3 the count is read off engine.node_values
+    # past degree lo + 3 the count is read off engine.node_values
     (["count", "--d", "12", "--delta", "2", "--no-cache"],
      {"d": 12, "delta": 2, "value": "63525"},
      ["severi", "severi.cli", "severi.engine", "severi.tangency"]),
