@@ -2,9 +2,9 @@
 
 The product formula sum_delta N^{d,delta} u^delta =
 B1^z B2^y B3^chi B4^(-nu/2) holds in the polynomial regime with plane
-invariants (z, y) = (9, -3d).  Counts for a handful of degrees pin
-down B1 and B2 exactly; the formula then predicts counts for a degree
-it never saw, and every prediction must be an integer.
+invariants (z, y) = (9, -3d).  The counts at the four degrees of one
+read pin down B1 and B2 exactly; the formula then predicts counts for a
+degree it never saw, and every prediction must be an integer.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ def main() -> None:
     degrees = range(7, 12)
     print(f"Extracting B1, B2 to order {order} from degrees {list(degrees)}...")
     sol = extract_b_series(order, degrees)
-    # extract_b_series raises InconsistentSystem when a degree disagrees
-    print(f"  consistent: every degree in {list(sol.d_used)} agreed with the first two")
+    # extract_b_series raises InconsistentSystem unless the d^2 part of the
+    # plane log is log(B3)/2
+    print(f"  consistent: the d^2 part of the plane log is log(B3)/2 for {list(sol.d_used)}")
     print(f"  integral:   {sol.integral}")
     print(f"  B1 = {', '.join(str(c) for c in sol.b1.coeffs)}, ...")
     print(f"  B2 = {', '.join(str(c) for c in sol.b2.coeffs)}, ...")

@@ -232,7 +232,7 @@ def _run_bseries(args, store) -> dict:
         "b1": sol.b1.to_strings(),
         "b2": sol.b2.to_strings(),
         "d_used": list(sol.d_used),
-        "consistent": True,  # extract_b_series raises when a degree disagrees
+        "consistent": True,  # extract_b_series raises when log B3/2 is not the d^2 part
         "integral": sol.integral,
     }
 

@@ -3,10 +3,11 @@
 The product formula sum_delta n_delta u(q)^delta =
 B1(q)^z B2(q)^y B3(q)^chi B4(q)^(-nu/2) leaves exactly two unknown
 series once u, B3, B4 are fixed.  Both directions work on its log.
-Plane data (z = 9, y = -3d) makes each degree one linear equation in
-log(B1) and log(B2); the first two degrees solve it in exact
-arithmetic and every other degree must agree, so any disagreement is a
-hard error, not noise.  Prediction reads the solution's linear `forms`.
+For the plane (z = 9, y = -3d, chi = (d^2 + 3d)/2 + 1) the log is a
+quadratic in d, which `nodepoly.quadratic_log` reads once: its d^2 part
+must be log(B3)/2, and its d and constant parts give log(B2) and
+log(B1) in exact arithmetic.  A d^2 part off log(B3)/2 is a hard error,
+not noise.  Prediction reads the solution's linear `forms`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 from .engine import CacheStore, InternalInconsistency, severi_degree
 from .forms import FormCatalog, form_catalog
+from .nodepoly import quadratic_log
 from .series import RatSeries
 
 
@@ -30,7 +32,8 @@ class DegreeTooSmall(ValueError):
 
 
 class InconsistentSystem(InternalInconsistency):
-    """Two extraction degrees disagree; the forms or the engine are wrong."""
+    """The d^2 part of the plane log is not log(B3)/2; the forms or the
+    engine are wrong."""
 
 
 class NonIntegralPrediction(InternalInconsistency):
@@ -76,7 +79,7 @@ def plane_invariants(d: int) -> Invariants:
 @dataclass(frozen=True)
 class BSeriesSolution:
     """log B1, log B2, log B3, log B4 to `order`, and q = u.revert() they were
-    solved with; the degrees in d_used all agreed with the first two."""
+    solved with; d_used holds the requested degrees, each >= order + 1."""
 
     order: int
     logs: tuple[RatSeries, RatSeries, RatSeries, RatSeries]
@@ -111,6 +114,14 @@ class BSeriesSolution:
         return all(c.denominator == 1 for c in (*self.b1.coeffs, *self.b2.coeffs))
 
 
+def _check_degree(d: int, order: int) -> None:
+    if d < order + 1:
+        raise DegreeTooSmall(
+            f"degree {d} is below order + 1 = {order + 1}; "
+            "all delta <= order must sit in the polynomial regime"
+        )
+
+
 def plane_generating_series(
     d: int,
     order: int,
@@ -120,11 +131,7 @@ def plane_generating_series(
     """Left side of the product formula for degree d: sum N^{d,delta} u(q)^delta."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if d < order + 1:
-        raise DegreeTooSmall(
-            f"degree {d} is below order + 1 = {order + 1}; "
-            "all delta <= order must sit in the polynomial regime"
-        )
+    _check_degree(d, order)
     if forms is None or forms.order < order:
         forms = form_catalog(max(order, 1))  # u needs order >= 1
     counts = [severi_degree(d, delta, cache=cache) for delta in range(order + 1)]
@@ -136,42 +143,31 @@ def extract_b_series(
     d_list: "list[int] | tuple[int, ...] | set[int]",
     cache: CacheStore | None = None,
 ) -> BSeriesSolution:
-    """Solve for B1, B2 from plane data at the given degrees.
+    """Solve for B1, B2 from `nodepoly.quadratic_log`, one checked read.
 
-    For each degree, R_d = log(plane series) - log(B3^chi(d) . B4^(-1/2))
-    must equal 9.log(B1) - 3d.log(B2).  The two smallest degrees solve
-    for log(B1) and log(B2) as whole series; every other degree must then
-    agree exactly.  Past degree lo + 3, lo = engine.low_degree(delta),
-    each N^{d,delta} is severi_degree's power read of degrees lo..lo+3
-    (the engine's "Counts past degree lo + 3"), so log(plane series) is
-    quadratic in d by construction; the agreement tests that its d^2 part
-    is log(B3)/2, the form X.
+    Composed with u, log sum_delta T_delta(d) u^delta = A.d^2 + B.d + C
+    is 9.log(B1) - 3d.log(B2) + chi(d).log(B3) - log(B4)/2, chi(d) =
+    (d^2 + 3d)/2 + 1: A o u must be log(B3)/2, the form X, or
+    InconsistentSystem names the first order where it is not; B o u and
+    C o u then give log(B2) and log(B1).  d_list needs two distinct
+    degrees >= order + 1; no count at them is read.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     degrees = tuple(sorted(set(map(operator.index, d_list))))
     if len(degrees) < 2:
         raise ValueError("extraction needs at least two distinct degrees")
+    _check_degree(degrees[0], order)
     forms = form_catalog(max(order, 1))
     log_b3, log_b4 = forms.b3.truncate(order).log(), forms.b4.truncate(order).log()
-    # ascending, so the smallest degree meets the DegreeTooSmall guard first
-    residues = [
-        plane_generating_series(d, order, cache=cache, forms=forms).log()
-        - plane_invariants(d).chi * log_b3 + log_b4 * Fraction(1, 2)
-        for d in degrees
-    ]
-    (d0, d1), (r0, r1) = degrees[:2], residues[:2]
-    # subtracting the two equations eliminates log(B1)
-    log_b2 = (r0 - r1) * Fraction(1, 3 * (d1 - d0))
-    log_b1 = (r0 + 3 * d0 * log_b2) * Fraction(1, 9)
-    for d, r in zip(degrees[2:], residues[2:]):
-        fitted = 9 * log_b1 - 3 * d * log_b2
-        if fitted != r:
-            m = next(m for m in range(order + 1) if fitted[m] != r[m])
-            raise InconsistentSystem(
-                f"order {m}: degree {d} has residue {r[m]}, "
-                f"degrees ({d0},{d1}) predict {fitted[m]}"
-            )
+    a, b, c = (s.compose(forms.u) for s in quadratic_log(order, cache))
+    x = log_b3 * Fraction(1, 2)
+    if a != x:
+        m = next(m for m in range(order + 1) if a[m] != x[m])
+        raise InconsistentSystem(f"order {m}: the d^2 part of the plane log is {a[m]}, "
+                                 f"log(B3)/2 is {x[m]}")
+    log_b2 = x - b * Fraction(1, 3)
+    log_b1 = (c - log_b3 + log_b4 * Fraction(1, 2)) * Fraction(1, 9)
     return BSeriesSolution(
         order=order, logs=(log_b1, log_b2, log_b3, log_b4),
         q=forms.u.revert(), d_used=degrees,

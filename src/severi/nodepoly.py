@@ -6,7 +6,8 @@ regime and the theorems behind it.  Every T_delta here is read off the
 counts at lo..lo+3 by one call of `engine.node_values`, and every other
 degree used here is taken from low_degree: the fit interpolates the
 read's values, the threshold scan compares them with the counts below
-lo, and the log forms take the logs of the three read degrees.
+lo, and `quadratic_log`, which the log forms and gyz read, takes the
+logs of the three read degrees.
 """
 
 from __future__ import annotations
@@ -137,25 +138,28 @@ class LogForm(NamedTuple):
         return _poly_eval((self.a0, self.a1, self.a2), d)
 
 
-def log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:
-    """The forms q_kappa(d) = kappa! [u^kappa] log sum_delta T_delta(d) u^delta.
+def quadratic_log(delta: int, cache: CacheStore | None = None) -> tuple[RatSeries, ...]:
+    """(A, B, C) with log sum_{k <= delta} T_k(d) u^k = A.d^2 + B.d + C mod
+    u^(delta+1) (Tzeng, arXiv:1009.5371), through the logs of the counts at
+    lo..lo+2 that one call of `engine.node_values` reads and checks at lo+3."""
+    lo = low_degree(delta)
+    rows = node_values((lo, lo + 1, lo + 2), delta, cache)
+    l0, l1, l2 = (RatSeries(values).log() for values in rows)
+    a = (l2 - 2 * l1 + l0) * Fraction(1, 2)
+    b = l1 - l0 - (2 * lo + 1) * a
+    return a, b, l0 - lo * (b + lo * a)
 
-    The logs of the plane counts at lo, lo+1 and lo+2 for delta =
-    delta_max, which `engine.node_values` reads and checks at lo+3 (module
-    docstring), give three values of each quadratic q_kappa, which
-    interpolation joins.
-    """
+
+def log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:
+    """The forms q_kappa(d) = kappa! [u^kappa] log sum_delta T_delta(d) u^delta,
+    kappa! times the coefficients of `quadratic_log`."""
     if delta_max < 1:
         raise ValueError("log forms need delta_max >= 1")
-    lo = low_degree(delta_max)
-    degrees = (lo, lo + 1, lo + 2)
-    logs = [RatSeries(values).log() for values in node_values(degrees, delta_max, cache)]
-    forms = []
-    for kappa in range(1, delta_max + 1):
-        factor = math.factorial(kappa)
-        a0, a1, a2 = interpolate(degrees, [factor * log[kappa] for log in logs])
-        forms.append(LogForm(kappa, a2, a1, a0))
-    return forms
+    quadratic = quadratic_log(delta_max, cache)
+    return [
+        LogForm(kappa, *(math.factorial(kappa) * s[kappa] for s in quadratic))
+        for kappa in range(1, delta_max + 1)
+    ]
 
 
 def _egf_exp(a: Sequence[Scalar]) -> RatSeries:

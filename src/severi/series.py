@@ -7,7 +7,7 @@ two orders so precision loss is always explicit.
 A series holds integer numerators over one positive denominator,
 c_k = nums[k]/den, reduced so that gcd(den, *nums) == 1.  That makes den
 the lcm of the reduced denominators, so the form is canonical: equality
-and hashing compare (nums, den).  Sums, products, scalar operations and
+compares (nums, den).  Sums, products, scalar operations and
 the inverse, exp and log recurrences run on Python ints and reduce once
 per result; the recurrences keep the coefficients already computed over
 one running denominator.  The reduced Fractions of `coeffs` are built on
@@ -96,7 +96,7 @@ class RatSeries:
     (Fraction(1, 1), Fraction(2, 1), Fraction(3, 1))
 
     The stored form is canonical, so two series with equal coefficients
-    are equal, and hash alike, however they were built:
+    are equal however they were built:
 
     >>> RatSeries([Fraction(1, 2), Fraction(1, 3)]) == RatSeries([3, 2]) * Fraction(1, 6)
     True
@@ -168,9 +168,6 @@ class RatSeries:
             return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self._nums, self._den))
-
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:7])
         if self.order > 6:
@@ -203,9 +200,6 @@ class RatSeries:
         if not isinstance(other, (int, Fraction, RatSeries)):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "RatSeries":
-        return (-self) + other
 
     def __mul__(self, other: "RatSeries | Scalar") -> "RatSeries":
         if isinstance(other, (int, Fraction)):

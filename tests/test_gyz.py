@@ -1,5 +1,6 @@
 """Plane generating series, B1/B2 extraction, and count prediction."""
 
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from severi import (
+    CacheStore,
+    DegreeCheckFailed,
     DegreeTooSmall,
     InconsistentSystem,
     Invariants,
@@ -20,7 +23,8 @@ from severi import (
     relative_severi,
     severi_degree,
 )
-from severi import forms, gyz, nodepoly
+from severi import engine, forms, gyz, nodepoly
+from severi.engine import node_values, pack
 from severi.gyz import BSeriesSolution, plane_generating_series
 from test_series import _ref_pow_rat
 
@@ -114,15 +118,15 @@ def test_series_work_per_call(shared_cache, monkeypatch):
     counting_catalog = counting("form_catalog", forms.form_catalog)
     for module in (forms, gyz):
         monkeypatch.setattr(module, "form_catalog", counting_catalog)
-    # one catalog, log B3 and log B4 once, one log per degree's plane series
+    # one catalog, log B3 and log B4 once, and quadratic_log's three logs
     sol = extract_b_series(6, (12, 13, 14), cache=shared_cache)
     assert calls == {"form_catalog": 1, "log": 5, "revert": 1}
     calls.clear()
     gyz_predict(plane_invariants(20), sol)
     assert calls == {"exp": 1}
     calls.clear()
-    # one log per degree's plane counts, no catalog and no reversion; the
-    # fourth degree is checked by engine.node_values without a log
+    # quadratic_log's three logs, no catalog and no reversion; the fourth
+    # degree is checked by engine.node_values without a log
     log_forms(6, cache=shared_cache)
     assert calls == {"log": 3}
 
@@ -133,7 +137,7 @@ def test_extraction_needs_two_degrees(shared_cache):
 
 
 def test_extraction_degree_guard(shared_cache):
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(DegreeTooSmall, match=r"^degree 4 is below order \+ 1 = 5; "):
         extract_b_series(4, [4, 6], cache=shared_cache)
 
 
@@ -150,21 +154,78 @@ def test_extraction_duplicate_degrees_collapse(shared_cache):
 
 @pytest.mark.parametrize("bad", [2, 3, 4, 5])
 def test_inconsistency_is_detected(bad):
-    # corrupt one fully computed count so a single equation moves;
-    # corrupting before warming would propagate consistently instead.
-    # Degrees 2 and 3 solve the system, 4 and 5 are only checked.
-    from severi import CacheStore
-    from severi.engine import pack
-
+    # at order 2 the extraction reads the counts at degrees lo..lo+3 = 2..5
+    # once; one of them off by one, after warming, breaks the check at 5,
+    # whatever the requested degrees
     poisoned = CacheStore()
-    for d in (2, 3, 4, 5):
-        severi_degree(d, 1, cache=poisoned)
-    state = pack((bad, 1, (), (bad,)))
-    assert poisoned._data[state] == 3 * (bad - 1) ** 2
-    poisoned._data[state] += 1
-    # a poisoned solving degree moves the line, so degree 4 is the first off it
-    with pytest.raises(InconsistentSystem, match=f"degree {max(bad, 4)} "):
-        extract_b_series(1, [2, 3, 4, 5], cache=poisoned)
+    extract_b_series(2, [3, 9], cache=poisoned)
+    poisoned._data[pack((bad, 2, (), (bad,)))] += 1
+    with pytest.raises(DegreeCheckFailed, match="degree 5 "):
+        extract_b_series(2, [3, 9], cache=poisoned)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_a_wrong_b3_coefficient_is_inconsistent(shared_cache, monkeypatch, m):
+    # the d^2 part of the plane log must be log(B3)/2 at every order, and
+    # B3 off by one at q^m first moves log(B3) at q^m
+    def off_by_one(order):
+        catalog = forms.form_catalog(order)
+        b3 = list(catalog.b3.coeffs)
+        b3[m] += 1
+        return dataclasses.replace(catalog, b3=RatSeries(b3))
+
+    monkeypatch.setattr(gyz, "form_catalog", off_by_one)
+    with pytest.raises(InconsistentSystem, match=f"^order {m}: "):
+        extract_b_series(6, (7, 8), cache=shared_cache)
+
+
+def test_extraction_makes_one_read(monkeypatch):
+    # one node_values call, at lo = 4 for order 6, whatever the degrees
+    calls = []
+
+    def counting(*args):
+        calls.append(args[:2])
+        return node_values(*args)
+
+    for module in (engine, nodepoly):
+        monkeypatch.setattr(module, "node_values", counting)
+    extract_b_series(6, range(7, 12), cache=CacheStore())
+    assert calls == [((4, 5, 6), 6)]
+
+
+def reference_b_series(order, d_list, cache):
+    """log B1 .. log B4 solved per degree, without quadratic_log.
+
+    Each degree's residue R_d = log(plane series) - chi(d).log(B3) +
+    log(B4)/2, with the plane series from plane_generating_series, is
+    9.log(B1) - 3d.log(B2); the two smallest degrees solve for both, and
+    every other degree must agree.
+    """
+    degrees = sorted(set(d_list))
+    catalog = form_catalog(max(order, 1))
+    log_b3, log_b4 = catalog.b3.truncate(order).log(), catalog.b4.truncate(order).log()
+    residues = [
+        plane_generating_series(d, order, cache=cache, forms=catalog).log()
+        - plane_invariants(d).chi * log_b3 + log_b4 * Fraction(1, 2)
+        for d in degrees
+    ]
+    (d0, d1), (r0, r1) = degrees[:2], residues[:2]
+    # subtracting the two equations eliminates log(B1)
+    log_b2 = (r0 - r1) * Fraction(1, 3 * (d1 - d0))
+    log_b1 = (r0 + 3 * d0 * log_b2) * Fraction(1, 9)
+    for d, r in zip(degrees[2:], residues[2:]):
+        assert 9 * log_b1 - 3 * d * log_b2 == r, f"degree {d} disagrees with ({d0}, {d1})"
+    return log_b1, log_b2, log_b3, log_b4
+
+
+@pytest.mark.parametrize("order", range(11))
+def test_extraction_matches_the_two_degree_reference(shared_cache, order):
+    for d_list in (
+        (order + 1, order + 2), tuple(range(order + 1, order + 4)),
+        (order + 3, order + 7, order + 11),
+    ):
+        sol = extract_b_series(order, d_list, cache=shared_cache)
+        assert sol.logs == reference_b_series(order, d_list, shared_cache), d_list
 
 
 def test_extraction_and_prediction_at_order_zero(shared_cache):
@@ -302,9 +363,11 @@ def test_forms_are_the_kleiman_piene_linear_forms(shared_cache):
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_log_forms_are_the_plane_shadow_of_the_forms(shared_cache, m):
-    # two algorithms for one object: log_forms interpolates the logs of the
-    # plane counts in d; here the extraction's X, Y, Z, T composed with q
-    # are read at (x, y, z, t) = (d^2, -3d, 9, 3)
+    # log_forms is kappa! times quadratic_log's coefficients; here the
+    # extraction's X, Y, Z, T, solved from the same quadratic, are composed
+    # with q and read at (x, y, z, t) = (d^2, -3d, 9, 3).  The two-degree
+    # reference above keeps a path that does not go through quadratic_log
+    # (test_extraction_matches_the_two_degree_reference)
     sol = extract_b_series(m, (m + 1, m + 2, m + 3), cache=shared_cache)
     shadow = [
         nodepoly.LogForm(kappa, a2=ax, a1=-3 * ay, a0=9 * az + 3 * at)

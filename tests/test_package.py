@@ -67,6 +67,8 @@ NODEPOLY_MODULES = [
     "severi", "severi.cli", "severi.engine", "severi.nodepoly", "severi.series",
     "severi.tangency",
 ]
+# gyz reads its plane log through nodepoly.quadratic_log
+GYZ_MODULES = sorted([*NODEPOLY_MODULES, "severi.forms", "severi.gyz"])
 
 
 @pytest.mark.parametrize("argv, out, modules", [
@@ -85,7 +87,13 @@ NODEPOLY_MODULES = [
      {"deltamax": 2, "forms": [{"kappa": 1, "a2": "3", "a1": "-6", "a0": "3"},
                                {"kappa": 2, "a2": "-42", "a1": "117", "a0": "-75"}]},
      NODEPOLY_MODULES),
-], ids=["count", "count-past-delta-plus-3", "threshold", "bell", "logforms"])
+    (["bseries", "--order", "2", "--dlist", "3,4", "--no-cache"],
+     {"order": 2, "b1": ["1", "-1", "-5"], "b2": ["1", "5", "2"], "d_used": [3, 4],
+      "consistent": True, "integral": True}, GYZ_MODULES),
+    (["predict", "--d", "5", "--order", "2", "--dlist", "3,4", "--no-cache"],
+     {"d": 5, "order": 2, "values": ["1", "48", "882"]}, GYZ_MODULES),
+], ids=["count", "count-past-delta-plus-3", "threshold", "bell", "logforms", "bseries",
+        "predict"])
 def test_subcommand_loads_only_what_it_uses(argv, out, modules):
     # a name or a subcommand loads its submodule on first use, not before
     proc = run_fresh(
@@ -97,7 +105,8 @@ def test_subcommand_loads_only_what_it_uses(argv, out, modules):
         "print(json.dumps([before, loaded()]), file=sys.stderr)\n"
     )
     assert json.loads(proc.stdout) == out
-    assert json.loads(proc.stderr) == [["severi"], modules]
+    # the last stderr line, after the subcommand's progress messages
+    assert json.loads(proc.stderr.splitlines()[-1]) == [["severi"], modules]
 
 
 def test_submodules_resolve_as_package_attributes():
