@@ -226,7 +226,8 @@ def _run_bseries(args, store) -> dict:
 
     degrees = _parse_int_list(args.dlist, "--dlist")
     sol = gyz.extract_b_series(args.order, degrees, cache=store)
-    _progress(f"extracting B-series to order {args.order} from degrees {degrees}")
+    lo = engine.low_degree(args.order)
+    _progress(f"extracting B-series to order {args.order} from degrees {lo}..{lo + 3}")
     return {
         "order": sol.order,
         "b1": sol.b1.to_strings(),
@@ -243,8 +244,10 @@ def _run_predict(args, store) -> dict:
     degrees = _parse_int_list(args.dlist, "--dlist")
     invariants = gyz.plane_invariants(args.d)  # a bad --d fails before the extraction
     sol = gyz.extract_b_series(args.order, degrees, cache=store)
-    if args.d in degrees:
-        _progress(f"note: --d {args.d} is in --dlist, prediction is in-sample")
+    lo = engine.low_degree(args.order)
+    if lo <= args.d <= lo + 3:
+        _progress(f"note: --d {args.d} is a degree the extraction read ({lo}..{lo + 3}), "
+                  "prediction is in-sample")
     values = gyz.gyz_predict(invariants, sol)
     return {
         "d": args.d,

@@ -481,9 +481,8 @@ def node_values(
     """[T_0(d), ..., T_delta(d)] for each d in degrees, from one read of the
     counts at degrees lo..lo+3, lo = low_degree(delta), as in "Counts past
     degree lo + 3"; DegreeCheckFailed when lo+3 breaks the identity there.
-    A read degree gets its checked row as read; a degree below lo gets the
-    polynomial values, which need not be counts.  Non-int input:
-    InvalidState; delta < 0: ValueError."""
+    A degree below lo gets the polynomial values, which need not be
+    counts.  Non-int input: InvalidState; delta < 0: ValueError."""
     degrees = list(degrees)
     if not all(isinstance(v, int) for v in (delta, *degrees)):
         raise InvalidState(f"node values need int degrees and delta, got {degrees}, {delta!r}")
@@ -504,8 +503,7 @@ def node_values(
     if times(f[0], power(f[2], 3)) != times(power(f[1], 3), f[3]):
         raise DegreeCheckFailed(f"the counts at degree {lo + 3} break the quadratic log "
                                 f"through degrees {lo}..{lo + 2}")
-    return [f[t] if t in range(4) else
-            times(times(power(f[0], (t - 1) * (t - 2) // 2), power(f[1], -t * (t - 2))),
+    return [times(times(power(f[0], (t - 1) * (t - 2) // 2), power(f[1], -t * (t - 2))),
                   power(f[2], t * (t - 1) // 2)) for t in (d - lo for d in degrees)]
 
 

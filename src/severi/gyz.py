@@ -79,7 +79,7 @@ def plane_invariants(d: int) -> Invariants:
 @dataclass(frozen=True)
 class BSeriesSolution:
     """log B1, log B2, log B3, log B4 to `order`, and q = u.revert() they were
-    solved with; d_used holds the requested degrees, each >= order + 1."""
+    solved with; d_used echoes the requested degrees, each >= order + 1."""
 
     order: int
     logs: tuple[RatSeries, RatSeries, RatSeries, RatSeries]

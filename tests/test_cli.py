@@ -114,24 +114,26 @@ def test_bseries(capsys):
     assert doc["d_used"] == [2, 3]
     assert doc["consistent"] is True
     assert doc["integral"] is True
-    # progress goes to stderr; stdout stayed a single JSON document
-    assert "extracting" in err
+    # progress goes to stderr, naming the degrees read; stdout stayed one JSON document
+    assert "extracting" in err and "degrees 1..4" in err
 
 
 def test_predict(capsys):
-    doc, _ = run_json(
+    doc, err = run_json(
         capsys, "predict", "--d", "7", "--order", "2", "--dlist", "3,4,5"
     )
     expected = [str(severi_degree(7, delta)) for delta in range(3)]
     assert doc == {"d": 7, "order": 2, "values": expected}
+    assert "in-sample" not in err
 
 
 def test_predict_in_sample_notes_on_stderr(capsys):
+    # an order-2 extraction reads degrees 2..5, whatever --dlist says
     doc, err = run_json(
-        capsys, "predict", "--d", "4", "--order", "2", "--dlist", "3,4,5"
+        capsys, "predict", "--d", "5", "--order", "2", "--dlist", "3,4"
     )
-    assert "in-sample" in err
-    assert doc["values"][1] == "27"
+    assert "in-sample" in err and "(2..5)" in err
+    assert doc["values"][1] == "48"
 
 
 def test_bseries_and_predict_at_order_zero(capsys):

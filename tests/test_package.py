@@ -71,30 +71,30 @@ NODEPOLY_MODULES = [
 GYZ_MODULES = sorted([*NODEPOLY_MODULES, "severi.forms", "severi.gyz"])
 
 
-@pytest.mark.parametrize("argv, out, modules", [
+@pytest.mark.parametrize("argv, out, modules, notes", [
     (["count", "--d", "5", "--delta", "2", "--no-cache"],
      {"d": 5, "delta": 2, "value": "882"},
-     ["severi", "severi.cli", "severi.engine", "severi.tangency"]),
+     ["severi", "severi.cli", "severi.engine", "severi.tangency"], 0),
     # past degree lo + 3 the count is read off engine.node_values
     (["count", "--d", "12", "--delta", "2", "--no-cache"],
      {"d": 12, "delta": 2, "value": "63525"},
-     ["severi", "severi.cli", "severi.engine", "severi.tangency"]),
+     ["severi", "severi.cli", "severi.engine", "severi.tangency"], 0),
     (["threshold", "--delta", "2", "--no-cache"],
-     {"delta": 2, "threshold": 1}, NODEPOLY_MODULES),
+     {"delta": 2, "threshold": 1}, NODEPOLY_MODULES, 0),
     (["bell", "--delta", "2", "--values", "1,2"],
-     {"delta": 2, "values": ["1", "2"], "value": "3"}, NODEPOLY_MODULES),
+     {"delta": 2, "values": ["1", "2"], "value": "3"}, NODEPOLY_MODULES, 0),
     (["logforms", "--deltamax", "2", "--no-cache"],
      {"deltamax": 2, "forms": [{"kappa": 1, "a2": "3", "a1": "-6", "a0": "3"},
                                {"kappa": 2, "a2": "-42", "a1": "117", "a0": "-75"}]},
-     NODEPOLY_MODULES),
+     NODEPOLY_MODULES, 0),
     (["bseries", "--order", "2", "--dlist", "3,4", "--no-cache"],
      {"order": 2, "b1": ["1", "-1", "-5"], "b2": ["1", "5", "2"], "d_used": [3, 4],
-      "consistent": True, "integral": True}, GYZ_MODULES),
+      "consistent": True, "integral": True}, GYZ_MODULES, 1),
     (["predict", "--d", "5", "--order", "2", "--dlist", "3,4", "--no-cache"],
-     {"d": 5, "order": 2, "values": ["1", "48", "882"]}, GYZ_MODULES),
+     {"d": 5, "order": 2, "values": ["1", "48", "882"]}, GYZ_MODULES, 1),
 ], ids=["count", "count-past-delta-plus-3", "threshold", "bell", "logforms", "bseries",
         "predict"])
-def test_subcommand_loads_only_what_it_uses(argv, out, modules):
+def test_subcommand_loads_only_what_it_uses(argv, out, modules, notes):
     # a name or a subcommand loads its submodule on first use, not before
     proc = run_fresh(
         "import json, sys\n"
@@ -105,8 +105,10 @@ def test_subcommand_loads_only_what_it_uses(argv, out, modules):
         "print(json.dumps([before, loaded()]), file=sys.stderr)\n"
     )
     assert json.loads(proc.stdout) == out
-    # the last stderr line, after the subcommand's progress messages
-    assert json.loads(proc.stderr.splitlines()[-1]) == [["severi"], modules]
+    # stderr holds the subcommand's `notes` progress lines, then the module lists
+    *progress, loaded = proc.stderr.split("\n", notes)
+    assert len(progress) == notes
+    assert json.loads(loaded) == [["severi"], modules]
 
 
 def test_submodules_resolve_as_package_attributes():
