@@ -4,7 +4,7 @@ The fixture holds the exit code and standard output of each command run
 three ways: with --no-cache, against a fresh cache file, and again
 against the now warm file.  `bell` and `forms` take no store, so they run
 without those flags in every mode.  A second fixture holds the deep
-commands, up to delta = 16, run with --no-cache only.  A change that
+commands, up to delta = 20, run with --no-cache only.  A change that
 alters any answer fails here.  Regenerate the fixtures only when an
 answer is meant to change:
 
@@ -48,7 +48,7 @@ MODES = {
 
 STORELESS = ("bell", "forms")
 
-# the README stops at delta = 4; these read the counts up to delta = 16
+# the README stops at delta = 4; these read the counts up to delta = 20
 DEEP_COMMANDS = [
     "threshold --delta 12",
     "nodepoly --delta 12",
@@ -56,6 +56,8 @@ DEEP_COMMANDS = [
     "bseries --order 12 --dlist 13,14",
     "threshold --delta 16",
     "logforms --deltamax 16",
+    "nodepoly --delta 20",
+    "threshold --delta 20",
 ]
 
 
