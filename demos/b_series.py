@@ -2,7 +2,7 @@
 
 The product formula sum_delta N^{d,delta} u^delta =
 B1^z B2^y B3^chi B4^(-nu/2) holds in the polynomial regime with plane
-invariants (z, y) = (9, -3d).  The counts at the four degrees of one
+invariants (z, y) = (9, -3d).  The counts at the three degrees of one
 read pin down B1 and B2 exactly; the formula then predicts counts for a
 degree it never saw, and every prediction must be an integer.
 """
@@ -16,7 +16,7 @@ from severi.engine import low_degree
 def main() -> None:
     order = 6
     lo = low_degree(order)
-    print(f"Extracting B1, B2 to order {order} from degrees {lo}..{lo + 3}...")
+    print(f"Extracting B1, B2 to order {order} from degrees {lo}..{lo + 2}...")
     sol = extract_b_series(order, range(7, 12))
     # extract_b_series raises InconsistentSystem unless the d^2 part of the
     # plane log is log(B3)/2

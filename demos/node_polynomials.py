@@ -31,7 +31,7 @@ def main() -> None:
         print(f"  T_{delta}(d) = {poly_text(p.coeffs)}")
         base = low_degree(delta)
         print(f"      fitted on d = {lo}..{hi} from the counts at d = {base}..{base + 2},"
-              f" checked at d = {base + 3}")
+              " checked against q(u)/u")
 
     print()
     print("The polynomial value vs the true count at small d, delta = 3:")

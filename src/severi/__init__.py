@@ -20,9 +20,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "engine": (
         "CacheCorruption", "CacheStore", "DegreeCheckFailed", "ParseError",
-        "VersionMismatch", "relative_severi", "severi_degree", "severi_table",
+        "VersionMismatch", "relative_severi", "severi_degree", "severi_table", "sigma1",
     ),
-    "forms": ("form_catalog", "sigma1"),
+    "forms": ("form_catalog",),
     "gyz": (
         "DegreeTooSmall", "InconsistentSystem", "InvalidInvariants", "Invariants",
         "NonIntegralPrediction", "extract_b_series", "gyz_predict", "plane_invariants",

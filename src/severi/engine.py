@@ -74,10 +74,10 @@ own part lists to _seq_id, which trims them; only pack checks a sequence
 from outside.  The deep root relative_severi(30, 9) stores 41,923 states
 over 1,880 sequences, with 5,385, 4,077, 7,641 and 3,008 cached entries
 and 21,600 template children; threshold_report(9) and
-fit_node_polynomial(9), which read the counts at degrees 6..9 only,
-store 2,634, and severi_degree(30, 9), which reads the same, 2,635.
+fit_node_polynomial(9), which read the counts at degrees 6..8 only,
+store 1,663, and severi_degree(30, 9), which reads the same, 1,664.
 
-Counts past degree lo + 3.  Let F_e = sum_{k <= delta} N^{e,k} u^k and
+Counts past degree lo + 2.  Let F_e = sum_{k <= delta} N^{e,k} u^k and
 lo = low_degree(delta): ceil(delta/2) + 1 for delta >= 2, 1 for delta <= 1.
 For e >= lo each coefficient is T_k(e): at e >= delta by Block
 (arXiv:1006.0218), and at ceil(delta/2) + 1 <= e < delta, which first
@@ -95,11 +95,23 @@ lo+1, lo+2.  Its Lagrange weights at t = d - lo are the integers
 mod u^{delta+1}.  Each F_e starts with N^{e,0} = 1, and a power P = A^n
 of such a series satisfies A.P' = n.A'.P, that is Miller's recurrence
 m.P_m = sum_{k=1..m} ((n+1)k - m) a_k P_{m-k}, whose division by m is
-exact as P has integer coefficients.  At t = 3 the weights are 1, -3, 3,
-so the held-out degree lo+3 is the identity F_lo . F_{lo+2}^3 =
-F_{lo+1}^3 . F_{lo+3}, which tests the three read degrees against the
-recursion.  For d < lo the product gives T_k(d), which need not be a
-count.
+exact as P has integer coefficients.  For d < lo the product gives
+T_k(d), which need not be a count.
+
+The three read degrees are checked against the quasimodular forms.
+Gottsche's conjecture, proved by Tzeng (arXiv:1009.5371) and by Kool,
+Shende and Thomas (arXiv:1010.3211), gives sum_k T_k(L) u(q)^k =
+B1^{K^2} B2^{LK} B3^{chi(L)} B4^{-chi(O)/2}, with u(q) = q.B3(q) =
+sum n.sigma1(n) q^n.  On the plane chi(L) = (d^2 + 3d)/2 + 1 is the only
+d^2 term, so the second difference of log F_d over lo, lo+1, lo+2 is
+log B3(q(u)) = log(u/q(u)), q(u) the reversion of u(q).  With Q = q(u)/u
+that is the integer identity
+
+  F_lo . F_{lo+2} . Q = F_{lo+1}^2  mod u^{delta+1}.
+
+Q comes from Lagrange inversion: q = u/B3(q), so [u^{m+1}] q(u) =
+[q^m] B3^{-(m+1)} / (m+1), the power read by Miller's recurrence; Q =
+1 - 6u + 60u^2 - 748u^3 + ... has integer coefficients.
 
 Cache file text.  cache_load maps each sequence text of the file it
 reads, as cache_save writes it ("2,0,1", "-" for ()), to its id, so a
@@ -114,7 +126,7 @@ import math
 import operator
 import os
 from itertools import product, zip_longest
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .tangency import (
     InvalidState,
@@ -140,9 +152,9 @@ class CacheCorruption(InternalInconsistency):
 
 
 class DegreeCheckFailed(InternalInconsistency):
-    """The counts at degree lo+3 missed the value that those at lo..lo+2
-    fix, lo = low_degree(delta) (`node_values`), or a node polynomial
-    T_delta came out of degree below 2delta."""
+    """The counts at degrees lo..lo+2, lo = low_degree(delta), broke
+    F_lo . F_{lo+2} . q(u)/u = F_{lo+1}^2 (`node_values`), or a node
+    polynomial T_delta came out of degree below 2delta."""
 
 
 class VersionMismatch(ValueError):
@@ -466,9 +478,44 @@ def relative_severi(
     return _evaluate(key, cache if cache is not None else _DEFAULT_CACHE)
 
 
+def sigma1(n: int) -> int:
+    """Sum of the divisors of n.
+
+    >>> sigma1(6)
+    12
+    """
+    if n < 1:
+        raise ValueError("sigma1 is defined for positive integers")
+    total = 0
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            total += d
+            other = n // d
+            if other != d:
+                total += other
+    return total
+
+
+def _power(a: list[int], n: int) -> list[int]:
+    """a^n to the length of a, for integer a with a[0] = 1: Miller's
+    recurrence ("Counts past degree lo + 2")."""
+    p = [1]
+    for m in range(1, len(a)):
+        p.append(sum(((n + 1) * k - m) * a[k] * p[m - k] for k in range(1, m + 1)) // m)
+    return p
+
+
+@functools.cache
+def _q_over_u(size: int) -> tuple[int, ...]:
+    """Q = q(u)/u mod u^size, q(u) the reversion of u(q) = q.B3(q):
+    Q_m = [q^m] B3^-(m+1) / (m+1), B3_m = (m+1).sigma1(m+1)."""
+    b3 = [(m + 1) * sigma1(m + 1) for m in range(size)]
+    return tuple(_power(b3[:m + 1], -(m + 1))[m] // (m + 1) for m in range(size))
+
+
 def low_degree(delta: int) -> int:
     """lo: the least degree from which every N^{e,k}, k <= delta, is T_k(e)
-    ("Counts past degree lo + 3"): ceil(delta/2) + 1 for delta >= 2 and 1
+    ("Counts past degree lo + 2"): ceil(delta/2) + 1 for delta >= 2 and 1
     for delta <= 1, Gottsche's threshold, proved for the plane by Kleiman
     and Shende (arXiv:1204.6254).  Up to delta = 3 it is max(delta, 1),
     Block's d >= delta (arXiv:1006.0218)."""
@@ -479,42 +526,36 @@ def node_values(
     degrees: Iterable[int], delta: int, cache: CacheStore | None = None
 ) -> list[list[int]]:
     """[T_0(d), ..., T_delta(d)] for each d in degrees, from one read of the
-    counts at degrees lo..lo+3, lo = low_degree(delta), as in "Counts past
-    degree lo + 3"; DegreeCheckFailed when lo+3 breaks the identity there.
-    A degree below lo gets the polynomial values, which need not be
-    counts.  Non-int input: InvalidState; delta < 0: ValueError."""
+    counts at degrees lo..lo+2, lo = low_degree(delta), as in "Counts past
+    degree lo + 2"; DegreeCheckFailed when they break the identity with
+    Q = q(u)/u there.  A degree below lo gets the polynomial values, which
+    need not be counts.  Non-int input: InvalidState; delta < 0: ValueError."""
     degrees = list(degrees)
     if not all(isinstance(v, int) for v in (delta, *degrees)):
         raise InvalidState(f"node values need int degrees and delta, got {degrees}, {delta!r}")
     if delta < 0:
         raise ValueError("node count must be nonnegative")
     size, lo = delta + 1, low_degree(delta)
-    f = [[relative_severi(e, k, cache=cache) for k in range(size)] for e in range(lo, lo + 4)]
+    f = [[relative_severi(e, k, cache=cache) for k in range(size)] for e in range(lo, lo + 3)]
 
-    def power(a: list[int], n: int) -> list[int]:
-        p = [1]
-        for m in range(1, size):
-            p.append(sum(((n + 1) * k - m) * a[k] * p[m - k] for k in range(1, m + 1)) // m)
-        return p
-
-    def times(a: list[int], b: list[int]) -> list[int]:
+    def times(a: Sequence[int], b: Sequence[int]) -> list[int]:
         return [sum(a[k] * b[m - k] for k in range(m + 1)) for m in range(size)]
 
-    if times(f[0], power(f[2], 3)) != times(power(f[1], 3), f[3]):
-        raise DegreeCheckFailed(f"the counts at degree {lo + 3} break the quadratic log "
-                                f"through degrees {lo}..{lo + 2}")
-    return [times(times(power(f[0], (t - 1) * (t - 2) // 2), power(f[1], -t * (t - 2))),
-                  power(f[2], t * (t - 1) // 2)) for t in (d - lo for d in degrees)]
+    if times(times(f[0], f[2]), _q_over_u(size)) != times(f[1], f[1]):
+        raise DegreeCheckFailed(f"the counts at degrees {lo}..{lo + 2} break "
+                                f"F_{lo} . F_{lo + 2} . q(u)/u = F_{lo + 1}^2")
+    return [times(times(_power(f[0], (t - 1) * (t - 2) // 2), _power(f[1], -t * (t - 2))),
+                  _power(f[2], t * (t - 1) // 2)) for t in (d - lo for d in degrees)]
 
 
 def severi_degree(d: int, delta: int, cache: CacheStore | None = None) -> int:
     """N^{d,delta}: delta-nodal degree-d curves through general points.
 
-    A stored count comes back as is.  Up to degree lo + 3, lo =
+    A stored count comes back as is.  Up to degree lo + 2, lo =
     low_degree(delta), and at delta = 0, it is the recursion's
-    (relative_severi); past it, node_values' read of degrees lo..lo+3,
-    stored as a root ("Counts past degree lo + 3")."""
-    if delta < 1 or d <= low_degree(delta) + 3:
+    (relative_severi); past it, node_values' read of degrees lo..lo+2,
+    stored as a root ("Counts past degree lo + 2")."""
+    if delta < 1 or d <= low_degree(delta) + 2:
         return relative_severi(d, delta, (), (d,), cache=cache)
     cache = cache if cache is not None else _DEFAULT_CACHE
     key = state_key(d, delta, (), (d,))

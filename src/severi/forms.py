@@ -8,27 +8,9 @@ have integer coefficients; u = q.B3 identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
+from .engine import sigma1
 from .series import RatSeries
-
-
-def sigma1(n: int) -> int:
-    """Sum of the divisors of n.
-
-    >>> sigma1(6)
-    12
-    """
-    if n < 1:
-        raise ValueError("sigma1 is defined for positive integers")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d
-            other = n // d
-            if other != d:
-                total += other
-    return total
 
 
 def u_series(order: int) -> RatSeries:

@@ -3,11 +3,12 @@
 T_delta is the degree-2delta polynomial that equals N^{d,delta} for all
 d >= lo = engine.low_degree(delta); the engine's docstring states that
 regime and the theorems behind it.  Every T_delta here is read off the
-counts at lo..lo+3 by one call of `engine.node_values`, and every other
-degree used here is taken from low_degree: the fit interpolates the
-read's values, the threshold scan compares them with the counts below
-lo, and `quadratic_log`, which the log forms and gyz read, takes the
-logs of the three read degrees.
+counts at lo..lo+2 by one call of `engine.node_values`, which checks
+them against q(u)/u, the reversion of the quasimodular form u(q).  Every
+other degree used here is taken from low_degree: the fit interpolates
+the read's values, the threshold scan compares them with the counts
+below lo, and `quadratic_log`, which the log forms and gyz read, takes
+the logs of the three read degrees.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def fit_node_polynomial(delta: int, cache: CacheStore | None = None) -> NodePoly
     """Interpolate T_delta at fit_range, d = delta+2 .. 3delta+2.
 
     The values come from `engine.node_values`, which reads the counts at
-    degrees lo..lo+3 (module docstring) and checks the last of them; no
-    count above degree lo+3 is evaluated.  A float delta: InvalidState.
+    degrees lo..lo+2 (module docstring) and checks them against q(u)/u; no
+    count above degree lo+2 is evaluated.  A float delta: InvalidState.
     """
     if not isinstance(delta, int):
         raise InvalidState(f"node polynomial needs an int delta, got {delta!r}")
@@ -141,7 +142,7 @@ class LogForm(NamedTuple):
 def quadratic_log(delta: int, cache: CacheStore | None = None) -> tuple[RatSeries, ...]:
     """(A, B, C) with log sum_{k <= delta} T_k(d) u^k = A.d^2 + B.d + C mod
     u^(delta+1) (Tzeng, arXiv:1009.5371), through the logs of the counts at
-    lo..lo+2 that one call of `engine.node_values` reads and checks at lo+3."""
+    lo..lo+2 that one call of `engine.node_values` reads and checks."""
     lo = low_degree(delta)
     rows = node_values((lo, lo + 1, lo + 2), delta, cache)
     l0, l1, l2 = (RatSeries(values).log() for values in rows)

@@ -115,7 +115,7 @@ def test_bseries(capsys):
     assert doc["consistent"] is True
     assert doc["integral"] is True
     # progress goes to stderr, naming the degrees read; stdout stayed one JSON document
-    assert "extracting" in err and "degrees 1..4" in err
+    assert "extracting" in err and "degrees 1..3" in err
 
 
 def test_predict(capsys):
@@ -128,12 +128,12 @@ def test_predict(capsys):
 
 
 def test_predict_in_sample_notes_on_stderr(capsys):
-    # an order-2 extraction reads degrees 2..5, whatever --dlist says
+    # an order-2 extraction reads degrees 2..4, whatever --dlist says
     doc, err = run_json(
-        capsys, "predict", "--d", "5", "--order", "2", "--dlist", "3,4"
+        capsys, "predict", "--d", "4", "--order", "2", "--dlist", "3,4"
     )
-    assert "in-sample" in err and "(2..5)" in err
-    assert doc["values"][1] == "48"
+    assert "in-sample" in err and "(2..4)" in err
+    assert doc["values"][1] == "27"
 
 
 def test_bseries_and_predict_at_order_zero(capsys):
@@ -636,7 +636,7 @@ def test_concurrent_processes_keep_both_roots(isolated_cwd):
     # the quick run saves while the slow one still computes; the slow one's
     # save must merge the file under the lock instead of replacing it.  The
     # slow run is a relative count, which keeps the recursion; the quick one
-    # is past degree lo + 3 and also persists the counts it read there
+    # is past degree lo + 2 and also persists the counts it read there
     path = isolated_cwd / "shared.cache"
     queries = [["--d", "25", "--delta", "7", "--alpha", "1", "--beta", "24"],
                ["--d", "50", "--delta", "1"]]
@@ -656,7 +656,7 @@ def test_concurrent_processes_keep_both_roots(isolated_cwd):
         assert proc.returncode == 0, err
         values.append(int(json.loads(out)["value"]))
     read = {(e, k, (), (e,)): engine.severi_degree(e, k, cache=engine.CacheStore())
-            for e in range(1, 5) for k in range(2)}
+            for e in range(1, 4) for k in range(2)}
     assert dict(engine.cache_load(path).items()) == {
         (25, 7, (1,), (24,)): values[0],
         (50, 1, (), (50,)): values[1],

@@ -38,5 +38,5 @@ def test_node_polynomial_demo_names_the_degrees_the_engine_reads(tmp_path):
     lines = run_demo(demo, tmp_path).splitlines()
     t4 = lines.index(next(line for line in lines if line.startswith("  T_4(d) = ")))
     assert lines[t4 + 1] == (
-        "      fitted on d = 6..14 from the counts at d = 3..5, checked at d = 6"
+        "      fitted on d = 6..14 from the counts at d = 3..5, checked against q(u)/u"
     )

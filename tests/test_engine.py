@@ -454,7 +454,7 @@ def test_transitions_match_the_reference_on_every_small_state():
 
 def recursion_grid(dmax, deltamax, store):
     """Every N^{d,delta} with d <= dmax and delta <= deltamax by the
-    recursion alone, which severi_degree leaves past degree lo + 3."""
+    recursion alone, which severi_degree leaves past degree lo + 2."""
     for d in range(1, dmax + 1):
         for delta in range(deltamax + 1):
             relative_severi(d, delta, cache=store)
@@ -615,29 +615,29 @@ def test_states_evaluated_per_table():
     store = CacheStore()
     recursion_grid(18, 9, store)
     assert len(store) == 18542
-    # severi_table reads each N^{d,delta} with d > lo + 3 off the counts at
-    # degrees lo..lo+3, lo = ceil(delta/2) + 1, so it stores the states
+    # severi_table reads each N^{d,delta} with d > lo + 2 off the counts at
+    # degrees lo..lo+2, lo = ceil(delta/2) + 1, so it stores the states
     # below that band only
     store = CacheStore()
     severi_table(10, 6, cache=store)
-    assert len(store) == 613
+    assert len(store) == 367
     store = CacheStore()
     severi_table(18, 9, cache=store)
-    assert len(store) == 2451
+    assert len(store) == 1503
     store = CacheStore()
     relative_severi(30, 9, cache=store)
     assert len(store) == 41923
     # severi_degree reads N^{30,9} off the same counts as the threshold
     store = CacheStore()
     severi_degree(30, 9, cache=store)
-    assert len(store) == 2635
-    # the threshold and the fit read T_9 off the counts at degrees 6..9 alone
+    assert len(store) == 1664
+    # the threshold and the fit read T_9 off the counts at degrees 6..8 alone
     store = CacheStore()
     threshold_report(9, cache=store)
-    assert len(store) == 2634
+    assert len(store) == 1663
     store = CacheStore()
     fit_node_polynomial(9, cache=store)
-    assert len(store) == 2634
+    assert len(store) == 1663
     store = CacheStore()
     assert severi_degree(10**4, 0, cache=store) == 1
     assert len(store) == 1
@@ -843,14 +843,14 @@ def test_quintics_match_known_values(shared_cache):
     assert severi_degree(5, 10, cache=shared_cache) == matchings_into_pairs(10)
 
 
-# -- counts past degree lo + 3 -----------------------------------------------
+# -- counts past degree lo + 2 -----------------------------------------------
 
-def block_node_values(degrees, delta, cache=None):
-    """[T_0(d), ..., T_delta(d)] read off the counts at degrees delta..delta+3,
-    where Block (arXiv:1006.0218) proves every N^{e,k}, k <= delta, equals
-    T_k(e): the engine's read before it moved down to Gottsche's threshold,
-    kept as the reference for the one at lo..lo+3."""
-    size, lo = delta + 1, max(delta, 1)
+def held_out_node_values(degrees, delta, lo, cache=None):
+    """[T_0(d), ..., T_delta(d)] read off the counts at degrees lo..lo+2 and
+    checked at lo+3 with F_lo . F_{lo+2}^3 = F_{lo+1}^3 . F_{lo+3}, the
+    quadratic log's weights at t = 3: the engine's read before q(u)/u
+    replaced the fourth degree, kept as the reference for it."""
+    size = delta + 1
     f = [[relative_severi(e, k, cache=cache) for k in range(size)] for e in range(lo, lo + 4)]
 
     def power(a, n):
@@ -865,6 +865,13 @@ def block_node_values(degrees, delta, cache=None):
     assert times(f[0], power(f[2], 3)) == times(power(f[1], 3), f[3]), f"degree {lo + 3}"
     return [times(times(power(f[0], (t - 1) * (t - 2) // 2), power(f[1], -t * (t - 2))),
                   power(f[2], t * (t - 1) // 2)) for t in (d - lo for d in degrees)]
+
+
+def block_node_values(degrees, delta, cache=None):
+    """The held-out read at degrees delta..delta+3, where Block
+    (arXiv:1006.0218) proves every N^{e,k}, k <= delta, equals T_k(e): the
+    engine's read before it moved down to Gottsche's threshold."""
+    return held_out_node_values(degrees, delta, max(delta, 1), cache)
 
 
 def test_the_low_degree_is_gottsches_threshold():
@@ -882,19 +889,56 @@ def test_node_values_equal_the_block_read(shared_cache, delta):
     assert got == block_node_values(degrees, delta, cache=shared_cache)
 
 
-@pytest.mark.parametrize("offset", [1, 3])
-def test_a_count_off_by_one_above_the_low_degree_fails_the_check(monkeypatch, offset):
-    # lo = 6 at delta = 9: N^{7,9} enters F_7^3 . F_9, and N^{9,9} is held out
+@pytest.mark.parametrize("delta", [*range(17), 20])
+def test_node_values_equal_the_held_out_read(delta):
+    # the same degrees lo..lo+2, checked by a fourth degree instead of
+    # q(u)/u; delta = 20 is the deepest read the CLI fixture pins
+    degrees = range(1, 3 * delta + 13)
+    lo, store = engine.low_degree(delta), CacheStore()
+    got = engine.node_values(degrees, delta, cache=store)
+    assert got == held_out_node_values(degrees, delta, lo, cache=store)
+
+
+def poisoned_recursion(monkeypatch, bad):
+    """engine.relative_severi with N^bad, bad = (d, delta), off by one."""
     true_recursion = engine.relative_severi
-    bad = (6 + offset, 9)
 
     def poisoned(d, delta, *tangencies, cache=None):
         return true_recursion(d, delta, *tangencies, cache=cache) + ((d, delta) == bad)
 
     monkeypatch.setattr(engine, "relative_severi", poisoned)
-    with pytest.raises(DegreeCheckFailed, match="degree 9 break the quadratic log through "
-                                                "degrees 6..8"):
+
+
+@pytest.mark.parametrize("offset", [1, 2])
+def test_a_count_off_by_one_above_the_low_degree_fails_the_check(monkeypatch, offset):
+    # lo = 6 at delta = 9, and the read is degrees 6..8
+    poisoned_recursion(monkeypatch, (6 + offset, 9))
+    with pytest.raises(DegreeCheckFailed, match=r"degrees 6\.\.8 break F_6 \. F_8 \. "
+                                                r"q\(u\)/u = F_7\^2"):
         threshold_report(9, cache=CacheStore())
+
+
+@pytest.mark.parametrize("bad", [(6, 9), (7, 4)])
+def test_a_count_off_by_one_in_the_read_fails_the_check(monkeypatch, bad):
+    # at lo itself, and below delta: the identity holds coefficient by
+    # coefficient, and N^{7,4} enters at u^4
+    poisoned_recursion(monkeypatch, bad)
+    with pytest.raises(DegreeCheckFailed, match=r"degrees 6\.\.8 "):
+        threshold_report(9, cache=CacheStore())
+
+
+@pytest.mark.parametrize("m", range(10))
+def test_a_coefficient_of_q_off_by_one_fails_the_check(shared_cache, monkeypatch, m):
+    true_q = engine._q_over_u
+
+    def off_by_one(size):
+        q = list(true_q(size))
+        q[m] += 1
+        return tuple(q)
+
+    monkeypatch.setattr(engine, "_q_over_u", off_by_one)
+    with pytest.raises(DegreeCheckFailed, match=r"degrees 6\.\.8 "):
+        engine.node_values((30,), 9, cache=shared_cache)
 
 
 @pytest.mark.parametrize("delta", range(1, 7))
@@ -908,18 +952,18 @@ def test_node_values_match_the_recursion(shared_cache, delta):
 
 def test_severi_degree_persists_the_root_and_the_counts_it_read():
     # on a fresh store each, against the recursion: N^{17,3} and every
-    # cell d <= 16, delta <= 6 past degree lo + 3
+    # cell d <= 16, delta <= 6 past degree lo + 2
     reference = CacheStore()
     lows = [engine.low_degree(delta) for delta in range(7)]
-    cells = [(17, 3)] + [(d, delta) for delta in range(7) for d in range(lows[delta] + 4, 17)]
+    cells = [(17, 3)] + [(d, delta) for delta in range(7) for d in range(lows[delta] + 3, 17)]
     for d, delta in cells:
         store = CacheStore()
         value = severi_degree(d, delta, cache=store)
         assert value == relative_severi(d, delta, cache=reference), (d, delta)
         roots = {(d, delta, (), (d,))}
-        if delta:  # the counts read at degrees lo..lo+3
+        if delta:  # the counts read at degrees lo..lo+2
             lo = lows[delta]
-            roots |= {(e, k, (), (e,)) for e in range(lo, lo + 4) for k in range(delta + 1)}
+            roots |= {(e, k, (), (e,)) for e in range(lo, lo + 3) for k in range(delta + 1)}
         assert {key for key, _ in store.roots()} == roots, (d, delta)
 
 
@@ -930,9 +974,10 @@ def test_severi_degree_reads_the_store_first():
     assert (len(store), store.hits) == (1, 1)
 
 
-def test_severi_degree_keeps_the_recursion_up_to_degree_delta_plus_3():
+def test_severi_degree_keeps_the_recursion_up_to_degree_lo_plus_2():
+    # lo = 3 at delta = 3
     store = CacheStore()
-    assert severi_degree(6, 3, cache=store) == relative_severi(6, 3, cache=CacheStore()) == 41310
+    assert severi_degree(5, 3, cache=store) == relative_severi(5, 3, cache=CacheStore()) == 7915
     assert severi_degree(4, 0, cache=store) == 1
     assert len(store) > store.root_count == 2  # the recursion's states, two roots
 

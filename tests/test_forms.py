@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from severi import RatSeries, form_catalog, sigma1
+from severi import RatSeries, engine, form_catalog, sigma1
 from severi.forms import delta_series, u_series
 
 # tau(n) for n = 1..12, the discriminant coefficients (Lehmer's table)
@@ -45,6 +45,16 @@ def test_sigma1_against_brute_force():
 def test_sigma1_rejects_nonpositive():
     with pytest.raises(ValueError):
         sigma1(0)
+
+
+def test_engine_q_is_the_reversion_of_u_over_u():
+    # the engine checks each read with Q = q(u)/u, built by Lagrange
+    # inversion in integers; here q(u) is RatSeries.revert of u(q)
+    for n in range(1, 25):
+        q = u_series(n).revert()
+        assert q[0] == 0
+        assert engine._q_over_u(n) == q.coeffs[1:], n
+        assert engine._q_over_u(n) is engine._q_over_u(n)  # built once per order
 
 
 def test_u_prefix():

@@ -166,8 +166,9 @@ def test_fit_refuses_a_float_delta():
 
 
 def poisoned_store(delta, d=None):
-    """A store whose count N^{d,delta} is off by one, d = delta + 3 unless given."""
-    d = delta + 3 if d is None else d
+    """A store whose count N^{d,delta} is off by one, d = delta + 2 unless
+    given: the last degree lo + 2 that node_values reads, for delta <= 3."""
+    d = delta + 2 if d is None else d
     store = CacheStore()
     store.put((d, delta, (), (d,)), severi_degree(d, delta, cache=CacheStore()) + 1)
     return store
@@ -194,19 +195,20 @@ def test_fit_equals_the_deep_window_reference(shared_cache, delta):
 
 @pytest.mark.parametrize("delta", [1, 3])
 def test_fit_fails_on_a_count_off_by_one_at_degree_delta_plus_one(delta):
-    # N^{delta+1,delta} enters F_{delta+1}^3 . F_{delta+3} three times over
-    with pytest.raises(DegreeCheckFailed, match=f"degree {delta + 3} "):
+    # delta + 1 = lo + 1: N^{delta+1,delta} enters F_{lo+1}^2 twice over
+    with pytest.raises(DegreeCheckFailed, match=f"degrees {delta}..{delta + 2} "):
         fit_node_polynomial(delta, cache=poisoned_store(delta, delta + 1))
 
 
 def test_fit_checks_the_guard_point():
-    # the one held-out degree is delta + 3
-    with pytest.raises(DegreeCheckFailed, match="degree 6 "):
+    # the fit's guard is the read's check with q(u)/u, which N^{5,3} at
+    # lo + 2 = 5 breaks
+    with pytest.raises(DegreeCheckFailed, match=r"F_3 \. F_5 \. q\(u\)/u = F_4\^2"):
         fit_node_polynomial(3, cache=poisoned_store(3))
 
 
 def test_fit_refuses_a_degenerate_polynomial(monkeypatch):
-    # all-zero counts pass the check at delta + 3, but T_delta must have
+    # all-zero counts pass the check with q(u)/u, but T_delta must have
     # degree 2.delta
     monkeypatch.setattr(engine, "relative_severi", lambda d, delta, cache=None: 0)
     with pytest.raises(DegreeCheckFailed, match="degenerated below degree 4"):
@@ -245,7 +247,7 @@ def test_no_witness_when_polynomial_holds_everywhere(shared_cache):
 
 
 def test_a_mismatch_just_below_the_fit_window_is_the_witness(monkeypatch):
-    # node_values checks d = lo .. lo+3, lo = 2 at delta = 2, so the scan
+    # node_values checks d = lo .. lo+2, lo = 2 at delta = 2, so the scan
     # starts at lo-1
     true_degree = nodepoly.severi_degree
 
@@ -258,7 +260,7 @@ def test_a_mismatch_just_below_the_fit_window_is_the_witness(monkeypatch):
 
 
 def test_threshold_reads_each_count_once(monkeypatch):
-    # the counts at degrees lo..lo+3 = 6..9 once for T_9, then the scan's
+    # the counts at degrees lo..lo+2 = 6..8 once for T_9, then the scan's
     # count at lo-1 = 5, which is the recursion's through severi_degree
     true_recursion = engine.relative_severi
     reads = []
@@ -271,9 +273,9 @@ def test_threshold_reads_each_count_once(monkeypatch):
     store = CacheStore()
     assert threshold(9, cache=store) == 6
     assert sorted(reads) == sorted([(5, 9)] + [
-        (d, k) for d in range(6, 10) for k in range(10)
+        (d, k) for d in range(6, 9) for k in range(10)
     ])
-    assert (store.misses, store.root_count) == (40, 41)  # N^{5,9} is a state of N^{6,9}
+    assert (store.misses, store.root_count) == (30, 31)  # N^{5,9} is a state of N^{6,9}
 
 
 def test_threshold_compares_counts_below_the_low_degree_only(monkeypatch):
@@ -370,20 +372,23 @@ def test_log_forms_agree_with_the_interpolated_reference(delta_max):
     assert forms == reference_log_forms(delta_max, cache=CacheStore())
 
 
+# the names say held-out degree: the poisoned count is at lo + 2, the
+# last degree of the read, which q(u)/u checks
+
 @pytest.mark.parametrize("delta_max", [1, 3])
 def test_log_forms_check_the_held_out_degree(delta_max):
-    with pytest.raises(DegreeCheckFailed, match=f"degree {delta_max + 3} "):
+    with pytest.raises(DegreeCheckFailed, match=f"degrees {delta_max}..{delta_max + 2} "):
         log_forms(delta_max, cache=poisoned_store(delta_max))
 
 
 @pytest.mark.parametrize("delta", [1, 3])
 def test_node_values_check_the_held_out_degree(delta):
-    with pytest.raises(DegreeCheckFailed, match=f"degree {delta + 3} "):
+    with pytest.raises(DegreeCheckFailed, match=f"degrees {delta}..{delta + 2} "):
         engine.node_values((delta + 10,), delta, cache=poisoned_store(delta))
 
 
 def run_on_a_poisoned_file(tmp_path, capsys, argv):
-    """Exit code and error type of argv against a file off by one at (6, 3)."""
+    """Exit code and error type of argv against a file off by one at (5, 3)."""
     path = tmp_path / "poisoned.cache"
     cache_save(poisoned_store(3), path)
     code = main(argv + ["--cache", str(path)])

@@ -75,7 +75,7 @@ GYZ_MODULES = sorted([*NODEPOLY_MODULES, "severi.forms", "severi.gyz"])
     (["count", "--d", "5", "--delta", "2", "--no-cache"],
      {"d": 5, "delta": 2, "value": "882"},
      ["severi", "severi.cli", "severi.engine", "severi.tangency"], 0),
-    # past degree lo + 3 the count is read off engine.node_values
+    # past degree lo + 2 the count is read off engine.node_values
     (["count", "--d", "12", "--delta", "2", "--no-cache"],
      {"d": 12, "delta": 2, "value": "63525"},
      ["severi", "severi.cli", "severi.engine", "severi.tangency"], 0),
@@ -91,9 +91,15 @@ GYZ_MODULES = sorted([*NODEPOLY_MODULES, "severi.forms", "severi.gyz"])
      {"order": 2, "b1": ["1", "-1", "-5"], "b2": ["1", "5", "2"], "d_used": [3, 4],
       "consistent": True, "integral": True}, GYZ_MODULES, 1),
     (["predict", "--d", "5", "--order", "2", "--dlist", "3,4", "--no-cache"],
-     {"d": 5, "order": 2, "values": ["1", "48", "882"]}, GYZ_MODULES, 1),
+     {"d": 5, "order": 2, "values": ["1", "48", "882"]}, GYZ_MODULES, 0),
+    # forms takes sigma1 from the engine, which the CLI loads anyway
+    (["forms", "--order", "2"],
+     {"order": 2, "u": ["0", "1", "6"], "b3": ["1", "6", "12"], "b4": ["1", "-12", "0"],
+      "delta_form": ["0", "1", "-24"]},
+     ["severi", "severi.cli", "severi.engine", "severi.forms", "severi.series",
+      "severi.tangency"], 0),
 ], ids=["count", "count-past-delta-plus-3", "threshold", "bell", "logforms", "bseries",
-        "predict"])
+        "predict", "forms"])
 def test_subcommand_loads_only_what_it_uses(argv, out, modules, notes):
     # a name or a subcommand loads its submodule on first use, not before
     proc = run_fresh(
