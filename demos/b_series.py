@@ -9,7 +9,9 @@ degree it never saw, and every prediction must be an integer.
 
 from __future__ import annotations
 
-from severi import extract_b_series, gyz_predict, plane_invariants, relative_severi
+from severi import (
+    extract_b_series, form_catalog, gyz_predict, plane_invariants, relative_severi,
+)
 from severi.engine import low_degree
 
 
@@ -18,9 +20,10 @@ def main() -> None:
     lo = low_degree(order)
     print(f"Extracting B1, B2 to order {order} from degrees {lo}..{lo + 2}...")
     sol = extract_b_series(order, range(7, 12))
-    # extract_b_series raises InconsistentSystem unless the d^2 part of the
-    # plane log is log(B3)/2
-    print("  consistent: the d^2 part of the plane log is log(B3)/2")
+    # logs[2] is twice the read's d^2 part composed with u
+    b3 = form_catalog(order).b3.truncate(order)
+    verb = "is" if sol.logs[2] == b3.log() else "is NOT"
+    print(f"  consistent: the d^2 part of the plane log {verb} log(B3)/2")
     print(f"  integral:   {sol.integral}")
     print(f"  B1 = {', '.join(str(c) for c in sol.b1.coeffs)}, ...")
     print(f"  B2 = {', '.join(str(c) for c in sol.b2.coeffs)}, ...")

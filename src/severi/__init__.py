@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "forms": ("form_catalog",),
     "gyz": (
-        "DegreeTooSmall", "InconsistentSystem", "InvalidInvariants", "Invariants",
+        "DegreeTooSmall", "InvalidInvariants", "Invariants",
         "NonIntegralPrediction", "extract_b_series", "gyz_predict", "plane_invariants",
     ),
     "nodepoly": (

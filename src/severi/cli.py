@@ -28,8 +28,9 @@ class UsageError(ValueError):
     """Bad command line: unknown flag, missing argument, unparsable value."""
 
 
-# every bad-input class (UsageError, InvalidState, ParseError, ...) is a ValueError
-_INPUT_ERRORS = (ValueError, OSError)
+# every bad-input class (UsageError, InvalidState, ParseError, ...) is a ValueError;
+# OSError and MemoryError (a delta too large to hold its degrees) are the environment's
+_INPUT_ERRORS = (ValueError, OSError, MemoryError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,7 +234,7 @@ def _run_bseries(args, store) -> dict:
         "b1": sol.b1.to_strings(),
         "b2": sol.b2.to_strings(),
         "d_used": list(sol.d_used),
-        "consistent": True,  # extract_b_series raises when log B3/2 is not the d^2 part
+        "consistent": True,  # node_values raises when the read fails its q(u)/u check
         "integral": sol.integral,
     }
 

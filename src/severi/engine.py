@@ -92,11 +92,11 @@ lo+1, lo+2.  Its Lagrange weights at t = d - lo are the integers
 
   F_d = F_lo^{(t-1)(t-2)/2} . F_{lo+1}^{-t(t-2)} . F_{lo+2}^{t(t-1)/2}
 
-mod u^{delta+1}.  Each F_e starts with N^{e,0} = 1, and a power P = A^n
-of such a series satisfies A.P' = n.A'.P, that is Miller's recurrence
-m.P_m = sum_{k=1..m} ((n+1)k - m) a_k P_{m-k}, whose division by m is
-exact as P has integer coefficients.  For d < lo the product gives
-T_k(d), which need not be a count.
+mod u^{delta+1}.  Each F_e starts with N^{e,0} = 1, which node_values
+checks, and a power P = A^n of such a series satisfies A.P' = n.A'.P,
+that is Miller's recurrence m.P_m = sum_{k=1..m} ((n+1)k - m) a_k
+P_{m-k}, whose division by m is exact as P has integer coefficients.
+For d < lo the product gives T_k(d), which need not be a count.
 
 The three read degrees are checked against the quasimodular forms.
 Gottsche's conjecture, proved by Tzeng (arXiv:1009.5371) and by Kool,
@@ -153,8 +153,7 @@ class CacheCorruption(InternalInconsistency):
 
 class DegreeCheckFailed(InternalInconsistency):
     """The counts at degrees lo..lo+2, lo = low_degree(delta), broke
-    F_lo . F_{lo+2} . q(u)/u = F_{lo+1}^2 (`node_values`), or a node
-    polynomial T_delta came out of degree below 2delta."""
+    N^{e,0} = 1 or F_lo . F_{lo+2} . q(u)/u = F_{lo+1}^2 (`node_values`)."""
 
 
 class VersionMismatch(ValueError):
@@ -527,9 +526,10 @@ def node_values(
 ) -> list[list[int]]:
     """[T_0(d), ..., T_delta(d)] for each d in degrees, from one read of the
     counts at degrees lo..lo+2, lo = low_degree(delta), as in "Counts past
-    degree lo + 2"; DegreeCheckFailed when they break the identity with
-    Q = q(u)/u there.  A degree below lo gets the polynomial values, which
-    need not be counts.  Non-int input: InvalidState; delta < 0: ValueError."""
+    degree lo + 2"; DegreeCheckFailed unless each starts with N^{e,0} = 1
+    and they keep the identity with Q = q(u)/u there.  A degree below lo
+    gets the polynomial values, which need not be counts.  Non-int input:
+    InvalidState; delta < 0: ValueError."""
     degrees = list(degrees)
     if not all(isinstance(v, int) for v in (delta, *degrees)):
         raise InvalidState(f"node values need int degrees and delta, got {degrees}, {delta!r}")
@@ -541,6 +541,9 @@ def node_values(
     def times(a: Sequence[int], b: Sequence[int]) -> list[int]:
         return [sum(a[k] * b[m - k] for k in range(m + 1)) for m in range(size)]
 
+    if any(row[0] != 1 for row in f):
+        raise DegreeCheckFailed(f"the counts at degrees {lo}..{lo + 2} do not start "
+                                "with N^{e,0} = 1")
     if times(times(f[0], f[2]), _q_over_u(size)) != times(f[1], f[1]):
         raise DegreeCheckFailed(f"the counts at degrees {lo}..{lo + 2} break "
                                 f"F_{lo} . F_{lo + 2} . q(u)/u = F_{lo + 1}^2")

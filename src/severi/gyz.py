@@ -5,9 +5,9 @@ B1(q)^z B2(q)^y B3(q)^chi B4(q)^(-nu/2) leaves exactly two unknown
 series once u, B3, B4 are fixed.  Both directions work on its log.
 For the plane (z = 9, y = -3d, chi = (d^2 + 3d)/2 + 1) the log is a
 quadratic in d, which `nodepoly.quadratic_log` reads once: its d^2 part
-must be log(B3)/2, and its d and constant parts give log(B2) and
-log(B1) in exact arithmetic.  A d^2 part off log(B3)/2 is a hard error,
-not noise.  Prediction reads the solution's linear `forms`.
+is log(B3)/2, as the read's check with q(u)/u in `engine.node_values`
+guarantees, and its d and constant parts give log(B2) and log(B1) in
+exact arithmetic.  Prediction reads the solution's linear `forms`.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ class DegreeTooSmall(ValueError):
     There N^{d,delta} = T_delta(d) for every delta <= order: Block
     (arXiv:1006.0218) proves it for all d >= delta.
     """
-
-
-class InconsistentSystem(InternalInconsistency):
-    """The d^2 part of the plane log is not log(B3)/2; the forms or the
-    engine are wrong."""
 
 
 class NonIntegralPrediction(InternalInconsistency):
@@ -147,8 +142,8 @@ def extract_b_series(
 
     Composed with u, log sum_delta T_delta(d) u^delta = A.d^2 + B.d + C
     is 9.log(B1) - 3d.log(B2) + chi(d).log(B3) - log(B4)/2, chi(d) =
-    (d^2 + 3d)/2 + 1: A o u must be log(B3)/2, the form X, or
-    InconsistentSystem names the first order where it is not; B o u and
+    (d^2 + 3d)/2 + 1.  The read's check gives A = -log(q(u)/u)/2, so
+    A o u is log(B3)/2, the form X, and log(B3) is 2.(A o u); B o u and
     C o u then give log(B2) and log(B1).  d_list needs two distinct
     degrees >= order + 1; no count at them is read.
     """
@@ -158,15 +153,11 @@ def extract_b_series(
     if len(degrees) < 2:
         raise ValueError("extraction needs at least two distinct degrees")
     _check_degree(degrees[0], order)
+    quadratic = quadratic_log(order, cache)  # before u: a float order is InvalidState
     forms = form_catalog(max(order, 1))
-    log_b3, log_b4 = forms.b3.truncate(order).log(), forms.b4.truncate(order).log()
-    a, b, c = (s.compose(forms.u) for s in quadratic_log(order, cache))
-    x = log_b3 * Fraction(1, 2)
-    if a != x:
-        m = next(m for m in range(order + 1) if a[m] != x[m])
-        raise InconsistentSystem(f"order {m}: the d^2 part of the plane log is {a[m]}, "
-                                 f"log(B3)/2 is {x[m]}")
-    log_b2 = x - b * Fraction(1, 3)
+    a, b, c = (s.compose(forms.u) for s in quadratic)
+    log_b3, log_b4 = 2 * a, forms.b4.truncate(order).log()
+    log_b2 = a - b * Fraction(1, 3)
     log_b1 = (c - log_b3 + log_b4 * Fraction(1, 2)) * Fraction(1, 9)
     return BSeriesSolution(
         order=order, logs=(log_b1, log_b2, log_b3, log_b4),

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .engine import CacheStore, DegreeCheckFailed, low_degree, node_values, severi_degree
+from .engine import CacheStore, low_degree, node_values, severi_degree
 from .series import RatSeries, Scalar
 from .tangency import InvalidState
 
@@ -72,14 +72,15 @@ def fit_node_polynomial(delta: int, cache: CacheStore | None = None) -> NodePoly
 
     The values come from `engine.node_values`, which reads the counts at
     degrees lo..lo+2 (module docstring) and checks them against q(u)/u; no
-    count above degree lo+2 is evaluated.  A float delta: InvalidState.
+    count above degree lo+2 is evaluated.  That check, with N^{e,0} = 1,
+    gives [u^1] of the quadratic log's d^2 part as -Q_1/2 = 3, so T_delta
+    has degree 2delta, leading coefficient 3^delta/delta!.  A float delta:
+    InvalidState.
     """
     if not isinstance(delta, int):
         raise InvalidState(f"node polynomial needs an int delta, got {delta!r}")
     xs = tuple(range(delta + 2, 3 * delta + 3))
     coeffs = interpolate(xs, [values[delta] for values in node_values(xs, delta, cache)])
-    if delta >= 1 and coeffs[-1] == 0:
-        raise DegreeCheckFailed(f"T_{delta} degenerated below degree {2 * delta}")
     return NodePolynomial(delta=delta, coeffs=coeffs, fit_range=xs)
 
 

@@ -479,6 +479,23 @@ def test_non_integral_prediction_is_internal_error(capsys, monkeypatch):
     assert message == "n_1 = 1/2 is not an integer"
 
 
+@pytest.mark.parametrize("command, callee", [
+    ("nodepoly", "fit_node_polynomial"), ("threshold", "threshold_report"),
+])
+def test_a_delta_too_large_to_hold_is_an_environment_error(capsys, monkeypatch, command, callee):
+    # a delta of 10^14 asks for more degrees than memory holds; the callee
+    # raises as that allocation would, without making it
+    from severi import nodepoly
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(nodepoly, callee, exhausted)
+    code, out, _ = run_cli(capsys, command, "--delta", "100000000000000", "--no-cache")
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "MemoryError", "message": ""}}
+
+
 @pytest.mark.parametrize("argv", [["count", "--d", "3", "--delta", "1"], ["cache", "stats"]])
 def test_cache_file_removed_mid_call_counts_as_empty(capsys, isolated_cwd, monkeypatch, argv):
     run_json(capsys, "count", "--d", "2", "--delta", "1")

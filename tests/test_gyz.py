@@ -11,8 +11,8 @@ from severi import (
     CacheStore,
     DegreeCheckFailed,
     DegreeTooSmall,
-    InconsistentSystem,
     Invariants,
+    InvalidState,
     NonIntegralPrediction,
     RatSeries,
     extract_b_series,
@@ -118,9 +118,10 @@ def test_series_work_per_call(shared_cache, monkeypatch):
     counting_catalog = counting("form_catalog", forms.form_catalog)
     for module in (forms, gyz):
         monkeypatch.setattr(module, "form_catalog", counting_catalog)
-    # one catalog, log B3 and log B4 once, and quadratic_log's three logs
+    # one catalog, log B4 once, and quadratic_log's three logs; log B3 is
+    # twice the read's d^2 part composed with u
     sol = extract_b_series(6, (12, 13, 14), cache=shared_cache)
-    assert calls == {"form_catalog": 1, "log": 5, "revert": 1}
+    assert calls == {"form_catalog": 1, "log": 4, "revert": 1}
     calls.clear()
     gyz_predict(plane_invariants(20), sol)
     assert calls == {"exp": 1}
@@ -164,19 +165,37 @@ def test_inconsistency_is_detected(bad):
         extract_b_series(2, [3, 9], cache=poisoned)
 
 
+@pytest.mark.parametrize("order", range(13))
+def test_log_b3_is_the_catalogs(shared_cache, order):
+    # the read's check with q(u)/u makes 2.(A o u) the log of the catalog's B3
+    sol = extract_b_series(order, (order + 1, order + 2), cache=shared_cache)
+    assert sol.logs[2] == form_catalog(max(order, 1)).b3.truncate(order).log()
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_a_wrong_b3_coefficient_is_inconsistent(shared_cache, monkeypatch, m):
-    # the d^2 part of the plane log must be log(B3)/2 at every order, and
-    # B3 off by one at q^m first moves log(B3) at q^m
+    # B3 off by one at q^m first moves log(B3) at q^m; the extraction reads
+    # log B3 off the counts, not off the catalog, so its logs do not move
     def off_by_one(order):
         catalog = forms.form_catalog(order)
         b3 = list(catalog.b3.coeffs)
         b3[m] += 1
         return dataclasses.replace(catalog, b3=RatSeries(b3))
 
+    expected = extract_b_series(6, (7, 8), cache=shared_cache).logs
     monkeypatch.setattr(gyz, "form_catalog", off_by_one)
-    with pytest.raises(InconsistentSystem, match=f"^order {m}: "):
-        extract_b_series(6, (7, 8), cache=shared_cache)
+    assert extract_b_series(6, (7, 8), cache=shared_cache).logs == expected
+    wrong = off_by_one(6).b3.truncate(6).log()
+    assert next(k for k in range(7) if wrong[k] != expected[2][k]) == m
+
+
+def test_a_float_order_is_invalid_state(shared_cache):
+    # the read comes before u is built, so a float order fails in
+    # node_values, as it does for log_forms, and not in range()
+    with pytest.raises(InvalidState):
+        extract_b_series(2.0, (3, 4), cache=shared_cache)
+    with pytest.raises(InvalidState):
+        log_forms(2.0, cache=shared_cache)
 
 
 def test_extraction_makes_one_read(monkeypatch):

@@ -208,11 +208,14 @@ def test_fit_checks_the_guard_point():
 
 
 def test_fit_refuses_a_degenerate_polynomial(monkeypatch):
-    # all-zero counts pass the check with q(u)/u, but T_delta must have
-    # degree 2.delta
+    # all-zero counts keep F_lo . F_lo+2 . q(u)/u = F_lo+1^2, but the read
+    # refuses a row that does not start with N^{e,0} = 1, so no fit or
+    # count past lo + 2 comes out of them
     monkeypatch.setattr(engine, "relative_severi", lambda d, delta, cache=None: 0)
-    with pytest.raises(DegreeCheckFailed, match="degenerated below degree 4"):
+    with pytest.raises(DegreeCheckFailed, match=r"degrees 2\.\.4 do not start with N\^\{e,0\} = 1"):
         fit_node_polynomial(2, cache=CacheStore())
+    with pytest.raises(DegreeCheckFailed, match=r"degrees 3\.\.5 do not start"):
+        severi_degree(20, 3, cache=CacheStore())
 
 
 # ------------------------------------------------------------------ thresholds

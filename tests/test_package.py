@@ -31,7 +31,7 @@ SURFACE = [
     "bell_polynomial", "reconstruct_from_log_forms", "RatSeries", "form_catalog",
     "sigma1", "extract_b_series", "gyz_predict", "plane_invariants", "Invariants",
     "CacheCorruption", "ParseError", "VersionMismatch", "InvalidState",
-    "DegreeCheckFailed", "DegreeTooSmall", "InconsistentSystem",
+    "DegreeCheckFailed", "DegreeTooSmall",
     "NonIntegralPrediction", "InvalidInvariants", "SeriesError",
 ]
 
@@ -128,8 +128,7 @@ def test_submodules_resolve_as_package_attributes():
 
 
 def test_exit_2_errors_share_one_base_class():
-    errors = [severi.CacheCorruption, severi.InconsistentSystem,
-              severi.NonIntegralPrediction, severi.DegreeCheckFailed]
+    errors = [severi.CacheCorruption, severi.NonIntegralPrediction, severi.DegreeCheckFailed]
     assert all(issubclass(e, engine.InternalInconsistency) for e in errors)
     assert issubclass(engine.InternalInconsistency, RuntimeError)
 
