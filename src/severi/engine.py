@@ -65,17 +65,36 @@ its table by these ints and converts at its boundary, so callers and the
 cache file only ever see (d, delta, alpha, beta) tuples.
 
 Children are read from four builders called with sequence ids:
-_alpha_candidates, _frontier, _seq_sum and _template, the last reading
-_partitions.  They are functools.cache functions whose entries are facts
+_alpha_candidates, _frontier, _seq_sum and _template.  All but _seq_sum
+are cheap views over layers that do not depend on delta or the budget,
+each built once per sequence, weight and excess:
+
+  _subsequences(ia, w)   the alpha' <= alpha of weight exactly w, read off
+                         _highs(ia, cap), alpha's choices of parts of
+                         order >= 2 up to weight cap
+  _gammas(ib, w)         id(gamma), gamma = beta - beta', and gamma's
+                         suffix sums, for the beta' of _subsequences(ib, w)
+  _extensions(ib, w, e)  C(beta', beta) . I^gamma and id(beta') of the
+                         beta' = beta + gamma of weight w and excess e,
+                         read off _partitions(e)
+
+_alpha_candidates(ia, whi) is the layers of weight 0..whi, lightest
+first; _frontier(ib, delta) reads c_delta off each pair's suffix sum
+sum_{k > delta - I(beta')} gamma_k, |gamma| and _SMOOTH[id(gamma)] =
+prod_k k^gamma_k . |gamma|!/prod_j gamma_j!; _template(ib, w, budget,
+e_lo) is the extensions of its excess range, delta' = budget - excess
+added to each.  They are functools.cache functions whose entries are facts
 about sequences, not about any store, so they are process-global and
-every store shares them; a store keeps only its values.  The builders
-assert an entry's invariants once, when they build it, and hand their
+every store shares them; a store keeps only its values.  Each builder
+asserts its entries' invariants once, when it builds them, and hands its
 own part lists to _seq_id, which trims them; only pack checks a sequence
 from outside.  The deep root relative_severi(30, 9) stores 41,923 states
-over 1,880 sequences, with 5,385, 4,077, 7,641 and 3,008 cached entries
-and 21,600 template children; threshold_report(9) and
-fit_node_polynomial(9), which read the counts at degrees 6..8 only,
-store 1,663, and severi_degree(30, 9), which reads the same, 1,664.
+over 1,880 sequences; its four builders hold 5,384, 4,077, 7,641 and
+3,008 entries and 21,600 template children, over 1,420 + 5,460, 5,423
+and 2,803 layer entries.  threshold_report(9) and fit_node_polynomial(9),
+which read the counts at degrees 6..8 only, store 1,663 (219, 191, 164
+and 437 builder entries over 45 + 234, 227 and 202 layer entries), and
+severi_degree(30, 9), which reads the same, 1,664.
 
 Counts past degree lo + 2.  Let F_e = sum_{k <= delta} N^{e,k} u^k and
 lo = low_degree(delta): ceil(delta/2) + 1 for delta >= 2, 1 for delta <= 1.
@@ -125,7 +144,7 @@ import functools
 import math
 import operator
 import os
-from itertools import product, zip_longest
+from itertools import accumulate, chain, count, product, repeat, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .tangency import (
@@ -310,37 +329,74 @@ def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def _alpha_candidates(ia: int, whi: int) -> tuple[tuple[int, int, int], ...]:
-    """Sub-sequences alpha' <= alpha with weight at most whi.
+def _highs(ia: int, cap: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """(weight, high, prod_k C(alpha_k, high_k)) for the choices high of
+    alpha's parts of order k >= 2 that weigh at most cap, lightest first.
+    Each multiplicity is capped at cap // k, so no heavier choice of one
+    order is tried."""
+    highs = _SEQS[ia][1:]
+    out: list[tuple[int, tuple[int, ...], int]] = []
+    for high in product(*[range(min(a, cap // k) + 1) for k, a in enumerate(highs, 2)]):
+        wh = sum(map(operator.mul, high, count(2)))
+        if wh <= cap:
+            out.append((wh, high, math.prod(map(math.comb, highs, high))))
+    return tuple(sorted(out))
 
-    Returns (id(alpha'), weight, C(alpha, alpha')) triples.  The orders
-    k >= 2 range over their multiplicities, each capped at whi // k (they
-    are tiny); order-1 parts then fill every weight up to whi, which
-    leaves no alpha' where the higher orders already weigh more.
-    """
-    a1, *highs = _SEQS[ia] or (0,)
-    caps = [range(min(a, whi // k) + 1) for k, a in enumerate(highs, 2)]
+
+@functools.cache
+def _subsequences(ia: int, w: int) -> tuple[tuple[int, int, int], ...]:
+    """Sub-sequences alpha' <= alpha of weight exactly w, as (id(alpha'),
+    w, C(alpha, alpha')) triples: a choice of the higher orders no heavier
+    than w, made up to w with order-1 parts if alpha has enough.  The
+    choices come from _highs at cap max(8, the power of two above w), so
+    a sequence's table is built again only when w doubles."""
+    a1 = (_SEQS[ia] or (0,))[0]
     out: list[tuple[int, int, int]] = []
-    for high in product(*caps):
-        wh = sum(k * c for k, c in enumerate(high, 2))
-        binom = math.prod(map(math.comb, highs, high))
-        for c1 in range(min(whi - wh, a1) + 1):
-            out.append((_seq_id((c1, *high)), wh + c1, binom * math.comb(a1, c1)))
+    for wh, high, binom in _highs(ia, max(8, 1 << w.bit_length())):
+        if wh > w:
+            break
+        if w - wh <= a1:
+            out.append((_seq_id((w - wh, *high)), w, binom * math.comb(a1, w - wh)))
+    return tuple(out)
+
+
+@functools.cache
+def _alpha_candidates(ia: int, whi: int) -> tuple[tuple[int, int, int], ...]:
+    """Sub-sequences alpha' <= alpha with weight at most whi, lightest
+    first: those of _alpha_candidates(ia, whi - 1), then those of weight
+    whi."""
+    return tuple(chain.from_iterable(map(_subsequences, repeat(ia), range(whi + 1))))
+
+
+@functools.cache
+def _gammas(ib: int, w: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(id(beta'), id(gamma), gamma's suffix sums sum_{k > j} gamma_k for
+    j = 0..len(beta) - 1), gamma = beta - beta', for the beta' <= beta
+    of weight w.  The first suffix sum is |gamma|."""
+    beta = _SEQS[ib]
+    out: list[tuple[int, int, tuple[int, ...]]] = []
+    for ib_p, _, _ in _subsequences(ib, w):
+        gamma = [b - c for b, c in zip_longest(beta, _SEQS[ib_p], fillvalue=0)]
+        ends = tuple(accumulate(reversed(gamma)))[::-1]
+        assert len(ends) == len(beta) and sum(_SEQS[ib_p]) + ends[0] == sum(beta)
+        out.append((ib_p, _seq_id(gamma), ends))
     return tuple(out)
 
 
 @functools.cache
 def _frontier(ib: int, delta: int) -> tuple[tuple[int, int, int], ...]:
     """(c_delta(beta, beta'), id(gamma), id(beta')), gamma = beta - beta',
-    for the beta' of the module docstring's frontier with c_delta != 0."""
+    for the beta' of the module docstring's frontier with c_delta != 0.
+    A path ending at beta' of weight w ends with a part of order k > delta
+    - w, so a beta' lighter than delta - len(beta) + 1 ends none."""
     out: list[tuple[int, int, int]] = []
-    for ib_p, w_p, _ in _alpha_candidates(ib, delta):
-        gamma = [b - c for b, c in zip_longest(_SEQS[ib], _SEQS[ib_p], fillvalue=0)]
-        ends = sum(g for i, g in enumerate(gamma) if w_p + i + 1 > delta)
-        if ends:
-            num, den = _orderings(gamma) * ends, sum(gamma)
-            assert w_p <= delta and sum(_SEQS[ib_p]) + den == sum(_SEQS[ib]) and num % den == 0
-            out.append((num // den, _seq_id(gamma), ib_p))
+    for w in range(max(0, delta - len(_SEQS[ib]) + 1), delta + 1):
+        for ib_p, ig, ends_from in _gammas(ib, w):
+            ends = ends_from[delta - w]
+            if ends:
+                num, den = _SMOOTH[ig] * ends, ends_from[0]
+                assert num % den == 0
+                out.append((num // den, ig, ib_p))
     return tuple(out)
 
 
@@ -351,32 +407,42 @@ def _seq_sum(ia: int, ig: int) -> int:
 
 
 @functools.cache
-def _template(ib: int, w: int, budget: int, e_lo: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Coefficients C(beta', beta) . I^gamma and children delta' << 64 |
-    id(beta'), delta' = budget - excess, of beta' = beta + gamma, where
-    gamma has weight w and excess I(gamma) - |gamma| in e_lo..min(w, budget):
-    one order-(p+1) part per part p of a partition of the excess, plus
+def _extensions(ib: int, w: int, excess: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Coefficients C(beta', beta) . I^gamma and ids of beta' = beta +
+    gamma, where gamma has weight w and excess I(gamma) - |gamma|: one
+    order-(p+1) part per part p of a partition of the excess, plus
     order-1 parts filling the weight."""
     beta = _SEQS[ib]
     coefs: list[int] = []
+    ids: list[int] = []
+    for mu in _partitions(excess):
+        m1 = w - excess - len(mu)
+        if m1 < 0:
+            continue
+        b2 = list(beta) + [0] * (excess + 1)
+        coef = math.comb(b2[0] + m1, m1)
+        b2[0] += m1
+        for p in set(mu):
+            r = mu.count(p)
+            coef *= (p + 1) ** r * math.comb(b2[p] + r, r)
+            b2[p] += r
+        ib_p = _seq_id(b2)
+        assert sum(_SEQS[ib_p]) == sum(beta) + w - excess
+        coefs.append(coef)
+        ids.append(ib_p)
+    return tuple(coefs), tuple(ids)
+
+
+@functools.cache
+def _template(ib: int, w: int, budget: int, e_lo: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The _extensions of weight w and excess e_lo..min(w, budget), each
+    child delta' << 64 | id(beta') with delta' = budget - excess."""
+    coefs: list[int] = []
     lows: list[int] = []
     for excess in range(e_lo, min(w, budget) + 1):
-        high = budget - excess << 64
-        for mu in _partitions(excess):
-            m1 = w - excess - len(mu)
-            if m1 < 0:
-                continue
-            b2 = list(beta) + [0] * (excess + 1)
-            coef = math.comb(b2[0] + m1, m1)
-            b2[0] += m1
-            for p in set(mu):
-                r = mu.count(p)
-                coef *= (p + 1) ** r * math.comb(b2[p] + r, r)
-                b2[p] += r
-            ib_p = _seq_id(b2)
-            assert sum(_SEQS[ib_p]) == sum(beta) + w - excess
-            coefs.append(coef)
-            lows.append(high | ib_p)
+        ecoefs, ids = _extensions(ib, w, excess)
+        coefs += ecoefs
+        lows += map((budget - excess << 64).__or__, ids)
     return tuple(coefs), tuple(lows)
 
 
@@ -536,7 +602,10 @@ def node_values(
     if delta < 0:
         raise ValueError("node count must be nonnegative")
     size, lo = delta + 1, low_degree(delta)
-    f = [[relative_severi(e, k, cache=cache) for k in range(size)] for e in range(lo, lo + 3)]
+    f = [[0] * size for _ in range(3)]  # a delta too large to hold fails here, before a count
+    for e, row in enumerate(f, lo):
+        for k in range(size):
+            row[k] = relative_severi(e, k, cache=cache)
 
     def times(a: Sequence[int], b: Sequence[int]) -> list[int]:
         return [sum(a[k] * b[m - k] for k in range(m + 1)) for m in range(size)]

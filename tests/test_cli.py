@@ -496,6 +496,63 @@ def test_a_delta_too_large_to_hold_is_an_environment_error(capsys, monkeypatch, 
     assert json.loads(out) == {"error": {"type": "MemoryError", "message": ""}}
 
 
+_HUGE = "100000000000000"  # 10^14: a read of delta + 1 counts per row cannot be held
+_HUGE_READS = [
+    ["bseries", "--order", _HUGE, "--dlist", "100000000000001,100000000000002"],
+    ["predict", "--d", "100000000000003", "--order", _HUGE,
+     "--dlist", "100000000000001,100000000000002"],
+    ["logforms", "--deltamax", _HUGE],
+]
+
+
+@pytest.mark.parametrize("argv", _HUGE_READS, ids=lambda argv: argv[0])
+def test_a_read_too_large_to_hold_is_an_environment_error(capsys, monkeypatch, argv):
+    # bseries, predict and logforms read through nodepoly.quadratic_log; the
+    # read raises as its allocation would, without making it
+    from severi import nodepoly
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(nodepoly, "node_values", exhausted)
+    code, out, _ = run_cli(capsys, *argv, "--no-cache")
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "MemoryError", "message": ""}}
+
+
+def _under_a_gib(code: str, *args: str) -> subprocess.CompletedProcess:
+    # the child caps its own address space, so a read too large to hold
+    # fails to allocate instead of taking the machine's memory
+    script = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n" + code
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+
+
+def test_a_read_too_large_to_hold_fails_before_its_first_count():
+    proc = _under_a_gib(
+        "from severi import engine\n"
+        "def counted(*args, **kwargs):\n"
+        "    raise AssertionError('counted before the rows were allocated')\n"
+        "engine.relative_severi = counted\n"
+        "try:\n"
+        "    engine.node_values([1], 10**14)\n"
+        "except MemoryError:\n"
+        "    print('MemoryError')\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "MemoryError\n"
+
+
+@pytest.mark.parametrize("argv", _HUGE_READS, ids=lambda argv: argv[0])
+def test_a_read_too_large_to_hold_returns_at_once(argv):
+    # the real allocation: it must fail before any count at degree
+    # 5 . 10^13, which would never return
+    proc = _under_a_gib("import sys\nfrom severi.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+                        *argv, "--no-cache")
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {"error": {"type": "MemoryError", "message": ""}}
+
+
 @pytest.mark.parametrize("argv", [["count", "--d", "3", "--delta", "1"], ["cache", "stats"]])
 def test_cache_file_removed_mid_call_counts_as_empty(capsys, isolated_cwd, monkeypatch, argv):
     run_json(capsys, "count", "--d", "2", "--delta", "1")

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -530,23 +530,138 @@ def test_optimized_mode_computes_the_same_table():
     assert proc.stdout == f"False {list(store.items())}\n"
 
 
-def test_builders_do_the_pinned_work_in_a_fresh_process():
+def _unlayered_alpha_candidates(ia, whi):
+    """The engine's _alpha_candidates before its weight layers: every
+    alpha' <= alpha of weight at most whi in one pass, capped part by part."""
+    a1, *highs = engine._SEQS[ia] or (0,)
+    caps = [range(min(a, whi // k) + 1) for k, a in enumerate(highs, 2)]
+    out = []
+    for high in product(*caps):
+        wh = sum(k * c for k, c in enumerate(high, 2))
+        binom = math.prod(map(math.comb, highs, high))
+        for c1 in range(min(whi - wh, a1) + 1):
+            out.append((engine._seq_id((c1, *high)), wh + c1, binom * math.comb(a1, c1)))
+    return tuple(out)
+
+
+def _unlayered_frontier(ib, delta):
+    """The engine's _frontier before its gamma layers: gamma, its orderings
+    and its path ends worked out again for each delta."""
+    out = []
+    for ib_p, w_p, _ in _unlayered_alpha_candidates(ib, delta):
+        gamma = [b - c for b, c in zip_longest(engine._SEQS[ib], engine._SEQS[ib_p], fillvalue=0)]
+        ends = sum(g for i, g in enumerate(gamma) if w_p + i + 1 > delta)
+        if ends:
+            num, den = engine._orderings(gamma) * ends, sum(gamma)
+            assert num % den == 0
+            out.append((num // den, engine._seq_id(gamma), ib_p))
+    return tuple(out)
+
+
+def _unlayered_template(ib, w, budget, e_lo):
+    """The engine's _template before its extension layers: every beta' of
+    the excess range built again for each budget."""
+    beta = engine._SEQS[ib]
+    coefs, lows = [], []
+    for excess in range(e_lo, min(w, budget) + 1):
+        high = budget - excess << 64
+        for mu in engine._partitions(excess):
+            m1 = w - excess - len(mu)
+            if m1 < 0:
+                continue
+            b2 = list(beta) + [0] * (excess + 1)
+            coef = math.comb(b2[0] + m1, m1)
+            b2[0] += m1
+            for p in set(mu):
+                r = mu.count(p)
+                coef *= (p + 1) ** r * math.comb(b2[p] + r, r)
+                b2[p] += r
+            coefs.append(coef)
+            lows.append(high | engine._seq_id(b2))
+    return tuple(coefs), tuple(lows)
+
+
+def test_layered_builders_match_the_unlayered_ones(monkeypatch):
+    # every key that the cold deep root and a cold delta = 16 read ask of
+    # the three layered builders, against the builders they replaced;
+    # candidates now come lightest first, so entries compare as Counters
+    keys = {name: set() for name in ("_alpha_candidates", "_frontier", "_template")}
+    for name, seen in keys.items():
+        build = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *key, _b=build, _s=seen: _s.add(key) or _b(*key))
+    relative_severi(30, 9, cache=CacheStore())
+    engine.node_values([1], 16, cache=CacheStore())
+    monkeypatch.undo()
+    # as many keys as a fresh process making the two reads caches
+    assert [len(seen) for seen in keys.values()] == [5782, 4475, 4832]
+    for key in keys["_alpha_candidates"]:
+        assert Counter(engine._alpha_candidates(*key)) == Counter(_unlayered_alpha_candidates(*key)), key
+    for key in keys["_frontier"]:
+        assert Counter(engine._frontier(*key)) == Counter(_unlayered_frontier(*key)), key
+    for key in keys["_template"]:
+        got, want = engine._template(*key), _unlayered_template(*key)
+        assert Counter(zip(*got)) == Counter(zip(*want)), key
+
+
+_BUILDERS = ("_partitions", "_highs", "_subsequences", "_alpha_candidates", "_gammas",
+             "_frontier", "_seq_sum", "_extensions", "_template")
+
+
+def _fresh_builder_sizes(call):
     # the builders' caches are process-global, so only a fresh interpreter
-    # shows how much the cold deep root N^{30,9} makes them build
+    # shows how much one cold call makes them build
     script = (
         "from severi import CacheStore, engine, relative_severi\n"
+        "from severi.nodepoly import threshold_report\n"
         "store = CacheStore()\n"
-        "relative_severi(30, 9, cache=store)\n"
-        "builders = (engine._partitions, engine._alpha_candidates, engine._frontier,\n"
-        "            engine._seq_sum, engine._template)\n"
-        "print(len(store), len(engine._SEQS), [b.cache_info().currsize for b in builders])\n"
+        f"{call}\n"
+        f"sizes = [getattr(engine, name).cache_info().currsize for name in {_BUILDERS!r}]\n"
+        "print(len(store), len(engine._SEQS), sizes)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "41923 1880 [10, 5385, 4077, 7641, 3008]\n"
+    return proc.stdout
+
+
+def test_builders_do_the_pinned_work_in_a_fresh_process():
+    # the cold deep root N^{30,9}, in the order of _BUILDERS
+    assert (_fresh_builder_sizes("relative_severi(30, 9, cache=store)")
+            == "41923 1880 [10, 1420, 5460, 5384, 5423, 4077, 7641, 2803, 3008]\n")
+
+
+def test_threshold_builders_do_the_pinned_work_in_a_fresh_process():
+    # the benchmark's cold pass, which reads degrees 6..8 only
+    assert (_fresh_builder_sizes("threshold_report(9, cache=store)")
+            == "1663 46 [8, 45, 234, 219, 227, 191, 164, 202, 437]\n")
+
+
+def test_tables_grown_in_either_order_give_the_same_stores():
+    # the layers are process-global and grow from read to read: a read
+    # made on tables another read began gives the store it gives alone
+    script = (
+        "import hashlib, sys\n"
+        "from severi import CacheStore, relative_severi\n"
+        "from severi.nodepoly import threshold_report\n"
+        "jobs = {'threshold': lambda store: threshold_report(9, cache=store),\n"
+        "        'deep': lambda store: relative_severi(30, 9, cache=store)}\n"
+        "for name in sys.argv[1:]:\n"
+        "    store = CacheStore()\n"
+        "    jobs[name](store)\n"
+        "    print(name, len(store), hashlib.sha256(repr(list(store.items())).encode()).hexdigest())\n"
+    )
+    runs = []
+    for order in (("threshold", "deep"), ("deep", "threshold")):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *order],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(sorted(proc.stdout.splitlines()))
+    assert runs[0] == runs[1]
+    assert [line.split()[:2] for line in runs[0]] == [["deep", "41923"], ["threshold", "1663"]]
 
 
 @given(_states())
