@@ -12,13 +12,13 @@ from __future__ import annotations
 from severi import (
     extract_b_series, form_catalog, gyz_predict, plane_invariants, relative_severi,
 )
-from severi.engine import low_degree
+from severi.engine import read_degrees
 
 
 def main() -> None:
     order = 6
-    lo = low_degree(order)
-    print(f"Extracting B1, B2 to order {order} from degrees {lo}..{lo + 2}...")
+    read = read_degrees(order)
+    print(f"Extracting B1, B2 to order {order} from degrees {read[0]}..{read[-1]}...")
     sol = extract_b_series(order, range(7, 12))
     # logs[2] is twice the read's d^2 part composed with u
     b3 = form_catalog(order).b3.truncate(order)

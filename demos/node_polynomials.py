@@ -9,7 +9,7 @@ T_3 gives 75 at d = 1, but a line has no three-nodal members.
 from __future__ import annotations
 
 from severi import fit_node_polynomial, relative_severi, threshold_report
-from severi.engine import low_degree
+from severi.engine import low_degree, read_degrees
 
 
 def poly_text(coeffs) -> str:
@@ -29,8 +29,8 @@ def main() -> None:
         p = fit_node_polynomial(delta)
         lo, hi = p.fit_range[0], p.fit_range[-1]
         print(f"  T_{delta}(d) = {poly_text(p.coeffs)}")
-        base = low_degree(delta)
-        print(f"      fitted on d = {lo}..{hi} from the counts at d = {base}..{base + 2},"
+        read = read_degrees(delta)
+        print(f"      fitted on d = {lo}..{hi} from the counts at d = {read[0]}..{read[-1]},"
               " checked against q(u)/u")
 
     print()

@@ -176,7 +176,7 @@ def _run_nodepoly(args, store) -> dict:
         "delta": poly.delta,
         "coeffs": [str(c) for c in poly.coeffs],
         "fit_range": list(poly.fit_range),
-        "verified": True,  # the fit raises when its read of lo..lo+2 fails the q(u)/u check
+        "verified": True,  # node_values raises when its read fails the q(u)/u check
     }
 
 
@@ -227,8 +227,8 @@ def _run_bseries(args, store) -> dict:
 
     degrees = _parse_int_list(args.dlist, "--dlist")
     sol = gyz.extract_b_series(args.order, degrees, cache=store)
-    lo = engine.low_degree(args.order)
-    _progress(f"extracting B-series to order {args.order} from degrees {lo}..{lo + 2}")
+    read = engine.read_degrees(args.order)
+    _progress(f"extracting B-series to order {args.order} from degrees {read[0]}..{read[-1]}")
     return {
         "order": sol.order,
         "b1": sol.b1.to_strings(),
@@ -245,9 +245,9 @@ def _run_predict(args, store) -> dict:
     degrees = _parse_int_list(args.dlist, "--dlist")
     invariants = gyz.plane_invariants(args.d)  # a bad --d fails before the extraction
     sol = gyz.extract_b_series(args.order, degrees, cache=store)
-    lo = engine.low_degree(args.order)
-    if lo <= args.d <= lo + 2:
-        _progress(f"note: --d {args.d} is a degree the extraction read ({lo}..{lo + 2}), "
+    read = engine.read_degrees(args.order)
+    if args.d in read:
+        _progress(f"note: --d {args.d} is a degree the extraction read ({read[0]}..{read[-1]}), "
                   "prediction is in-sample")
     values = gyz.gyz_predict(invariants, sol)
     return {

@@ -102,8 +102,8 @@ For e >= lo each coefficient is T_k(e): at e >= delta by Block
 (arXiv:1006.0218), and at ceil(delta/2) + 1 <= e < delta, which first
 happens at delta = 4, by Kleiman and Shende's proof of Gottsche's
 threshold d >= k/2 + 1 (arXiv:1204.6254); T_0 = 1 and T_1(e) = 3(e-1)^2
-hold from e = 1 on.  This is the one statement of that regime; every
-degree that nodepoly reads or compares is taken from low_degree.
+hold from e = 1 on.  This is the one statement of that regime, and
+read_degrees(delta) = lo..lo+2 of the degrees that a read counts at.
 log sum_k T_k(d) u^k is quadratic in d (Tzeng, arXiv:1009.5371), so
 mod u^{delta+1} log F_d is the quadratic through the logs at e = lo,
 lo+1, lo+2.  Its Lagrange weights at t = d - lo are the integers
@@ -128,9 +128,15 @@ that is the integer identity
 
   F_lo . F_{lo+2} . Q = F_{lo+1}^2  mod u^{delta+1}.
 
-Q comes from Lagrange inversion: q = u/B3(q), so [u^{m+1}] q(u) =
+Q comes from Lagrange inversion (q_over_u): q = u/B3(q), so [u^{m+1}] q(u) =
 [q^m] B3^{-(m+1)} / (m+1), the power read by Miller's recurrence; Q =
 1 - 6u + 60u^2 - 748u^3 + ... has integer coefficients.
+
+No read past delta = MAX_READ_DELTA = 32 starts: node_values raises
+ReadTooLarge before it allocates.  Fresh reads at delta = 24, 28 and 32
+stored 128,780, 339,884 and 842,408 states in 47, 95 and 225 MB, the
+last in five minutes; each 4 nodes multiply the time by about 5, so a
+read at delta = 40 would take about two hours.
 
 Cache file text.  cache_load maps each sequence text of the file it
 reads, as cache_save writes it ("2,0,1", "-" for ()), to its id, so a
@@ -160,6 +166,7 @@ from .tangency import (
 
 CACHE_MAGIC = "SEVERI-CACHE"
 CACHE_VERSION = "v1"
+MAX_READ_DELTA = 32  # the deepest read node_values starts ("Counts past degree lo + 2")
 
 
 class InternalInconsistency(RuntimeError):
@@ -171,8 +178,12 @@ class CacheCorruption(InternalInconsistency):
 
 
 class DegreeCheckFailed(InternalInconsistency):
-    """The counts at degrees lo..lo+2, lo = low_degree(delta), broke
-    N^{e,0} = 1 or F_lo . F_{lo+2} . q(u)/u = F_{lo+1}^2 (`node_values`)."""
+    """The counts at read_degrees(delta) = lo..lo+2 broke N^{e,0} = 1 or
+    F_lo . F_{lo+2} . q(u)/u = F_{lo+1}^2 (`node_values`)."""
+
+
+class ReadTooLarge(ValueError):
+    """A read past delta = MAX_READ_DELTA ("Counts past degree lo + 2")."""
 
 
 class VersionMismatch(ValueError):
@@ -571,7 +582,7 @@ def _power(a: list[int], n: int) -> list[int]:
 
 
 @functools.cache
-def _q_over_u(size: int) -> tuple[int, ...]:
+def q_over_u(size: int) -> tuple[int, ...]:
     """Q = q(u)/u mod u^size, q(u) the reversion of u(q) = q.B3(q):
     Q_m = [q^m] B3^-(m+1) / (m+1), B3_m = (m+1).sigma1(m+1)."""
     b3 = [(m + 1) * sigma1(m + 1) for m in range(size)]
@@ -587,47 +598,54 @@ def low_degree(delta: int) -> int:
     return max(1, min(delta, (delta + 1) // 2 + 1))
 
 
+@functools.cache
+def read_degrees(delta: int) -> range:
+    """lo..lo+2, lo = low_degree(delta): the degrees node_values counts at."""
+    return range(lo := low_degree(delta), lo + 3)
+
+
 def node_values(
     degrees: Iterable[int], delta: int, cache: CacheStore | None = None
 ) -> list[list[int]]:
     """[T_0(d), ..., T_delta(d)] for each d in degrees, from one read of the
-    counts at degrees lo..lo+2, lo = low_degree(delta), as in "Counts past
-    degree lo + 2"; DegreeCheckFailed unless each starts with N^{e,0} = 1
-    and they keep the identity with Q = q(u)/u there.  A degree below lo
-    gets the polynomial values, which need not be counts.  Non-int input:
-    InvalidState; delta < 0: ValueError."""
-    degrees = list(degrees)
-    if not all(isinstance(v, int) for v in (delta, *degrees)):
-        raise InvalidState(f"node values need int degrees and delta, got {degrees}, {delta!r}")
+    counts at read_degrees(delta), as in "Counts past degree lo + 2";
+    DegreeCheckFailed unless each starts with N^{e,0} = 1 and they keep
+    the identity with Q = q(u)/u there.  A degree below lo gets the
+    polynomial values, which need not be counts.  Non-int input:
+    InvalidState; delta < 0: ValueError; delta > MAX_READ_DELTA:
+    ReadTooLarge, before the degrees are listed."""
+    if not isinstance(delta, int):
+        raise InvalidState(f"node values need an int delta, got {delta!r}")
     if delta < 0:
         raise ValueError("node count must be nonnegative")
-    size, lo = delta + 1, low_degree(delta)
-    f = [[0] * size for _ in range(3)]  # a delta too large to hold fails here, before a count
-    for e, row in enumerate(f, lo):
-        for k in range(size):
-            row[k] = relative_severi(e, k, cache=cache)
+    if delta > MAX_READ_DELTA:
+        raise ReadTooLarge(f"a read at delta = {delta} is past MAX_READ_DELTA = {MAX_READ_DELTA}")
+    degrees = list(degrees)
+    if not all(isinstance(d, int) for d in degrees):
+        raise InvalidState(f"node values need int degrees, got {degrees}")
+    size, read = delta + 1, read_degrees(delta)
+    f = [[relative_severi(e, k, cache=cache) for k in range(size)] for e in read]
 
     def times(a: Sequence[int], b: Sequence[int]) -> list[int]:
         return [sum(a[k] * b[m - k] for k in range(m + 1)) for m in range(size)]
 
     if any(row[0] != 1 for row in f):
-        raise DegreeCheckFailed(f"the counts at degrees {lo}..{lo + 2} do not start "
+        raise DegreeCheckFailed(f"the counts at degrees {read[0]}..{read[2]} do not start "
                                 "with N^{e,0} = 1")
-    if times(times(f[0], f[2]), _q_over_u(size)) != times(f[1], f[1]):
-        raise DegreeCheckFailed(f"the counts at degrees {lo}..{lo + 2} break "
-                                f"F_{lo} . F_{lo + 2} . q(u)/u = F_{lo + 1}^2")
+    if times(times(f[0], f[2]), q_over_u(size)) != times(f[1], f[1]):
+        raise DegreeCheckFailed(f"the counts at degrees {read[0]}..{read[2]} break "
+                                f"F_{read[0]} . F_{read[2]} . q(u)/u = F_{read[1]}^2")
     return [times(times(_power(f[0], (t - 1) * (t - 2) // 2), _power(f[1], -t * (t - 2))),
-                  _power(f[2], t * (t - 1) // 2)) for t in (d - lo for d in degrees)]
+                  _power(f[2], t * (t - 1) // 2)) for t in (d - read[0] for d in degrees)]
 
 
 def severi_degree(d: int, delta: int, cache: CacheStore | None = None) -> int:
     """N^{d,delta}: delta-nodal degree-d curves through general points.
 
-    A stored count comes back as is.  Up to degree lo + 2, lo =
-    low_degree(delta), and at delta = 0, it is the recursion's
-    (relative_severi); past it, node_values' read of degrees lo..lo+2,
-    stored as a root ("Counts past degree lo + 2")."""
-    if delta < 1 or d <= low_degree(delta) + 2:
+    A stored count comes back as is.  Up to the last of read_degrees(delta),
+    and at delta = 0, it is the recursion's (relative_severi); past it,
+    node_values' read, stored as a root ("Counts past degree lo + 2")."""
+    if delta < 1 or d < read_degrees(delta).stop:
         return relative_severi(d, delta, (), (d,), cache=cache)
     cache = cache if cache is not None else _DEFAULT_CACHE
     key = state_key(d, delta, (), (d,))

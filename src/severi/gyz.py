@@ -5,9 +5,10 @@ B1(q)^z B2(q)^y B3(q)^chi B4(q)^(-nu/2) leaves exactly two unknown
 series once u, B3, B4 are fixed.  Both directions work on its log.
 For the plane (z = 9, y = -3d, chi = (d^2 + 3d)/2 + 1) the log is a
 quadratic in d, which `nodepoly.quadratic_log` reads once: its d^2 part
-is log(B3)/2, as the read's check with q(u)/u in `engine.node_values`
-guarantees, and its d and constant parts give log(B2) and log(B1) in
-exact arithmetic.  Prediction reads the solution's linear `forms`.
+is log(B3)/2, as the read's check with q(u)/u guarantees (the engine's
+"Counts past degree lo + 2"), and its d and constant parts give log(B2)
+and log(B1) in exact arithmetic.  Prediction reads the solution's linear
+`forms` and composes them with the engine's q(u).
 """
 
 from __future__ import annotations
@@ -17,18 +18,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .engine import CacheStore, InternalInconsistency, severi_degree
+from .engine import CacheStore, InternalInconsistency, low_degree, q_over_u, severi_degree
 from .forms import FormCatalog, form_catalog
 from .nodepoly import quadratic_log
 from .series import RatSeries
 
 
 class DegreeTooSmall(ValueError):
-    """A degree is below the safe regime d >= order + 1.
-
-    There N^{d,delta} = T_delta(d) for every delta <= order: Block
-    (arXiv:1006.0218) proves it for all d >= delta.
-    """
+    """A degree is below the regime d >= engine.low_degree(order), where
+    N^{d,delta} = T_delta(d) for every delta <= order."""
 
 
 class NonIntegralPrediction(InternalInconsistency):
@@ -73,8 +71,9 @@ def plane_invariants(d: int) -> Invariants:
 
 @dataclass(frozen=True)
 class BSeriesSolution:
-    """log B1, log B2, log B3, log B4 to `order`, and q = u.revert() they were
-    solved with; d_used echoes the requested degrees, each >= order + 1."""
+    """log B1, log B2, log B3, log B4 to `order`, and q = u.Q, Q = q(u)/u the
+    series the read was checked with; d_used echoes the requested degrees,
+    each >= engine.low_degree(order)."""
 
     order: int
     logs: tuple[RatSeries, RatSeries, RatSeries, RatSeries]
@@ -110,9 +109,9 @@ class BSeriesSolution:
 
 
 def _check_degree(d: int, order: int) -> None:
-    if d < order + 1:
+    if d < low_degree(order):
         raise DegreeTooSmall(
-            f"degree {d} is below order + 1 = {order + 1}; "
+            f"degree {d} is below low_degree({order}) = {low_degree(order)}; "
             "all delta <= order must sit in the polynomial regime"
         )
 
@@ -145,7 +144,7 @@ def extract_b_series(
     (d^2 + 3d)/2 + 1.  The read's check gives A = -log(q(u)/u)/2, so
     A o u is log(B3)/2, the form X, and log(B3) is 2.(A o u); B o u and
     C o u then give log(B2) and log(B1).  d_list needs two distinct
-    degrees >= order + 1; no count at them is read.
+    degrees >= engine.low_degree(order); no count at them is read.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -161,7 +160,7 @@ def extract_b_series(
     log_b1 = (c - log_b3 + log_b4 * Fraction(1, 2)) * Fraction(1, 9)
     return BSeriesSolution(
         order=order, logs=(log_b1, log_b2, log_b3, log_b4),
-        q=forms.u.revert(), d_used=degrees,
+        q=RatSeries((0, *q_over_u(order + 1)), max(order, 1)), d_used=degrees,
     )
 
 

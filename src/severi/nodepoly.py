@@ -1,14 +1,12 @@
 """Node polynomials T_delta(d), thresholds, and the exp/log structure.
 
 T_delta is the degree-2delta polynomial that equals N^{d,delta} for all
-d >= lo = engine.low_degree(delta); the engine's docstring states that
-regime and the theorems behind it.  Every T_delta here is read off the
-counts at lo..lo+2 by one call of `engine.node_values`, which checks
-them against q(u)/u, the reversion of the quasimodular form u(q).  Every
-other degree used here is taken from low_degree: the fit interpolates
-the read's values, the threshold scan compares them with the counts
-below lo, and `quadratic_log`, which the log forms and gyz read, takes
-the logs of the three read degrees.
+d >= lo = engine.low_degree(delta).  Every T_delta here comes from one
+call of `engine.node_values`; the engine docstring's "Counts past degree
+lo + 2" states that regime, the degrees a read counts at and their check
+against q(u)/u.  The fit interpolates its values, the threshold scan
+compares them with the counts below lo, and `quadratic_log`, which the
+log forms and gyz read, takes the logs of its values at d = 0, 1, 2.
 """
 
 from __future__ import annotations
@@ -70,18 +68,17 @@ class NodePolynomial(NamedTuple):
 def fit_node_polynomial(delta: int, cache: CacheStore | None = None) -> NodePolynomial:
     """Interpolate T_delta at fit_range, d = delta+2 .. 3delta+2.
 
-    The values come from `engine.node_values`, which reads the counts at
-    degrees lo..lo+2 (module docstring) and checks them against q(u)/u; no
-    count above degree lo+2 is evaluated.  That check, with N^{e,0} = 1,
-    gives [u^1] of the quadratic log's d^2 part as -Q_1/2 = 3, so T_delta
-    has degree 2delta, leading coefficient 3^delta/delta!.  A float delta:
-    InvalidState.
+    The values come from `engine.node_values` (the engine's "Counts past
+    degree lo + 2"), which counts at no other degree.  Its check with
+    q(u)/u, with N^{e,0} = 1, gives [u^1] of the quadratic log's d^2 part
+    as -Q_1/2 = 3, so T_delta has degree 2delta, leading coefficient
+    3^delta/delta!.  A float delta: InvalidState.
     """
     if not isinstance(delta, int):
         raise InvalidState(f"node polynomial needs an int delta, got {delta!r}")
-    xs = tuple(range(delta + 2, 3 * delta + 3))
+    xs = range(delta + 2, 3 * delta + 3)  # listed by node_values, after its bound on delta
     coeffs = interpolate(xs, [values[delta] for values in node_values(xs, delta, cache)])
-    return NodePolynomial(delta=delta, coeffs=coeffs, fit_range=xs)
+    return NodePolynomial(delta=delta, coeffs=coeffs, fit_range=tuple(xs))
 
 
 class ThresholdWitness(NamedTuple):
@@ -142,14 +139,12 @@ class LogForm(NamedTuple):
 
 def quadratic_log(delta: int, cache: CacheStore | None = None) -> tuple[RatSeries, ...]:
     """(A, B, C) with log sum_{k <= delta} T_k(d) u^k = A.d^2 + B.d + C mod
-    u^(delta+1) (Tzeng, arXiv:1009.5371), through the logs of the counts at
-    lo..lo+2 that one call of `engine.node_values` reads and checks."""
-    lo = low_degree(delta)
-    rows = node_values((lo, lo + 1, lo + 2), delta, cache)
-    l0, l1, l2 = (RatSeries(values).log() for values in rows)
+    u^(delta+1) (Tzeng, arXiv:1009.5371), through the logs l0, l1, l2 of
+    the polynomial values at d = 0, 1, 2 that one call of
+    `engine.node_values` returns (the engine's "Counts past degree lo + 2")."""
+    l0, l1, l2 = (RatSeries(values).log() for values in node_values((0, 1, 2), delta, cache))
     a = (l2 - 2 * l1 + l0) * Fraction(1, 2)
-    b = l1 - l0 - (2 * lo + 1) * a
-    return a, b, l0 - lo * (b + lo * a)
+    return a, l1 - l0 - a, l0
 
 
 def log_forms(delta_max: int, cache: CacheStore | None = None) -> list[LogForm]:

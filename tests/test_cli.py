@@ -483,8 +483,8 @@ def test_non_integral_prediction_is_internal_error(capsys, monkeypatch):
     ("nodepoly", "fit_node_polynomial"), ("threshold", "threshold_report"),
 ])
 def test_a_delta_too_large_to_hold_is_an_environment_error(capsys, monkeypatch, command, callee):
-    # a delta of 10^14 asks for more degrees than memory holds; the callee
-    # raises as that allocation would, without making it
+    # a MemoryError, such as an allocation past what the machine holds,
+    # is the environment's: the callee raises it without allocating
     from severi import nodepoly
 
     def exhausted(*args, **kwargs):
@@ -496,19 +496,21 @@ def test_a_delta_too_large_to_hold_is_an_environment_error(capsys, monkeypatch, 
     assert json.loads(out) == {"error": {"type": "MemoryError", "message": ""}}
 
 
-_HUGE = "100000000000000"  # 10^14: a read of delta + 1 counts per row cannot be held
+_HUGE = "100000000000000"  # 10^14: far past MAX_READ_DELTA, rows of delta + 1 counts
 _HUGE_READS = [
     ["bseries", "--order", _HUGE, "--dlist", "100000000000001,100000000000002"],
     ["predict", "--d", "100000000000003", "--order", _HUGE,
      "--dlist", "100000000000001,100000000000002"],
     ["logforms", "--deltamax", _HUGE],
+    ["nodepoly", "--delta", _HUGE],
+    ["threshold", "--delta", _HUGE],
 ]
 
 
 @pytest.mark.parametrize("argv", _HUGE_READS, ids=lambda argv: argv[0])
 def test_a_read_too_large_to_hold_is_an_environment_error(capsys, monkeypatch, argv):
-    # bseries, predict and logforms read through nodepoly.quadratic_log; the
-    # read raises as its allocation would, without making it
+    # all five read through nodepoly's node_values, which raises
+    # MemoryError here without allocating
     from severi import nodepoly
 
     def exhausted(*args, **kwargs):
@@ -521,8 +523,8 @@ def test_a_read_too_large_to_hold_is_an_environment_error(capsys, monkeypatch, a
 
 
 def _under_a_gib(code: str, *args: str) -> subprocess.CompletedProcess:
-    # the child caps its own address space, so a read too large to hold
-    # fails to allocate instead of taking the machine's memory
+    # the child caps its own address space, so a read that did allocate
+    # would fail instead of taking the machine's memory
     script = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n" + code
     return subprocess.run([sys.executable, "-c", script, *args],
                           capture_output=True, text=True, env=child_env(), timeout=60)
@@ -532,25 +534,64 @@ def test_a_read_too_large_to_hold_fails_before_its_first_count():
     proc = _under_a_gib(
         "from severi import engine\n"
         "def counted(*args, **kwargs):\n"
-        "    raise AssertionError('counted before the rows were allocated')\n"
+        "    raise AssertionError('counted before the read was refused')\n"
         "engine.relative_severi = counted\n"
         "try:\n"
         "    engine.node_values([1], 10**14)\n"
-        "except MemoryError:\n"
-        "    print('MemoryError')\n"
+        "except engine.ReadTooLarge:\n"
+        "    print('ReadTooLarge')\n"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "MemoryError\n"
+    assert proc.stdout == "ReadTooLarge\n"
 
 
 @pytest.mark.parametrize("argv", _HUGE_READS, ids=lambda argv: argv[0])
 def test_a_read_too_large_to_hold_returns_at_once(argv):
-    # the real allocation: it must fail before any count at degree
-    # 5 . 10^13, which would never return
+    # the bound on delta refuses the read before any allocation or any
+    # count at degree 5 . 10^13, which would never return
     proc = _under_a_gib("import sys\nfrom severi.cli import main\nsys.exit(main(sys.argv[1:]))\n",
                         *argv, "--no-cache")
     assert proc.returncode == 1, proc.stderr
-    assert json.loads(proc.stdout) == {"error": {"type": "MemoryError", "message": ""}}
+    assert json.loads(proc.stdout) == {"error": {
+        "type": "ReadTooLarge",
+        "message": f"a read at delta = {_HUGE} is past MAX_READ_DELTA = {engine.MAX_READ_DELTA}",
+    }}
+
+
+@pytest.mark.parametrize("argv", [
+    ["nodepoly", "--delta", "7"], ["threshold", "--delta", "7"], ["logforms", "--deltamax", "7"],
+    ["bseries", "--order", "7", "--dlist", "8,9"],
+    ["predict", "--d", "9", "--order", "7", "--dlist", "8,9"],
+    ["count", "--d", "8", "--delta", "7"],  # read_degrees(7) = 5..7
+    ["table", "--dmax", "8", "--deltamax", "7"],
+], ids=lambda argv: argv[0])
+def test_a_read_past_the_bound_is_refused_before_it_counts(capsys, monkeypatch, argv):
+    monkeypatch.setattr(engine, "MAX_READ_DELTA", 6)
+    if argv[0] != "table":  # a table counts its cells below the read first
+        monkeypatch.setattr(engine, "relative_severi", None)  # no count may be asked for
+    message = expect_error(capsys, 1, "ReadTooLarge", *argv, "--no-cache")
+    assert message == "a read at delta = 7 is past MAX_READ_DELTA = 6"
+
+
+def test_the_bound_is_on_reads_only(capsys, monkeypatch):
+    # a read at the bound answers, and so does a count the recursion makes
+    monkeypatch.setattr(engine, "MAX_READ_DELTA", 6)
+    doc, _ = run_json(capsys, "nodepoly", "--delta", "6", "--no-cache")
+    assert doc["fit_range"] == list(range(8, 21))
+    doc, _ = run_json(capsys, "count", "--d", "7", "--delta", "7", "--no-cache")
+    assert doc["value"] == str(relative_severi(7, 7))
+
+
+def test_the_found_read_fails_within_a_second():
+    # order 2 . 10^7 fits in memory but can never be counted
+    argv = ["bseries", "--order", "20000000", "--dlist", "20000001,20000002", "--no-cache"]
+    script = ("import sys, time\nfrom severi.cli import main\nstart = time.perf_counter()\n"
+              "code = main(sys.argv[1:])\nprint(time.perf_counter() - start, file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = _under_a_gib(script, *argv)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "ReadTooLarge"
+    assert float(proc.stderr) < 1.0
 
 
 @pytest.mark.parametrize("argv", [["count", "--d", "3", "--delta", "1"], ["cache", "stats"]])

@@ -40,3 +40,9 @@ def test_node_polynomial_demo_names_the_degrees_the_engine_reads(tmp_path):
     assert lines[t4 + 1] == (
         "      fitted on d = 6..14 from the counts at d = 3..5, checked against q(u)/u"
     )
+
+
+def test_b_series_demo_names_the_degrees_the_engine_reads(tmp_path):
+    demo = DEMOS[0].with_name("b_series.py")
+    first = run_demo(demo, tmp_path).splitlines()[0]
+    assert first == "Extracting B1, B2 to order 6 from degrees 4..6..."

@@ -1044,14 +1044,14 @@ def test_a_count_off_by_one_in_the_read_fails_the_check(monkeypatch, bad):
 
 @pytest.mark.parametrize("m", range(10))
 def test_a_coefficient_of_q_off_by_one_fails_the_check(shared_cache, monkeypatch, m):
-    true_q = engine._q_over_u
+    true_q = engine.q_over_u
 
     def off_by_one(size):
         q = list(true_q(size))
         q[m] += 1
         return tuple(q)
 
-    monkeypatch.setattr(engine, "_q_over_u", off_by_one)
+    monkeypatch.setattr(engine, "q_over_u", off_by_one)
     with pytest.raises(DegreeCheckFailed, match=r"degrees 6\.\.8 "):
         engine.node_values((30,), 9, cache=shared_cache)
 

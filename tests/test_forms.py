@@ -53,8 +53,8 @@ def test_engine_q_is_the_reversion_of_u_over_u():
     for n in range(1, 25):
         q = u_series(n).revert()
         assert q[0] == 0
-        assert engine._q_over_u(n) == q.coeffs[1:], n
-        assert engine._q_over_u(n) is engine._q_over_u(n)  # built once per order
+        assert engine.q_over_u(n) == q.coeffs[1:], n
+        assert engine.q_over_u(n) is engine.q_over_u(n)  # built once per order
 
 
 def test_u_prefix():

@@ -65,8 +65,11 @@ def test_plane_series_is_the_counts_composed_with_u(shared_cache):
 
 
 def test_plane_series_degree_guard(shared_cache):
+    # the regime starts at low_degree(3) = 3
     with pytest.raises(DegreeTooSmall):
-        plane_generating_series(3, 3, cache=shared_cache)
+        plane_generating_series(2, 3, cache=shared_cache)
+    counts = RatSeries([severi_degree(3, delta, cache=shared_cache) for delta in range(4)])
+    assert plane_generating_series(3, 3, cache=shared_cache) == counts.compose(form_catalog(3).u)
     with pytest.raises(ValueError, match="order must be nonnegative"):
         plane_generating_series(5, -1, cache=shared_cache)
 
@@ -119,9 +122,10 @@ def test_series_work_per_call(shared_cache, monkeypatch):
     for module in (forms, gyz):
         monkeypatch.setattr(module, "form_catalog", counting_catalog)
     # one catalog, log B4 once, and quadratic_log's three logs; log B3 is
-    # twice the read's d^2 part composed with u
+    # twice the read's d^2 part composed with u, and q is u times the
+    # engine's q(u)/u, so no reversion
     sol = extract_b_series(6, (12, 13, 14), cache=shared_cache)
-    assert calls == {"form_catalog": 1, "log": 4, "revert": 1}
+    assert calls == {"form_catalog": 1, "log": 4}
     calls.clear()
     gyz_predict(plane_invariants(20), sol)
     assert calls == {"exp": 1}
@@ -138,8 +142,10 @@ def test_extraction_needs_two_degrees(shared_cache):
 
 
 def test_extraction_degree_guard(shared_cache):
-    with pytest.raises(DegreeTooSmall, match=r"^degree 4 is below order \+ 1 = 5; "):
-        extract_b_series(4, [4, 6], cache=shared_cache)
+    # low_degree(4) = 3, where Block's older bound asked for order + 1 = 5
+    with pytest.raises(DegreeTooSmall, match=r"^degree 2 is below low_degree\(4\) = 3; "):
+        extract_b_series(4, [2, 6], cache=shared_cache)
+    assert extract_b_series(4, [3, 4], cache=shared_cache).d_used == (3, 4)
 
 
 def test_extraction_refuses_a_degree_that_is_not_an_integer(shared_cache):
@@ -172,6 +178,30 @@ def test_log_b3_is_the_catalogs(shared_cache, order):
     assert sol.logs[2] == form_catalog(max(order, 1)).b3.truncate(order).log()
 
 
+@pytest.mark.parametrize("order", range(41))
+def test_q_is_the_reversion_of_u(monkeypatch, order):
+    # sol.q is u times the engine's q(u)/u; the reversion it replaced is
+    # the oracle.  No count enters q, so a zero read stands in past order 12
+    if order > 12:
+        zero = RatSeries([0], order=order)
+        monkeypatch.setattr(gyz, "quadratic_log", lambda *args: (zero, zero, zero))
+    sol = extract_b_series(order, (order + 1, order + 2), cache=CacheStore())
+    assert sol.q == form_catalog(max(order, 1)).u.revert()
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_predictions_count_from_the_low_degree_on(shared_cache, m):
+    # the regime _check_degree enforces: from low_degree(m) on every
+    # prediction to order m is the count; below it some count is missed,
+    # except by accident at m = 2, d = 1 (T_1(1) = 0 and T_2(1) = 0)
+    sol = extract_b_series(m, engine.read_degrees(m), cache=shared_cache)
+    for d in range(1, 13):
+        predicted = gyz_predict(plane_invariants(d), sol)
+        counts = [relative_severi(d, k, cache=shared_cache) for k in range(m + 1)]
+        agree = d >= engine.low_degree(m) or (m, d) == (2, 1)
+        assert (predicted == counts) == agree, (m, d)
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_a_wrong_b3_coefficient_is_inconsistent(shared_cache, monkeypatch, m):
     # B3 off by one at q^m first moves log(B3) at q^m; the extraction reads
@@ -199,7 +229,8 @@ def test_a_float_order_is_invalid_state(shared_cache):
 
 
 def test_extraction_makes_one_read(monkeypatch):
-    # one node_values call, at lo = 4 for order 6, whatever the degrees
+    # one node_values call, at the polynomial values of d = 0, 1, 2 for
+    # order 6, whatever the degrees
     calls = []
 
     def counting(*args):
@@ -209,7 +240,7 @@ def test_extraction_makes_one_read(monkeypatch):
     for module in (engine, nodepoly):
         monkeypatch.setattr(module, "node_values", counting)
     extract_b_series(6, range(7, 12), cache=CacheStore())
-    assert calls == [((4, 5, 6), 6)]
+    assert calls == [((0, 1, 2), 6)]
 
 
 def reference_b_series(order, d_list, cache):

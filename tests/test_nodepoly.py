@@ -375,6 +375,25 @@ def test_log_forms_agree_with_the_interpolated_reference(delta_max):
     assert forms == reference_log_forms(delta_max, cache=CacheStore())
 
 
+def lagrange_quadratic_log(delta, cache=None):
+    """(A, B, C) through the logs of the counts at lo..lo+2 themselves and
+    their Lagrange offsets at t = d - lo: the reference for the read at
+    d = 0, 1, 2 in nodepoly.quadratic_log."""
+    lo = engine.low_degree(delta)
+    rows = engine.node_values((lo, lo + 1, lo + 2), delta, cache)
+    l0, l1, l2 = (RatSeries(values).log() for values in rows)
+    a = (l2 - 2 * l1 + l0) * Fraction(1, 2)
+    b = l1 - l0 - (2 * lo + 1) * a
+    return a, b, l0 - lo * (b + lo * a)
+
+
+@pytest.mark.parametrize("delta", range(17))
+def test_quadratic_log_equals_the_lagrange_read(shared_cache, delta):
+    # the values at d = 0, 1, 2 are the read's power products below lo
+    got = nodepoly.quadratic_log(delta, cache=shared_cache)
+    assert got == lagrange_quadratic_log(delta, cache=shared_cache)
+
+
 # the names say held-out degree: the poisoned count is at lo + 2, the
 # last degree of the read, which q(u)/u checks
 
