@@ -24,8 +24,8 @@ _EXPORTS = {
     ),
     "forms": ("form_catalog",),
     "gyz": (
-        "DegreeTooSmall", "InvalidInvariants", "Invariants",
-        "NonIntegralPrediction", "extract_b_series", "gyz_predict", "plane_invariants",
+        "DegreeTooSmall", "Invariants", "NonIntegralPrediction",
+        "extract_b_series", "gyz_predict", "plane_invariants",
     ),
     "nodepoly": (
         "bell_polynomial", "fit_node_polynomial", "log_forms",

@@ -29,7 +29,7 @@ class UsageError(ValueError):
 
 
 # every bad-input class (UsageError, InvalidState, ParseError, ...) is a ValueError;
-# OSError and MemoryError (a delta too large to hold its degrees) are the environment's
+# OSError and MemoryError (a recursion whose states outgrow memory) are the environment's
 _INPUT_ERRORS = (ValueError, OSError, MemoryError)
 
 

@@ -133,10 +133,10 @@ Q comes from Lagrange inversion (q_over_u): q = u/B3(q), so [u^{m+1}] q(u) =
 1 - 6u + 60u^2 - 748u^3 + ... has integer coefficients.
 
 No read past delta = MAX_READ_DELTA = 32 starts: node_values raises
-ReadTooLarge before it allocates.  Fresh reads at delta = 24, 28 and 32
-stored 128,780, 339,884 and 842,408 states in 47, 95 and 225 MB, the
-last in five minutes; each 4 nodes multiply the time by about 5, so a
-read at delta = 40 would take about two hours.
+ReadTooLarge before it allocates; fresh reads at delta = 24, 28 and 32
+stored 128,780, 339,884 and 842,408 states (47, 95, 225 MB, the last in
+five minutes).  The bound is on reads only: a count at d <= lo + 2 recurses
+at any delta (N^{12,40}: 26,404 states in 0.5 s; N^{10^7+2,2.10^7} never ends).
 
 Cache file text.  cache_load maps each sequence text of the file it
 reads, as cache_save writes it ("2,0,1", "-" for ()), to its id, so a

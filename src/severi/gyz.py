@@ -19,7 +19,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .engine import CacheStore, InternalInconsistency, low_degree, q_over_u, severi_degree
-from .forms import FormCatalog, form_catalog
+from .forms import form_catalog
 from .nodepoly import quadratic_log
 from .series import RatSeries
 
@@ -33,10 +33,6 @@ class NonIntegralPrediction(InternalInconsistency):
     """A predicted count came out non-integral."""
 
 
-class InvalidInvariants(ValueError):
-    """(x, y, z, t) violates z + t = 0 (mod 12) or x = y (mod 2)."""
-
-
 @dataclass(frozen=True)
 class Invariants:
     """(x, y, z, t) = (L.L, L.K, K.K, c2) for a line bundle L on a surface."""
@@ -48,7 +44,7 @@ class Invariants:
 
     def __post_init__(self) -> None:
         if (self.z + self.t) % 12 != 0 or (self.x - self.y) % 2 != 0:
-            raise InvalidInvariants(
+            raise ValueError(
                 f"(x,y,z,t) = ({self.x},{self.y},{self.z},{self.t}) "
                 "needs z + t = 0 (mod 12) and x = y (mod 2)"
             )
@@ -71,13 +67,11 @@ def plane_invariants(d: int) -> Invariants:
 
 @dataclass(frozen=True)
 class BSeriesSolution:
-    """log B1, log B2, log B3, log B4 to `order`, and q = u.Q, Q = q(u)/u the
-    series the read was checked with; d_used echoes the requested degrees,
-    each >= engine.low_degree(order)."""
+    """log B1, log B2, log B3, log B4 to `order`; d_used echoes the requested
+    degrees, each >= engine.low_degree(order)."""
 
     order: int
     logs: tuple[RatSeries, RatSeries, RatSeries, RatSeries]
-    q: RatSeries  # the reversion of u(q), to order max(order, 1)
     d_used: tuple[int, ...]
 
     @cached_property  # each is an exp; bseries reads them twice
@@ -116,20 +110,13 @@ def _check_degree(d: int, order: int) -> None:
         )
 
 
-def plane_generating_series(
-    d: int,
-    order: int,
-    cache: CacheStore | None = None,
-    forms: FormCatalog | None = None,
-) -> RatSeries:
+def plane_generating_series(d: int, order: int, cache: CacheStore | None = None) -> RatSeries:
     """Left side of the product formula for degree d: sum N^{d,delta} u(q)^delta."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     _check_degree(d, order)
-    if forms is None or forms.order < order:
-        forms = form_catalog(max(order, 1))  # u needs order >= 1
     counts = [severi_degree(d, delta, cache=cache) for delta in range(order + 1)]
-    return RatSeries(counts).compose(forms.u)
+    return RatSeries(counts).compose(form_catalog(max(order, 1)).u)  # u needs order >= 1
 
 
 def extract_b_series(
@@ -158,10 +145,7 @@ def extract_b_series(
     log_b3, log_b4 = 2 * a, forms.b4.truncate(order).log()
     log_b2 = a - b * Fraction(1, 3)
     log_b1 = (c - log_b3 + log_b4 * Fraction(1, 2)) * Fraction(1, 9)
-    return BSeriesSolution(
-        order=order, logs=(log_b1, log_b2, log_b3, log_b4),
-        q=RatSeries((0, *q_over_u(order + 1)), max(order, 1)), d_used=degrees,
-    )
+    return BSeriesSolution(order=order, logs=(log_b1, log_b2, log_b3, log_b4), d_used=degrees)
 
 
 def gyz_predict(
@@ -177,7 +161,8 @@ def gyz_predict(
     if order > sol.order:
         raise ValueError(f"order {order} exceeds the solution's {sol.order}")
     x, y, z, t = (form.truncate(order) for form in sol.forms)
-    in_u = (inv.x * x + inv.y * y + inv.z * z + inv.t * t).compose(sol.q).exp()
+    q = RatSeries((0, *q_over_u(order + 1)), max(order, 1))  # q(u) = u.Q
+    in_u = (inv.x * x + inv.y * y + inv.z * z + inv.t * t).compose(q).exp()
     for delta, c in enumerate(in_u.coeffs):
         if c.denominator != 1:
             raise NonIntegralPrediction(f"n_{delta} = {c} is not an integer")

@@ -30,27 +30,7 @@ Scalar = Union[int, Fraction]
 
 
 class SeriesError(ValueError):
-    """Base class for precondition violations on series operations."""
-
-
-class ZeroConstantTerm(SeriesError):
-    """Inversion requires a nonzero constant term."""
-
-
-class NonzeroConstantTerm(SeriesError):
-    """exp requires constant term 0."""
-
-
-class ConstantTermNotOne(SeriesError):
-    """log and rational powers require constant term 1."""
-
-
-class PositiveValuationRequired(SeriesError):
-    """Composition requires the inner series to have constant term 0."""
-
-
-class NotReversible(SeriesError):
-    """Reversion requires constant term 0 and an invertible linear term."""
+    """A series operation's precondition on its input failed."""
 
 
 def _as_fraction(x: Scalar) -> Fraction:
@@ -220,7 +200,7 @@ class RatSeries:
         """Multiplicative inverse by back-substitution; needs a[0] != 0."""
         a, da = self._nums, self._den
         if a[0] == 0:
-            raise ZeroConstantTerm("cannot invert a series with constant term 0")
+            raise SeriesError("cannot invert a series with constant term 0")
         # out_m = -(1/a_0) sum_{k=1..m} a_k.out_{m-k}, with out_j = nums[j]/den
         nums: list[int] = []
         den = _push(nums, 1, da, a[0])
@@ -236,7 +216,7 @@ class RatSeries:
         """
         a, da = self._nums, self._den
         if a[0] != 0:
-            raise NonzeroConstantTerm("exp needs constant term 0")
+            raise SeriesError("exp needs constant term 0")
         ka = [k * x for k, x in enumerate(a)]
         # f_j = nums[j]/den
         nums, den = [1], 1
@@ -252,7 +232,7 @@ class RatSeries:
         """
         a, da = self._nums, self._den
         if a[0] != da:
-            raise ConstantTermNotOne("log needs constant term 1")
+            raise SeriesError("log needs constant term 1")
         M = len(a) - 1
         # k.g_k = nums[k]/den
         nums, den = [0], 1
@@ -273,7 +253,7 @@ class RatSeries:
         """
         a, da = self._nums, self._den
         if a[0] != da:
-            raise ConstantTermNotOne("rational powers need constant term 1")
+            raise SeriesError("rational powers need constant term 1")
         e = _as_fraction(e)
         p, r = e.numerator + e.denominator, e.denominator  # e + 1 = p/r
         ka, nums, den = [k * x for k, x in enumerate(a)], [1], 1  # P_j = nums[j]/den
@@ -310,7 +290,7 @@ class RatSeries:
         """
         g, a, da = inner._nums, self._nums, self._den
         if g[0] != 0:
-            raise PositiveValuationRequired("composition needs inner constant term 0")
+            raise SeriesError("composition needs inner constant term 0")
         M = min(self.order, inner.order)
         out = _make(a[M : M + 1], da)
         if M:
@@ -337,7 +317,7 @@ class RatSeries:
         """
         g, dg, M = self._nums, self._den, self.order
         if g[0] != 0 or M < 1 or g[1] == 0:
-            raise NotReversible("reversion needs g[0] = 0 and g[1] != 0")
+            raise SeriesError("reversion needs g[0] = 0 and g[1] != 0")
         u = _make([x * g[1] for x in g[1:]], g[1] ** 2)  # g/(g_1.q), sign-free
         t, hs = u.pow_rat(-(M + 1)), []
         for n in range(M, 0, -1):

@@ -123,9 +123,14 @@ def test_quartics(shared_cache):
 
 
 def test_maximal_node_counts_are_line_arrangements(shared_cache):
-    for d in range(2, 6):
+    # d lines through 2d points pair them up; one node fewer is a conic
+    # through 5 of 2d + 1 points and d - 2 lines pairing the rest.  From
+    # d = 9 on both recurse past MAX_READ_DELTA, up to delta = 66
+    for d in range(2, 13):
         mn = d * (d - 1) // 2
-        assert severi_degree(d, mn, cache=shared_cache) == matchings_into_pairs(2 * d)
+        assert severi_degree(d, mn, cache=shared_cache) == matchings_into_pairs(2 * d), d
+        conic_and_lines = math.comb(2 * d + 1, 5) * matchings_into_pairs(2 * d - 4)
+        assert severi_degree(d, mn - 1, cache=shared_cache) == conic_and_lines, d
 
 
 def test_one_node_is_discriminant_degree(shared_cache):

@@ -50,7 +50,7 @@ def test_sigma1_rejects_nonpositive():
 def test_engine_q_is_the_reversion_of_u_over_u():
     # the engine checks each read with Q = q(u)/u, built by Lagrange
     # inversion in integers; here q(u) is RatSeries.revert of u(q)
-    for n in range(1, 25):
+    for n in range(1, 42):
         q = u_series(n).revert()
         assert q[0] == 0
         assert engine.q_over_u(n) == q.coeffs[1:], n

@@ -99,11 +99,11 @@ def test_extraction_is_degree_independent(shared_cache):
     assert a.b2 == b.b2
 
 
-def test_the_solution_holds_the_logs_and_q_it_was_solved_with(shared_cache):
+def test_the_solution_holds_the_logs_it_was_solved_with(shared_cache):
     sol = extract_b_series(6, (12, 13, 14), cache=shared_cache)
     catalog = form_catalog(6)
+    assert [f.name for f in dataclasses.fields(sol)] == ["order", "logs", "d_used"]
     assert sol.logs[2:] == (catalog.b3.log(), catalog.b4.log())
-    assert sol.q == catalog.u.revert()
     assert (sol.b1, sol.b2) == (sol.logs[0].exp(), sol.logs[1].exp())
 
 
@@ -179,14 +179,15 @@ def test_log_b3_is_the_catalogs(shared_cache, order):
 
 
 @pytest.mark.parametrize("order", range(41))
-def test_q_is_the_reversion_of_u(monkeypatch, order):
-    # sol.q is u times the engine's q(u)/u; the reversion it replaced is
-    # the oracle.  No count enters q, so a zero read stands in past order 12
-    if order > 12:
-        zero = RatSeries([0], order=order)
-        monkeypatch.setattr(gyz, "quadratic_log", lambda *args: (zero, zero, zero))
-    sol = extract_b_series(order, (order + 1, order + 2), cache=CacheStore())
-    assert sol.q == form_catalog(max(order, 1)).u.revert()
+def test_q_is_the_reversion_of_u(order):
+    # gyz_predict composes with u times the engine's q(u)/u; the reversion
+    # it replaced is the oracle.  At (x, y, z, t) = (2, 0, 0, 0) log F is
+    # log B3, so log B3 = log(1 + q) predicts the coefficients of 1 + q(u)
+    zero = RatSeries([0], order=order)
+    logs = (zero, zero, RatSeries([1, 1], order=order).log(), zero)
+    sol = BSeriesSolution(order=order, logs=logs, d_used=())
+    q = form_catalog(max(order, 1)).u.revert().truncate(order)
+    assert gyz_predict(Invariants(x=2, y=0, z=0, t=0), sol) == list((q + 1).coeffs)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -255,7 +256,7 @@ def reference_b_series(order, d_list, cache):
     catalog = form_catalog(max(order, 1))
     log_b3, log_b4 = catalog.b3.truncate(order).log(), catalog.b4.truncate(order).log()
     residues = [
-        plane_generating_series(d, order, cache=cache, forms=catalog).log()
+        plane_generating_series(d, order, cache=cache).log()
         - plane_invariants(d).chi * log_b3 + log_b4 * Fraction(1, 2)
         for d in degrees
     ]
@@ -330,10 +331,8 @@ def test_prediction_order_must_be_nonnegative(shared_cache):
 
 
 def test_invalid_invariants_rejected(shared_cache):
-    from severi import InvalidInvariants
-
     sol = extract_b_series(1, [2, 3], cache=shared_cache)
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match=r"\(1,0,9,3\) needs z \+ t = 0 \(mod 12\)"):
         gyz_predict(Invariants(x=1, y=0, z=9, t=3), sol)
 
 
@@ -350,15 +349,15 @@ def test_non_integral_prediction_is_an_error():
 # -- predictions against closed forms, without plane data -------------------
 
 def _given_b_series(b1, b2):
-    """A BSeriesSolution for fixed B1, B2 prefixes, with log B3, log B4 and
-    q from the form catalog, as extract_b_series builds them; no engine run."""
+    """A BSeriesSolution for fixed B1, B2 prefixes, with log B3 and log B4
+    from the form catalog, as extract_b_series builds them; no engine run."""
     b1, b2 = RatSeries(b1), RatSeries(b2)
     order = b1.order
     catalog = form_catalog(max(order, 1))
     logs = tuple(
         b.log() for b in (b1, b2, catalog.b3.truncate(order), catalog.b4.truncate(order))
     )
-    return BSeriesSolution(order=order, logs=logs, q=catalog.u.revert(), d_used=())
+    return BSeriesSolution(order=order, logs=logs, d_used=())
 
 
 def _yau_zaslow(order):
@@ -393,8 +392,10 @@ KLEIMAN_PIENE_INVARIANTS = [
 
 def _linear_forms(sol):
     """a_1 .. a_order as (x, y, z, t) coefficient tuples: kappa! [u^kappa]
-    of each of the solution's forms composed with q."""
-    in_u = [form.compose(sol.q) for form in sol.forms]
+    of each of the solution's forms composed with q(u), here the catalog's
+    u reverted, which shares no code with engine.q_over_u."""
+    q = form_catalog(max(sol.order, 1)).u.revert()
+    in_u = [form.compose(q) for form in sol.forms]
     return [
         tuple(math.factorial(kappa) * s[kappa] for s in in_u)
         for kappa in range(1, sol.order + 1)

@@ -10,7 +10,6 @@ import pytest
 from severi import (
     CacheStore,
     DegreeCheckFailed,
-    InvalidInvariants,
     InvalidState,
     Invariants,
     RatSeries,
@@ -540,10 +539,10 @@ def test_plane_chi_formula():
 
 def test_invalid_invariants_raise():
     # z + t = 3 is not divisible by 12
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match=r"\(2,0,1,2\) needs z \+ t = 0 \(mod 12\)"):
         Invariants(x=2, y=0, z=1, t=2)
     # x - y = 1 is odd
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match=r"\(1,0,9,3\) needs z \+ t = 0 \(mod 12\)"):
         Invariants(x=1, y=0, z=9, t=3)
 
 

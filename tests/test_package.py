@@ -17,7 +17,7 @@ import tokenize
 import pytest
 
 import severi
-from severi import engine
+from severi import cli, engine
 from severi.series import RatSeries
 from test_cli import child_env
 
@@ -32,7 +32,7 @@ SURFACE = [
     "sigma1", "extract_b_series", "gyz_predict", "plane_invariants", "Invariants",
     "CacheCorruption", "ParseError", "VersionMismatch", "InvalidState",
     "DegreeCheckFailed", "DegreeTooSmall",
-    "NonIntegralPrediction", "InvalidInvariants", "SeriesError",
+    "NonIntegralPrediction", "SeriesError",
 ]
 
 
@@ -228,14 +228,20 @@ def test_private_names_in_docs_resolve():
     assert sorted(stale) == []
 
 
+def _perfbench_module(name):
+    """perfbench/<name>.py loaded by path, as tier-1 does not collect perfbench/."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_patch_targets_resolve():
     # perfbench/tracing.py patches severi's functions by name, and tier-1
     # does not collect perfbench/, so a rename would go unnoticed there
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
-    )
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module("tracing")
     targets = [t[:2] for t in (*tracing.PLAIN_TARGETS, *tracing.EVAL_TARGETS)]
     targets += [("engine", name) for name in ("cache_load", "cache_save", "default_cache")]
     assert len(targets) >= 14  # the module's tables were read
@@ -246,6 +252,21 @@ def test_benchmark_patch_targets_resolve():
     ]
     missing += [name for name in tracing.SERIES_METHODS if name not in RatSeries.__dict__]
     assert missing == []
+
+
+def test_benchmark_cli_queries_parse():
+    # perfbench/workloads.py sends these argvs to cli.main, with --no-cache
+    # for the reference answers and --cache for the timed runs; a flag the
+    # CLI dropped would only show as a wrong output of the benchmark
+    workloads = _perfbench_module("workloads")
+    parser = cli.build_parser()
+    commands = set()
+    for seed in (0, 1, 7):
+        for p in range(3):
+            for _, argv in workloads.cli_queries(seed, p, 16, 8, 15, 5):
+                for tail in (["--no-cache"], ["--cache", "severi.cache"]):
+                    commands.add(parser.parse_args(argv + tail).command)
+    assert commands == {"count", "table", "nodepoly", "threshold", "predict"}
 
 
 def test_benchmark_workload_names_resolve():

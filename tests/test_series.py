@@ -7,14 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from severi import RatSeries, form_catalog
-from severi.series import (
-    ConstantTermNotOne,
-    NonzeroConstantTerm,
-    NotReversible,
-    PositiveValuationRequired,
-    ZeroConstantTerm,
-)
+from severi import RatSeries, SeriesError, form_catalog
 
 
 def series(*cs):
@@ -157,7 +150,7 @@ def test_inverse_examples():
 
 
 def test_inverse_needs_nonzero_constant():
-    with pytest.raises(ZeroConstantTerm):
+    with pytest.raises(SeriesError, match=r"cannot invert a series with constant term 0"):
         series(0, 1).inverse()
 
 
@@ -171,7 +164,7 @@ def test_exp_examples():
 
 
 def test_exp_needs_zero_constant():
-    with pytest.raises(NonzeroConstantTerm):
+    with pytest.raises(SeriesError, match=r"exp needs constant term 0"):
         series(1, 1).exp()
 
 
@@ -183,7 +176,7 @@ def test_log_examples():
 
 
 def test_log_needs_unit_constant():
-    with pytest.raises(ConstantTermNotOne):
+    with pytest.raises(SeriesError, match=r"log needs constant term 1"):
         series(2, 1).log()
 
 
@@ -207,7 +200,7 @@ def test_negative_powers_of_a_unit():
     assert s ** -1 == s.inverse() == series(F(1, 2), F(-1, 4))
     assert s ** -3 == s.inverse() ** 3
     assert series(3, -1, 4, F(1, 2)) ** -2 == series(3, -1, 4, F(1, 2)).inverse() ** 2
-    with pytest.raises(ZeroConstantTerm):
+    with pytest.raises(SeriesError, match=r"cannot invert a series with constant term 0"):
         series(0, 1, 2) ** -2
 
 
@@ -221,7 +214,7 @@ def test_pow_with_an_integral_fraction_exponent():
 
 
 def test_pow_rat_needs_unit_constant():
-    with pytest.raises(ConstantTermNotOne):
+    with pytest.raises(SeriesError, match=r"rational powers need constant term 1"):
         series(2, 1).pow_rat(F(1, 2))
 
 
@@ -237,7 +230,7 @@ def test_compose_examples():
 
 
 def test_compose_needs_positive_valuation():
-    with pytest.raises(PositiveValuationRequired):
+    with pytest.raises(SeriesError, match=r"composition needs inner constant term 0"):
         series(1, 1).compose(series(1, 1))
 
 
@@ -250,9 +243,9 @@ def test_revert_examples():
 
 
 def test_revert_rejects_bad_input():
-    with pytest.raises(NotReversible):
+    with pytest.raises(SeriesError, match=r"reversion needs g\[0\] = 0 and g\[1\] != 0"):
         series(1, 1).revert()
-    with pytest.raises(NotReversible):
+    with pytest.raises(SeriesError, match=r"reversion needs g\[0\] = 0 and g\[1\] != 0"):
         series(0, 0, 1).revert()
 
 
