@@ -87,14 +87,14 @@ added to each.  They are functools.cache functions whose entries are facts
 about sequences, not about any store, so they are process-global and
 every store shares them; a store keeps only its values.  Each builder
 asserts its entries' invariants once, when it builds them, and hands its
-own part lists to _seq_id, which trims them; only pack checks a sequence
-from outside.  The deep root relative_severi(30, 9) stores 41,923 states
-over 1,880 sequences; its four builders hold 5,384, 4,077, 7,641 and
-3,008 entries and 21,600 template children, over 1,420 + 5,460, 5,423
-and 2,803 layer entries.  threshold_report(9) and fit_node_polynomial(9),
-which read the counts at degrees 6..8 only, store 1,663 (219, 191, 164
-and 437 builder entries over 45 + 234, 227 and 202 layer entries), and
-severi_degree(30, 9), which reads the same, 1,664.
+own part lists to _seq_id, which trims them; only state_key checks a
+sequence from outside.  The deep root relative_severi(30, 9) stores
+41,923 states over 1,880 sequences; its four builders hold 5,384, 4,077,
+7,641 and 3,008 entries and 21,600 template children, over 1,420 +
+5,460, 5,423 and 2,803 layer entries.  threshold_report(9) and
+fit_node_polynomial(9), which read the counts at degrees 6..8 only,
+store 1,663 (219, 191, 164 and 437 builder entries over 45 + 234, 227
+and 202 layer entries), and severi_degree(30, 9), which reads the same, 1,664.
 
 Counts past degree lo + 2.  Let F_e = sum_{k <= delta} N^{e,k} u^k and
 lo = low_degree(delta): ceil(delta/2) + 1 for delta >= 2, 1 for delta <= 1.
@@ -218,7 +218,7 @@ def _orderings(parts: Iterable[int]) -> int:
 def _seq_id(parts: Iterable[int]) -> int:
     """The id of a sequence of nonnegative parts, trailing zeros trimmed,
     numbered on first sight.  The table builders pass their own lists;
-    pack checks what comes from outside."""
+    state_key checks what comes from outside."""
     seq = tuple(parts)
     while seq and not seq[-1]:
         seq = seq[:-1]
@@ -244,20 +244,12 @@ def _seq_of_text(text: str) -> TangencySeq:
 
 
 def pack(key: SeveriKey) -> int:
-    """The packed state of a key built by state_key.
-
-    Refuses what state_key and cache_load would not build or the layout
-    cannot hold: a sequence that is not canonical, a negative delta, d < 1,
-    or a d other than I(alpha) + I(beta), which unpack would not give back.
-    """
-    d, delta, alpha, beta = key
+    """The packed state of state_key(*key): a key state_key refuses raises,
+    and a non-canonical sequence packs as its canonical form."""
+    _, delta, alpha, beta = state_key(*key)
     ia, ib = _IDS.get(alpha), _IDS.get(beta)
     if ia is None or ib is None:
-        if canonical(alpha) != alpha or canonical(beta) != beta:
-            raise InvalidState(f"{key} has a tangency sequence that is not canonical")
         ia, ib = _seq_id(alpha), _seq_id(beta)
-    if delta < 0 or d < 1 or _WEIGHTS[ia] + _WEIGHTS[ib] != d:
-        raise InvalidState(f"{key} is not a valid state")
     return delta << 64 | ia << 32 | ib
 
 
@@ -270,13 +262,13 @@ def unpack(state: int) -> SeveriKey:
 class CacheStore:
     """Memo table keyed by canonical (d, delta, alpha, beta).
 
-    Keys are stored packed (see the module docstring); every method takes
-    and returns tuples.  Inserts through put() are conflict-checked:
-    writing a different value for an existing key raises CacheCorruption.
-    The roots are the keys stored through put() or found by get(): the
-    counts callers asked for, and all that cache_save persists.  hits and
-    misses count root lookups through get(); the evaluation loop writes
-    intermediate states into the table directly.
+    Keys are stored packed (see the module docstring): get() and put()
+    take tuples, _get_state() and _put_state() packed states.  put()
+    refuses a count that is not an int >= 0 (ValueError); storing another
+    value for a stored key raises CacheCorruption.  The roots are the keys
+    stored or found by these four: the counts callers asked for, and all
+    that cache_save persists.  hits and misses count root lookups; the
+    evaluation loop writes intermediate states into the table directly.
     """
 
     def __init__(self) -> None:
@@ -286,7 +278,14 @@ class CacheStore:
         self._roots: set[int] = set()
 
     def get(self, key: SeveriKey) -> int | None:
-        state = pack(key)
+        return self._get_state(pack(key))
+
+    def put(self, key: SeveriKey, value: int) -> None:
+        if type(value) is not int or value < 0:
+            raise ValueError(f"a count must be an int >= 0, got {value!r}")
+        self._put_state(pack(key), value)
+
+    def _get_state(self, state: int) -> int | None:
         value = self._data.get(state)
         if value is None:
             self.misses += 1
@@ -294,9 +293,6 @@ class CacheStore:
             self.hits += 1
             self._roots.add(state)
         return value
-
-    def put(self, key: SeveriKey, value: int) -> None:
-        self._put_state(pack(key), value)
 
     def _put_state(self, state: int, value: int) -> None:
         old = self._data.setdefault(state, value)
@@ -490,23 +486,22 @@ def _transitions(state: int) -> tuple[list[int], list[int]]:
     return coefs, kids
 
 
-def _evaluate(root: SeveriKey, cache: CacheStore) -> int:
-    cached = cache.get(root)
+def _evaluate(root: int, cache: CacheStore) -> int:
+    cached = cache._get_state(root)
     if cached is not None:
         return cached
     # a reduced degree-d curve has at most d(d-1)/2 nodes (d general lines).
     # Only a root can break the bound: a move keeps (d, delta), and a
     # template's lower excess bound gives delta' <= (d-1)(d-2)/2
-    d, delta = root[0], root[1]
+    d, delta = unpack(root)[:2]
     if delta > d * (d - 1) // 2:
-        cache.put(root, 0)
+        cache._put_state(root, 0)
         return 0
     # each state is stored once, so the DFS writes the table directly;
-    # only the root goes through put(), which marks it for persistence.
+    # only the root goes through _put_state(), which marks it for persistence.
     # The recursion is acyclic (the point count drops by one per step).
     data = cache._data
-    top = pack(root)
-    stack = [top]
+    stack = [root]
     children: dict[int, tuple[list[int], list[int]]] = {}
     while stack:
         state = stack[-1]
@@ -530,8 +525,8 @@ def _evaluate(root: SeveriKey, cache: CacheStore) -> int:
         coefs, kids = deps
         data[state] = sum(map(operator.mul, coefs, map(data.__getitem__, kids)))
         stack.pop()
-    cache.put(root, data[top])
-    return data[top]
+    cache._put_state(root, data[root])
+    return data[root]
 
 
 def relative_severi(
@@ -550,8 +545,7 @@ def relative_severi(
         alpha = canonical(alpha)
         # an alpha heavier than d leaves beta empty, which state_key rejects
         beta = [max(d - weight(alpha), 0)]
-    key = state_key(d, delta, alpha, beta)
-    return _evaluate(key, cache if cache is not None else _DEFAULT_CACHE)
+    return _evaluate(pack((d, delta, alpha, beta)), cache if cache is not None else _DEFAULT_CACHE)
 
 
 def sigma1(n: int) -> int:
@@ -643,16 +637,15 @@ def severi_degree(d: int, delta: int, cache: CacheStore | None = None) -> int:
     """N^{d,delta}: delta-nodal degree-d curves through general points.
 
     A stored count comes back as is.  Up to the last of read_degrees(delta),
-    and at delta = 0, it is the recursion's (relative_severi); past it,
+    and at delta = 0, it is the recursion's, as in relative_severi; past it,
     node_values' read, stored as a root ("Counts past degree lo + 2")."""
+    state, cache = pack((d, delta, (), (d,))), cache if cache is not None else _DEFAULT_CACHE
     if delta < 1 or d < read_degrees(delta).stop:
-        return relative_severi(d, delta, (), (d,), cache=cache)
-    cache = cache if cache is not None else _DEFAULT_CACHE
-    key = state_key(d, delta, (), (d,))
-    value = cache.get(key)
+        return _evaluate(state, cache)
+    value = cache._get_state(state)
     if value is None:
         value = node_values((d,), delta, cache)[0][delta]
-        cache.put(key, value)
+        cache._put_state(state, value)
     return value
 
 

@@ -43,6 +43,9 @@ class Invariants:
     t: int
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not isinstance(value, int):
+                raise ValueError(f"invariant {name} = {value!r} is not an int")
         if (self.z + self.t) % 12 != 0 or (self.x - self.y) % 2 != 0:
             raise ValueError(
                 f"(x,y,z,t) = ({self.x},{self.y},{self.z},{self.t}) "

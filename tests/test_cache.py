@@ -88,6 +88,18 @@ def test_put_refuses_degree_zero_and_the_store_still_saves(tmp_path):
     assert list(cache_load(path).items()) == [((2, 1, (), (2,)), 3)]
 
 
+@pytest.mark.parametrize("value", [-5, 2.5, 3.0, True, "3", None])
+def test_put_refuses_a_count_that_is_not_a_nonnegative_int(tmp_path, value):
+    # cache_save would write it and cache_load refuse the file from then on
+    store = CacheStore()
+    store.put((2, 1, (), (2,)), 3)
+    with pytest.raises(ValueError, match="a count must be an int >= 0"):
+        store.put((3, 1, (), (3,)), value)
+    path = tmp_path / "severi.cache"
+    cache_save(store, path)
+    assert list(cache_load(path).items()) == [((2, 1, (), (2,)), 3)]
+
+
 def test_conflicting_put_is_a_hard_error():
     store = CacheStore()
     key = (2, 1, (), (2,))

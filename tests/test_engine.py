@@ -677,10 +677,10 @@ def test_pack_round_trips(key):
 
 
 def test_pack_refuses_keys_state_key_would_not_build():
-    # the engine's own builders trim their sequences in _seq_id; a key from
-    # outside must already be canonical, or two keys would share a state
-    with pytest.raises(InvalidState):
-        engine.pack((2, 0, (2, 0), ()))
+    # pack checks a key with state_key, so a non-canonical key packs as
+    # the state of its canonical form, and what state_key refuses raises
+    assert engine.pack((2, 0, (2, 0), ())) == engine.pack((2, 0, (2,), ()))
+    assert engine.unpack(engine.pack((2, 0, (2, 0), ()))) == (2, 0, (2,), ())
     with pytest.raises(InvalidState):
         engine.pack((2, -1, (), (2,)))
     with pytest.raises(InvalidState):
@@ -1165,6 +1165,21 @@ def test_severi_table_refuses_a_float_size():
         with pytest.raises(InvalidState, match="table needs int dmax"):
             severi_table(dmax, deltamax, cache=store)
     assert len(store) == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda store: severi_degree(30, 9.0, cache=store),  # past lo + 2: the read
+    lambda store: severi_degree(5, 9.0, cache=store),  # up to lo + 2: the recursion
+    lambda store: store.get((5, 2.0, (), (5,))),
+    lambda store: store.put((5, 2.0, (), (5,)), 7),
+    lambda store: store.get((5, 2, (), (5.0,))),
+], ids=["read", "recursion", "get", "put", "get-float-part"])
+def test_a_float_in_a_key_is_an_invalid_state(call):
+    # the key is checked once, by state_key inside pack, before any lookup
+    store = CacheStore()
+    with pytest.raises(InvalidState):
+        call(store)
+    assert (len(store), store.hits, store.misses) == (0, 0, 0)
 
 
 def test_severi_degree_of_an_astronomical_degree():

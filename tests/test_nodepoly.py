@@ -263,15 +263,16 @@ def test_a_mismatch_just_below_the_fit_window_is_the_witness(monkeypatch):
 
 def test_threshold_reads_each_count_once(monkeypatch):
     # the counts at degrees lo..lo+2 = 6..8 once for T_9, then the scan's
-    # count at lo-1 = 5, which is the recursion's through severi_degree
-    true_recursion = engine.relative_severi
+    # count at lo-1 = 5, which is the recursion's through severi_degree;
+    # every root the recursion is asked for goes through engine._evaluate
+    true_evaluate = engine._evaluate
     reads = []
 
-    def counting(d, delta, *tangencies, cache=None):
-        reads.append((d, delta))
-        return true_recursion(d, delta, *tangencies, cache=cache)
+    def counting(root, cache):
+        reads.append(engine.unpack(root)[:2])
+        return true_evaluate(root, cache)
 
-    monkeypatch.setattr(engine, "relative_severi", counting)
+    monkeypatch.setattr(engine, "_evaluate", counting)
     store = CacheStore()
     assert threshold(9, cache=store) == 6
     assert sorted(reads) == sorted([(5, 9)] + [
@@ -544,6 +545,9 @@ def test_invalid_invariants_raise():
     # x - y = 1 is odd
     with pytest.raises(ValueError, match=r"\(1,0,9,3\) needs z \+ t = 0 \(mod 12\)"):
         Invariants(x=1, y=0, z=9, t=3)
+    # plane_invariants(5.0) would build (25.0, -15.0, 9, 3)
+    with pytest.raises(ValueError, match=r"invariant x = 25\.0 is not an int"):
+        plane_invariants(5.0)
 
 
 def test_plane_invariants_rejects_nonpositive():
