@@ -493,7 +493,7 @@ def _evaluate(root: int, cache: CacheStore) -> int:
     # a reduced degree-d curve has at most d(d-1)/2 nodes (d general lines).
     # Only a root can break the bound: a move keeps (d, delta), and a
     # template's lower excess bound gives delta' <= (d-1)(d-2)/2
-    d, delta = unpack(root)[:2]
+    d, delta = _WEIGHTS[root >> 32 & _ID_MASK] + _WEIGHTS[root & _ID_MASK], root >> 64
     if delta > d * (d - 1) // 2:
         cache._put_state(root, 0)
         return 0
