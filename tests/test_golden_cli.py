@@ -58,6 +58,8 @@ DEEP_COMMANDS = [
     "logforms --deltamax 16",
     "nodepoly --delta 20",
     "threshold --delta 20",
+    "nodepoly --delta 17",
+    "bseries --order 17 --dlist 18,19",
 ]
 
 
