@@ -2,9 +2,10 @@
 
 The product formula sum_delta N^{d,delta} u^delta =
 B1^z B2^y B3^chi B4^(-nu/2) holds in the polynomial regime with plane
-invariants (z, y) = (9, -3d).  The counts at the three degrees of one
-read pin down B1 and B2 exactly; the formula then predicts counts for a
-degree it never saw, and every prediction must be an integer.
+invariants (z, y) = (9, -3d).  With q(u)/u, the counts of one read at
+two degrees, checked one degree outside them, pin down B1 and B2
+exactly; the formula then predicts counts for a degree it never saw,
+and every prediction must be an integer.
 """
 
 from __future__ import annotations

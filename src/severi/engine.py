@@ -92,9 +92,9 @@ sequence from outside.  The deep root relative_severi(30, 9) stores
 41,923 states over 1,880 sequences; its four builders hold 5,384, 4,077,
 7,641 and 3,008 entries and 21,600 template children, over 1,420 +
 5,460, 5,423 and 2,803 layer entries.  threshold_report(9) and
-fit_node_polynomial(9), which read the counts at degrees 6..8 only,
-store 1,663 (219, 191, 164 and 437 builder entries over 45 + 234, 227
-and 202 layer entries), and severi_degree(30, 9), which reads the same, 1,664.
+fit_node_polynomial(9), which read the counts at degrees 5..8 only,
+store 1,370 (164, 147, 135 and 392 builder entries over 45 + 234, 202
+and 202 layer entries), and severi_degree(30, 9), which reads the same, 1,371.
 
 Counts past degree lo + 2.  Let F_e = sum_{k <= delta} N^{e,k} u^k and
 lo = low_degree(delta): ceil(delta/2) + 1 for delta >= 2, 1 for delta <= 1.
@@ -102,40 +102,52 @@ For e >= lo each coefficient is T_k(e): at e >= delta by Block
 (arXiv:1006.0218), and at ceil(delta/2) + 1 <= e < delta, which first
 happens at delta = 4, by Kleiman and Shende's proof of Gottsche's
 threshold d >= k/2 + 1 (arXiv:1204.6254); T_0 = 1 and T_1(e) = 3(e-1)^2
-hold from e = 1 on.  This is the one statement of that regime, and
-read_degrees(delta) = lo..lo+2 of the degrees that a read counts at.
-log sum_k T_k(d) u^k is quadratic in d (Tzeng, arXiv:1009.5371), so
-mod u^{delta+1} log F_d is the quadratic through the logs at e = lo,
-lo+1, lo+2.  Its Lagrange weights at t = d - lo are the integers
-(t-1)(t-2)/2, -t(t-2) and t(t-1)/2, so no log is taken:
+hold from e = 1 on.  This is the one statement of that regime.
 
-  F_d = F_lo^{(t-1)(t-2)/2} . F_{lo+1}^{-t(t-2)} . F_{lo+2}^{t(t-1)/2}
-
-mod u^{delta+1}.  Each F_e starts with N^{e,0} = 1, which node_values
-checks, and a power P = A^n of such a series satisfies A.P' = n.A'.P,
-that is Miller's recurrence m.P_m = sum_{k=1..m} ((n+1)k - m) a_k
-P_{m-k}, whose division by m is exact as P has integer coefficients.
-For d < lo the product gives T_k(d), which need not be a count.
-
-The three read degrees are checked against the quasimodular forms.
 Gottsche's conjecture, proved by Tzeng (arXiv:1009.5371) and by Kool,
 Shende and Thomas (arXiv:1010.3211), gives sum_k T_k(L) u(q)^k =
-B1^{K^2} B2^{LK} B3^{chi(L)} B4^{-chi(O)/2}, with u(q) = q.B3(q) =
+B1^{K_S^2} B2^{L.K_S} B3^{chi(L)} B4^{-chi(O)/2}, with u(q) = q.B3(q) =
 sum n.sigma1(n) q^n.  On the plane chi(L) = (d^2 + 3d)/2 + 1 is the only
-d^2 term, so the second difference of log F_d over lo, lo+1, lo+2 is
-log B3(q(u)) = log(u/q(u)), q(u) the reversion of u(q).  With Q = q(u)/u
-that is the integer identity
+d^2 term, so log sum_k T_k(d) u^k is quadratic in d with d^2 part
+log B3(q(u))/2 = -log(Q)/2, Q = q(u)/u and q(u) the reversion of u(q).
+Two degrees fix the rest: with t = d - lo,
 
-  F_lo . F_{lo+2} . Q = F_{lo+1}^2  mod u^{delta+1}.
+  F_{lo+t} = F_lo^{1-t} . F_{lo+1}^t . Q^{-t(t-1)/2}  mod u^{delta+1},
 
-Q comes from Lagrange inversion (q_over_u): q = u/B3(q), so [u^{m+1}] q(u) =
-[q^m] B3^{-(m+1)} / (m+1), the power read by Miller's recurrence; Q =
-1 - 6u + 60u^2 - 748u^3 + ... has integer coefficients.
+integer powers, so no log is taken.  Each F_e starts with N^{e,0} = 1,
+which node_values checks on every row it counts from k = 0, and a power
+P = A^n of such a series satisfies A.P' = n.A'.P, that is Miller's
+recurrence m.P_m = sum_{k=1..m} ((n+1)k - m) a_k P_{m-k}, whose division
+by m is exact as P has integer coefficients.  For d < lo the product
+gives T_k(d), which need not be a count.  Q comes from Lagrange
+inversion (q_over_u): q = u/B3(q), so [u^{m+1}] q(u) = [q^m] B3^{-(m+1)}
+/ (m+1), the power read by Miller's recurrence; Q = 1 - 6u + 60u^2 -
+748u^3 + ... has integer coefficients.
+
+The counts at lo and lo + 1 are checked, coefficient by coefficient,
+against counts one degree outside them that are still in the polynomial
+range.  Let K (_split) be the largest k with low_degree(k) <= lo - 1:
+delta - 1 for odd delta and delta = 2, delta - 2 for even delta >= 4,
+none (-1) for delta <= 1.  node_values counts N^{lo-1,k} for k <= K and
+N^{lo+2,k} for K < k <= delta only, and checks the formula at t = -1
+and t = 2:
+
+  F_{lo-1} . F_{lo+1} . Q = F_lo^2      mod u^{K+1},
+  F_lo . F_{lo+2} . Q = F_{lo+1}^2      at u^{K+1}..u^delta,
+
+F_{lo+2} taking its coefficients up to u^K from the formula.  A count at
+lo or lo + 1 first enters each identity at its own u^k, with coefficient
+1 or 2, so one wrong count at u^k breaks the identity that checks u^k;
+that holds for the counts at lo - 1 and lo + 2 too.  For delta <= 1 the
+second identity is the whole check, over all of F_{lo+2}.
+read_degrees(delta) = lo-1..lo+2 (lo..lo+2 for delta <= 1) are the
+degrees counted at.  threshold_report(9) stores 1,370 states this way;
+counting and checking all of F_{lo+2} instead stores 1,663.
 
 No read past delta = MAX_READ_DELTA = 32 starts: node_values raises
 ReadTooLarge before it allocates; fresh reads at delta = 24, 28 and 32
-stored 128,780, 339,884 and 842,408 states (47, 95, 225 MB, the last in
-five minutes).  The bound is on reads only: a count at d <= lo + 2 recurses
+stored 108,924, 288,530 and 717,489 states (43, 85, 216 MB; 4, 21 and
+116 s on a 2-core VM).  The bound is on reads only: a count at d <= lo + 2 recurses
 at any delta (N^{12,40}: 26,404 states in 0.5 s; N^{10^7+2,2.10^7} never ends).
 
 Cache file text.  cache_load maps each sequence text of the file it
@@ -178,8 +190,8 @@ class CacheCorruption(InternalInconsistency):
 
 
 class DegreeCheckFailed(InternalInconsistency):
-    """The counts at read_degrees(delta) = lo..lo+2 broke N^{e,0} = 1 or
-    F_lo . F_{lo+2} . q(u)/u = F_{lo+1}^2 (`node_values`)."""
+    """The counts at read_degrees(delta) broke N^{e,0} = 1 or one of
+    node_values' identities with q(u)/u, at lo - 1 or at lo + 2."""
 
 
 class ReadTooLarge(ValueError):
@@ -594,20 +606,29 @@ def low_degree(delta: int) -> int:
 
 @functools.cache
 def read_degrees(delta: int) -> range:
-    """lo..lo+2, lo = low_degree(delta): the degrees node_values counts at."""
-    return range(lo := low_degree(delta), lo + 3)
+    """lo-1..lo+2, lo = low_degree(delta), and lo..lo+2 for delta <= 1:
+    the degrees node_values counts at ("Counts past degree lo + 2")."""
+    return range(max(1, (lo := low_degree(delta)) - 1), lo + 3)
+
+
+def _split(delta: int) -> int:
+    """K, the largest k with low_degree(k) <= lo - 1, or -1 if there is
+    none: node_values checks the coefficients k <= K at degree lo - 1 and
+    those above K at degree lo + 2."""
+    lo = low_degree(delta)
+    return sum(low_degree(k) < lo for k in range(delta)) - 1
 
 
 def node_values(
     degrees: Iterable[int], delta: int, cache: CacheStore | None = None
 ) -> list[list[int]]:
-    """[T_0(d), ..., T_delta(d)] for each d in degrees, from one read of the
-    counts at read_degrees(delta), as in "Counts past degree lo + 2";
-    DegreeCheckFailed unless each starts with N^{e,0} = 1 and they keep
-    the identity with Q = q(u)/u there.  A degree below lo gets the
-    polynomial values, which need not be counts.  Non-int input:
-    InvalidState; delta < 0: ValueError; delta > MAX_READ_DELTA:
-    ReadTooLarge, before the degrees are listed."""
+    """[T_0(d), ..., T_delta(d)] for each d in degrees, from the counts at
+    lo and lo + 1 and Q = q(u)/u, as in "Counts past degree lo + 2";
+    DegreeCheckFailed unless each counted row starts with N^{e,0} = 1 and
+    the counts at lo - 1 (k <= K) and at lo + 2 (k > K) are the formula's.
+    A degree below lo gets the polynomial values, which need not be counts.
+    Non-int input: InvalidState; delta < 0: ValueError; delta >
+    MAX_READ_DELTA: ReadTooLarge, before the degrees are listed."""
     if not isinstance(delta, int):
         raise InvalidState(f"node values need an int delta, got {delta!r}")
     if delta < 0:
@@ -617,20 +638,29 @@ def node_values(
     degrees = list(degrees)
     if not all(isinstance(d, int) for d in degrees):
         raise InvalidState(f"node values need int degrees, got {degrees}")
-    size, read = delta + 1, read_degrees(delta)
-    f = [[relative_severi(e, k, cache=cache) for k in range(size)] for e in read]
+    size, lo, split = delta + 1, low_degree(delta), _split(delta)
+    ks = {lo - 1: range(split + 1), lo: range(size), lo + 1: range(size),
+          lo + 2: range(split + 1, size)}
+    counts = {e: [relative_severi(e, k, cache=cache) for k in row] for e, row in ks.items()}
+    for e, row in ks.items():
+        if 0 in row and counts[e][0] != 1:
+            raise DegreeCheckFailed(f"the counts at degree {e} do not start with N^{{e,0}} = 1")
 
     def times(a: Sequence[int], b: Sequence[int]) -> list[int]:
-        return [sum(a[k] * b[m - k] for k in range(m + 1)) for m in range(size)]
+        return [sum(a[k] * b[m - k] for k in range(m + 1)) for m in range(len(a))]
 
-    if any(row[0] != 1 for row in f):
-        raise DegreeCheckFailed(f"the counts at degrees {read[0]}..{read[2]} do not start "
-                                "with N^{e,0} = 1")
-    if times(times(f[0], f[2]), q_over_u(size)) != times(f[1], f[1]):
-        raise DegreeCheckFailed(f"the counts at degrees {read[0]}..{read[2]} break "
-                                f"F_{read[0]} . F_{read[2]} . q(u)/u = F_{read[1]}^2")
-    return [times(times(_power(f[0], (t - 1) * (t - 2) // 2), _power(f[1], -t * (t - 2))),
-                  _power(f[2], t * (t - 1) // 2)) for t in (d - read[0] for d in degrees)]
+    f0, f1, n, q = counts[lo], counts[lo + 1], split + 1, q_over_u(size)
+
+    def value(t: int) -> list[int]:  # F_{lo+t} mod u^{delta+1}
+        return times(times(_power(f0, 1 - t), _power(f1, t)), _power(q, -t * (t - 1) // 2))
+
+    if times(times(counts[lo - 1], f1[:n]), q[:n]) != times(f0[:n], f0[:n]):
+        raise DegreeCheckFailed(f"the counts at degrees {lo - 1}..{lo + 1} break F_{lo - 1} . "
+                                f"F_{lo + 1} . q(u)/u = F_{lo}^2 mod u^{n}")
+    if times(times(f0, value(2)[:n] + counts[lo + 2]), q) != times(f1, f1):
+        raise DegreeCheckFailed(f"the counts at degrees {lo}..{lo + 2} break F_{lo} . F_{lo + 2} . "
+                                f"q(u)/u = F_{lo + 1}^2 at u^{n}..u^{delta}")
+    return [value(d - lo) for d in degrees]
 
 
 def severi_degree(d: int, delta: int, cache: CacheStore | None = None) -> int:

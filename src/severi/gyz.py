@@ -5,7 +5,7 @@ B1(q)^z B2(q)^y B3(q)^chi B4(q)^(-nu/2) leaves exactly two unknown
 series once u, B3, B4 are fixed.  Both directions work on its log.
 For the plane (z = 9, y = -3d, chi = (d^2 + 3d)/2 + 1) the log is a
 quadratic in d, which `nodepoly.quadratic_log` reads once: its d^2 part
-is log(B3)/2, as the read's check with q(u)/u guarantees (the engine's
+is log(B3)/2, as the read takes it from q(u)/u (the engine's
 "Counts past degree lo + 2"), and its d and constant parts give log(B2)
 and log(B1) in exact arithmetic.  Prediction reads the solution's linear
 `forms` and composes them with the engine's q(u).
@@ -22,6 +22,7 @@ from .engine import CacheStore, InternalInconsistency, low_degree, q_over_u, sev
 from .forms import form_catalog
 from .nodepoly import quadratic_log
 from .series import RatSeries
+from .tangency import InvalidState
 
 
 class DegreeTooSmall(ValueError):
@@ -114,7 +115,10 @@ def _check_degree(d: int, order: int) -> None:
 
 
 def plane_generating_series(d: int, order: int, cache: CacheStore | None = None) -> RatSeries:
-    """Left side of the product formula for degree d: sum N^{d,delta} u(q)^delta."""
+    """Left side of the product formula for degree d: sum N^{d,delta} u(q)^delta.
+    A float order: InvalidState."""
+    if not isinstance(order, int):
+        raise InvalidState(f"a generating series needs an int order, got {order!r}")
     if order < 0:
         raise ValueError("order must be nonnegative")
     _check_degree(d, order)
@@ -131,7 +135,7 @@ def extract_b_series(
 
     Composed with u, log sum_delta T_delta(d) u^delta = A.d^2 + B.d + C
     is 9.log(B1) - 3d.log(B2) + chi(d).log(B3) - log(B4)/2, chi(d) =
-    (d^2 + 3d)/2 + 1.  The read's check gives A = -log(q(u)/u)/2, so
+    (d^2 + 3d)/2 + 1.  The read's formula gives A = -log(q(u)/u)/2, so
     A o u is log(B3)/2, the form X, and log(B3) is 2.(A o u); B o u and
     C o u then give log(B2) and log(B1).  d_list needs two distinct
     degrees >= engine.low_degree(order); no count at them is read.

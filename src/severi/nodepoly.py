@@ -3,10 +3,11 @@
 T_delta is the degree-2delta polynomial that equals N^{d,delta} for all
 d >= lo = engine.low_degree(delta).  Every T_delta here comes from one
 call of `engine.node_values`; the engine docstring's "Counts past degree
-lo + 2" states that regime, the degrees a read counts at and their check
-against q(u)/u.  The fit interpolates its values, the threshold scan
-compares them with the counts below lo, and `quadratic_log`, which the
-log forms and gyz read, takes the logs of its values at d = 0, 1, 2.
+lo + 2" states that regime, the two degrees a read takes its values
+from and the checks one degree outside them.  The fit interpolates its
+values, the threshold scan compares them with the counts below lo, and
+`quadratic_log`, which the log forms and gyz read, takes the logs of its
+values at d = 0, 1, 2.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def fit_node_polynomial(delta: int, cache: CacheStore | None = None) -> NodePoly
     """Interpolate T_delta at fit_range, d = delta+2 .. 3delta+2.
 
     The values come from `engine.node_values` (the engine's "Counts past
-    degree lo + 2"), which counts at no other degree.  Its check with
-    q(u)/u, with N^{e,0} = 1, gives [u^1] of the quadratic log's d^2 part
-    as -Q_1/2 = 3, so T_delta has degree 2delta, leading coefficient
+    degree lo + 2"), which counts at no other degree.  It takes the
+    quadratic log's d^2 part from q(u)/u, so with N^{e,0} = 1 its [u^1]
+    is -Q_1/2 = 3 and T_delta has degree 2delta, leading coefficient
     3^delta/delta!.  A float delta: InvalidState.
     """
     if not isinstance(delta, int):

@@ -128,11 +128,11 @@ def test_predict(capsys):
 
 
 def test_predict_in_sample_notes_on_stderr(capsys):
-    # an order-2 extraction reads degrees 2..4, whatever --dlist says
+    # an order-2 extraction counts at degrees 1..4, whatever --dlist says
     doc, err = run_json(
         capsys, "predict", "--d", "4", "--order", "2", "--dlist", "3,4"
     )
-    assert "in-sample" in err and "(2..4)" in err
+    assert "in-sample" in err and "(1..4)" in err
     assert doc["values"][1] == "27"
 
 
@@ -562,7 +562,7 @@ def test_a_read_too_large_to_hold_returns_at_once(argv):
     ["nodepoly", "--delta", "7"], ["threshold", "--delta", "7"], ["logforms", "--deltamax", "7"],
     ["bseries", "--order", "7", "--dlist", "8,9"],
     ["predict", "--d", "9", "--order", "7", "--dlist", "8,9"],
-    ["count", "--d", "8", "--delta", "7"],  # read_degrees(7) = 5..7
+    ["count", "--d", "8", "--delta", "7"],  # read_degrees(7) = 4..7
     ["table", "--dmax", "8", "--deltamax", "7"],
 ], ids=lambda argv: argv[0])
 def test_a_read_past_the_bound_is_refused_before_it_counts(capsys, monkeypatch, argv):

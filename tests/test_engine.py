@@ -598,7 +598,7 @@ def test_layered_builders_match_the_unlayered_ones(monkeypatch):
     engine.node_values([1], 16, cache=CacheStore())
     monkeypatch.undo()
     # as many keys as a fresh process making the two reads caches
-    assert [len(seen) for seen in keys.values()] == [5782, 4475, 4832]
+    assert [len(seen) for seen in keys.values()] == [5658, 4351, 4771]
     for key in keys["_alpha_candidates"]:
         assert Counter(engine._alpha_candidates(*key)) == Counter(_unlayered_alpha_candidates(*key)), key
     for key in keys["_frontier"]:
@@ -638,9 +638,9 @@ def test_builders_do_the_pinned_work_in_a_fresh_process():
 
 
 def test_threshold_builders_do_the_pinned_work_in_a_fresh_process():
-    # the benchmark's cold pass, which reads degrees 6..8 only
+    # the benchmark's cold pass, which counts at degrees 5..8 only
     assert (_fresh_builder_sizes("threshold_report(9, cache=store)")
-            == "1663 46 [8, 45, 234, 219, 227, 191, 164, 202, 437]\n")
+            == "1370 46 [8, 45, 234, 164, 202, 147, 135, 202, 392]\n")
 
 
 def test_tables_grown_in_either_order_give_the_same_stores():
@@ -666,7 +666,7 @@ def test_tables_grown_in_either_order_give_the_same_stores():
         assert proc.returncode == 0, proc.stderr
         runs.append(sorted(proc.stdout.splitlines()))
     assert runs[0] == runs[1]
-    assert [line.split()[:2] for line in runs[0]] == [["deep", "41923"], ["threshold", "1663"]]
+    assert [line.split()[:2] for line in runs[0]] == [["deep", "41923"], ["threshold", "1370"]]
 
 
 @given(_states())
@@ -736,7 +736,7 @@ def test_states_evaluated_per_table():
     recursion_grid(18, 9, store)
     assert len(store) == 18542
     # severi_table reads each N^{d,delta} with d > lo + 2 off the counts at
-    # degrees lo..lo+2, lo = ceil(delta/2) + 1, so it stores the states
+    # degrees lo-1..lo+2, lo = ceil(delta/2) + 1, so it stores the states
     # below that band only
     store = CacheStore()
     severi_table(10, 6, cache=store)
@@ -750,14 +750,15 @@ def test_states_evaluated_per_table():
     # severi_degree reads N^{30,9} off the same counts as the threshold
     store = CacheStore()
     severi_degree(30, 9, cache=store)
-    assert len(store) == 1664
-    # the threshold and the fit read T_9 off the counts at degrees 6..8 alone
+    assert len(store) == 1371
+    # the threshold and the fit read T_9 off the counts at degrees 5..8 alone:
+    # all of 6 and 7, k <= 8 at 5 and k = 9 at 8
     store = CacheStore()
     threshold_report(9, cache=store)
-    assert len(store) == 1663
+    assert len(store) == 1370
     store = CacheStore()
     fit_node_polynomial(9, cache=store)
-    assert len(store) == 1663
+    assert len(store) == 1370
     store = CacheStore()
     assert severi_degree(10**4, 0, cache=store) == 1
     assert len(store) == 1
@@ -1031,20 +1032,75 @@ def poisoned_recursion(monkeypatch, bad):
 
 @pytest.mark.parametrize("offset", [1, 2])
 def test_a_count_off_by_one_above_the_low_degree_fails_the_check(monkeypatch, offset):
-    # lo = 6 at delta = 9, and the read is degrees 6..8
+    # lo = 6 and K = 8 at delta = 9: u^9 of degrees 7 and 8 is checked at lo + 2
     poisoned_recursion(monkeypatch, (6 + offset, 9))
     with pytest.raises(DegreeCheckFailed, match=r"degrees 6\.\.8 break F_6 \. F_8 \. "
-                                                r"q\(u\)/u = F_7\^2"):
+                                                r"q\(u\)/u = F_7\^2 at u\^9\.\.u\^9$"):
         threshold_report(9, cache=CacheStore())
 
 
 @pytest.mark.parametrize("bad", [(6, 9), (7, 4)])
 def test_a_count_off_by_one_in_the_read_fails_the_check(monkeypatch, bad):
-    # at lo itself, and below delta: the identity holds coefficient by
-    # coefficient, and N^{7,4} enters at u^4
+    # at lo itself, and below delta: each identity holds coefficient by
+    # coefficient, and N^{7,4} enters at u^4 <= u^K, checked at lo - 1 = 5
     poisoned_recursion(monkeypatch, bad)
-    with pytest.raises(DegreeCheckFailed, match=r"degrees 6\.\.8 "):
+    degrees = "5..7" if bad[1] <= 8 else "6..8"
+    with pytest.raises(DegreeCheckFailed, match=f"degrees {degrees} "):
         threshold_report(9, cache=CacheStore())
+
+
+# every slot the read checks, off by one: the counts at lo - 1 for k <= K
+# (one k), u^delta at lo and lo + 1, and each count at lo + 2 (all k > K)
+_BELOW = "the counts at degrees {0}..{2} break F_{0} . F_{2} . q(u)/u = F_{1}^2 mod u^{3}"
+_ABOVE = "the counts at degrees {0}..{2} break F_{0} . F_{2} . q(u)/u = F_{1}^2 at u^{3}..u^{4}"
+
+
+@pytest.mark.parametrize("bad", [(5, 4), (6, 9), (7, 9), (8, 9)])
+def test_each_checked_count_at_delta_9_fails_its_check(monkeypatch, bad):
+    # lo = 6, K = 8: only u^9 is counted at lo + 2
+    poisoned_recursion(monkeypatch, bad)
+    with pytest.raises(DegreeCheckFailed) as failed:
+        engine.node_values((30,), 9, cache=CacheStore())
+    below, above = _BELOW.format(5, 6, 7, 9), _ABOVE.format(6, 7, 8, 9, 9)
+    assert str(failed.value) == (below if bad[1] <= 8 else above)
+
+
+@pytest.mark.parametrize("bad", [(6, 7), (7, 12), (8, 12), (9, 11), (9, 12)])
+def test_each_checked_count_at_delta_12_fails_its_check(monkeypatch, bad):
+    # lo = 7, K = 10: u^11 and u^12 are counted at lo + 2
+    poisoned_recursion(monkeypatch, bad)
+    with pytest.raises(DegreeCheckFailed) as failed:
+        engine.node_values((30,), 12, cache=CacheStore())
+    below, above = _BELOW.format(6, 7, 8, 11), _ABOVE.format(7, 8, 9, 11, 12)
+    assert str(failed.value) == (below if bad[1] <= 10 else above)
+
+
+@pytest.mark.parametrize("delta, bad", [(9, (8, 8)), (9, (8, 0)), (12, (9, 10))])
+def test_an_uncounted_coefficient_at_lo_plus_2_changes_nothing(monkeypatch, delta, bad):
+    # k <= K at lo + 2 comes from the formula: the count is never asked for
+    degrees = range(1, 3 * delta + 13)
+    want = engine.node_values(degrees, delta, cache=CacheStore())
+    poisoned_recursion(monkeypatch, bad)
+    true_evaluate, roots = engine._evaluate, set()
+
+    def recording(root, cache):
+        roots.add(engine.unpack(root)[:2])
+        return true_evaluate(root, cache)
+
+    monkeypatch.setattr(engine, "_evaluate", recording)
+    assert engine.node_values(degrees, delta, cache=CacheStore()) == want
+    assert bad not in roots and (bad[0], delta) in roots
+
+
+def test_the_split_is_the_last_coefficient_counted_below_lo():
+    # K = delta - 1 for odd delta and delta = 2, delta - 2 for even delta >= 4
+    splits = [engine._split(delta) for delta in range(14)]
+    assert splits == [-1, -1, 1, 2, 2, 4, 4, 6, 6, 8, 8, 10, 10, 12]
+    for delta, split in enumerate(splits):
+        lo = engine.low_degree(delta)
+        assert split == max((k for k in range(delta + 1) if engine.low_degree(k) < lo), default=-1)
+    reads = [engine.read_degrees(delta) for delta in range(6)]
+    assert reads == [range(1, 4), range(1, 4), range(1, 5), range(2, 6), range(2, 6), range(3, 7)]
 
 
 @pytest.mark.parametrize("m", range(10))
@@ -1057,7 +1113,8 @@ def test_a_coefficient_of_q_off_by_one_fails_the_check(shared_cache, monkeypatch
         return tuple(q)
 
     monkeypatch.setattr(engine, "q_over_u", off_by_one)
-    with pytest.raises(DegreeCheckFailed, match=r"degrees 6\.\.8 "):
+    # Q_m enters at u^m: checked at lo - 1 = 5 up to K = 8, at lo + 2 = 8 above
+    with pytest.raises(DegreeCheckFailed, match="degrees 5..7 " if m <= 8 else "degrees 6..8 "):
         engine.node_values((30,), 9, cache=shared_cache)
 
 
@@ -1081,9 +1138,12 @@ def test_severi_degree_persists_the_root_and_the_counts_it_read():
         value = severi_degree(d, delta, cache=store)
         assert value == relative_severi(d, delta, cache=reference), (d, delta)
         roots = {(d, delta, (), (d,))}
-        if delta:  # the counts read at degrees lo..lo+2
+        if delta:  # the counts read at degrees lo - 1 (k <= K), lo, lo + 1 and lo + 2 (k > K)
             lo = lows[delta]
-            roots |= {(e, k, (), (e,)) for e in range(lo, lo + 3) for k in range(delta + 1)}
+            split = max((k for k in range(delta) if lows[k] < lo), default=-1)
+            counted = {lo - 1: range(split + 1), lo: range(delta + 1), lo + 1: range(delta + 1),
+                       lo + 2: range(split + 1, delta + 1)}
+            roots |= {(e, k, (), (e,)) for e, ks in counted.items() for k in ks}
         assert {key for key, _ in store.roots()} == roots, (d, delta)
 
 

@@ -161,9 +161,9 @@ def test_extraction_duplicate_degrees_collapse(shared_cache):
 
 @pytest.mark.parametrize("bad", [2, 3, 4])
 def test_inconsistency_is_detected(bad):
-    # at order 2 the extraction reads the counts at degrees lo..lo+2 = 2..4
-    # once; one of them off by one, after warming, breaks their check with
-    # q(u)/u, whatever the requested degrees
+    # at order 2 (lo = 2, K = 1) the extraction reads all of degrees 2 and 3
+    # and u^2 at 4 once; u^2 at one of them off by one, after warming,
+    # breaks their check with q(u)/u, whatever the requested degrees
     poisoned = CacheStore()
     extract_b_series(2, [3, 9], cache=poisoned)
     poisoned._data[pack((bad, 2, (), (bad,)))] += 1
@@ -195,7 +195,8 @@ def test_predictions_count_from_the_low_degree_on(shared_cache, m):
     # the regime _check_degree enforces: from low_degree(m) on every
     # prediction to order m is the count; below it some count is missed,
     # except by accident at m = 2, d = 1 (T_1(1) = 0 and T_2(1) = 0)
-    sol = extract_b_series(m, engine.read_degrees(m), cache=shared_cache)
+    lo = engine.low_degree(m)
+    sol = extract_b_series(m, (lo, lo + 1), cache=shared_cache)
     for d in range(1, 13):
         predicted = gyz_predict(plane_invariants(d), sol)
         counts = [relative_severi(d, k, cache=shared_cache) for k in range(m + 1)]
@@ -222,11 +223,14 @@ def test_a_wrong_b3_coefficient_is_inconsistent(shared_cache, monkeypatch, m):
 
 def test_a_float_order_is_invalid_state(shared_cache):
     # the read comes before u is built, so a float order fails in
-    # node_values, as it does for log_forms, and not in range()
+    # node_values, as it does for log_forms, and not in range(); the
+    # generating series checks its order before it lists the counts
     with pytest.raises(InvalidState):
         extract_b_series(2.0, (3, 4), cache=shared_cache)
     with pytest.raises(InvalidState):
         log_forms(2.0, cache=shared_cache)
+    with pytest.raises(InvalidState, match="needs an int order, got 2.0"):
+        plane_generating_series(5, 2.0, cache=shared_cache)
 
 
 def test_extraction_makes_one_read(monkeypatch):

@@ -207,13 +207,13 @@ def test_fit_checks_the_guard_point():
 
 
 def test_fit_refuses_a_degenerate_polynomial(monkeypatch):
-    # all-zero counts keep F_lo . F_lo+2 . q(u)/u = F_lo+1^2, but the read
+    # all-zero counts keep the read's identities with q(u)/u, but the read
     # refuses a row that does not start with N^{e,0} = 1, so no fit or
-    # count past lo + 2 comes out of them
+    # count past lo + 2 comes out of them; the first row is at lo - 1
     monkeypatch.setattr(engine, "relative_severi", lambda d, delta, cache=None: 0)
-    with pytest.raises(DegreeCheckFailed, match=r"degrees 2\.\.4 do not start with N\^\{e,0\} = 1"):
+    with pytest.raises(DegreeCheckFailed, match=r"degree 1 do not start with N\^\{e,0\} = 1"):
         fit_node_polynomial(2, cache=CacheStore())
-    with pytest.raises(DegreeCheckFailed, match=r"degrees 3\.\.5 do not start"):
+    with pytest.raises(DegreeCheckFailed, match=r"degree 2 do not start"):
         severi_degree(20, 3, cache=CacheStore())
 
 
@@ -262,9 +262,10 @@ def test_a_mismatch_just_below_the_fit_window_is_the_witness(monkeypatch):
 
 
 def test_threshold_reads_each_count_once(monkeypatch):
-    # the counts at degrees lo..lo+2 = 6..8 once for T_9, then the scan's
-    # count at lo-1 = 5, which is the recursion's through severi_degree;
-    # every root the recursion is asked for goes through engine._evaluate
+    # the counts at degrees 6, 7 (all k), 5 (k <= K = 8) and 8 (k = 9) once
+    # for T_9, then the scan's count N^{5,9}, which is the recursion's through
+    # severi_degree; every root the recursion is asked for goes through
+    # engine._evaluate
     true_evaluate = engine._evaluate
     reads = []
 
@@ -275,8 +276,8 @@ def test_threshold_reads_each_count_once(monkeypatch):
     monkeypatch.setattr(engine, "_evaluate", counting)
     store = CacheStore()
     assert threshold(9, cache=store) == 6
-    assert sorted(reads) == sorted([(5, 9)] + [
-        (d, k) for d in range(6, 9) for k in range(10)
+    assert sorted(reads) == sorted([(5, 9), (8, 9)] + [(5, k) for k in range(9)] + [
+        (d, k) for d in range(6, 8) for k in range(10)
     ])
     assert (store.misses, store.root_count) == (30, 31)  # N^{5,9} is a state of N^{6,9}
 
